@@ -1,32 +1,18 @@
-"""JIT-compiled inner loops with a pure-python/numpy fallback.
+"""The FIFO job scan, the one sequential loop of allocation evaluation.
 
-Set ``GREENSCHED_NO_NUMBA=1`` in the environment to force the fallback path
-(useful for debugging and as a baseline in ``bench/``).  Both paths compute
-identical results; the FIFO job scan is sequential by construction (job j+1 of
-a task may not start before job j ends), so it cannot be vectorized and is the
-single hot loop of allocation evaluation.
+Jobs of one task run first-in first-out: job j+1 may not start before job j
+ends (Lindley's recursion), so the scan walks the jobs in order.  It is plain
+Python over numpy arrays.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("GREENSCHED_NO_NUMBA", "").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
+USE_NUMBA = False  # no JIT backend; kept because tools report the scan backend from it
 
 
-def _scan_jobs_impl(
+def scan_jobs(
     arrivals,
     deadlines,
     works,
@@ -68,12 +54,3 @@ def _scan_jobs_impl(
             frac_out[j] = 1.0
         end_out[j] = end
         prev_end[t] = end
-
-
-if USE_NUMBA:
-    scan_jobs = njit(cache=True)(_scan_jobs_impl)
-else:
-    scan_jobs = _scan_jobs_impl
-
-#: The fallback implementation, always importable (benchmarks compare both).
-scan_jobs_fallback = _scan_jobs_impl

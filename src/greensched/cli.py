@@ -32,7 +32,7 @@ from .errors import (
     ModelDomainError,
     ParseError,
 )
-from .nsga import EvolveConfig, evolve
+from .nsga import evolve
 from .scenario import Scenario, load_scenario, load_server_spec, save_server_spec
 from .workload import generate_jobs, parse_trace, serialize_trace
 
@@ -216,14 +216,30 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_allocation(path: str) -> sim.Allocation:
+    """Read ``{"dvfs": [int, ...], "shares": [[int, ...], ...]}``."""
+    with Path(path).open(encoding="utf-8") as fh:
+        doc = json.load(fh)
+
+    def ints(value, name: str) -> tuple[int, ...]:
+        if not isinstance(value, list) or any(type(v) is not int for v in value):
+            raise ParseError(f"{path}: field {name!r} must be a list of integers")
+        return tuple(value)
+
+    for name in ("dvfs", "shares"):
+        if not isinstance(doc, dict) or name not in doc:
+            raise ParseError(f"{path}: missing field {name!r}")
+    if not isinstance(doc["shares"], list):
+        raise ParseError(f"{path}: field 'shares' must be a list of rows")
+    return sim.Allocation(
+        dvfs=ints(doc["dvfs"], "dvfs"),
+        shares=tuple(ints(row, f"shares[{i}]") for i, row in enumerate(doc["shares"])),
+    )
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
-    with Path(args.allocation).open(encoding="utf-8") as fh:
-        doc = json.load(fh)
-    alloc = sim.Allocation(
-        dvfs=tuple(int(k) for k in doc["dvfs"]),
-        shares=tuple(tuple(int(s) for s in row) for row in doc["shares"]),
-    )
+    alloc = _load_allocation(args.allocation)
     if len(alloc.dvfs) != len(scenario.cluster) or len(alloc.shares) != len(
         scenario.profiles
     ):

@@ -9,13 +9,14 @@ single-host (REAL) tasks keep only their largest entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import sim
 from .errors import ConfigurationError, InvalidArgumentError
+from .power import DYN_ENERGY_FORMS
 from .tasks import LatenessConstraint
 from .workload import JobTrace, TaskProfile
 
@@ -59,6 +60,12 @@ class EvolveConfig:
             raise ConfigurationError(f"unknown policy {self.policy!r}")
         if self.population < 2:
             raise ConfigurationError("population must be >= 2")
+        if self.generations < 1:
+            raise ConfigurationError("generations must be >= 1")
+        if self.dyn_energy_form not in DYN_ENERGY_FORMS:
+            raise ConfigurationError(
+                f"dyn_energy_form {self.dyn_energy_form!r} is not one of {DYN_ENERGY_FORMS}"
+            )
         if 100 % self.share_step != 0:
             raise ConfigurationError("share_step must divide 100")
 

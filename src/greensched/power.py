@@ -17,7 +17,7 @@ The per-host energy split is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,9 +28,6 @@ from .errors import (
     ModelDomainError,
     UnderdeterminedFitError,
 )
-
-BOLTZMANN_J_PER_K = 1.380649e-23
-ELECTRON_CHARGE_C = 1.602176634e-19
 
 #: Frequency unit the dynamic coefficient is normalized to.
 FREQ_NORM_HZ = 1e9
@@ -159,19 +156,6 @@ class ServerSpec:
         return names
 
 
-def leakage_current(b: float, t_k: float, v_gs_minus_v_th: float, n_slope: float) -> float:
-    """Subthreshold leakage current ``B * T^2 * exp(dV / (n k T / q))``.
-
-    Kept for derivation tests; the pipeline uses the fitted polynomial form.
-    """
-    if t_k <= 0:
-        raise ModelDomainError("temperature must be > 0 K")
-    if b <= 0:
-        raise ModelDomainError("technology constant B must be > 0")
-    thermal_v = n_slope * BOLTZMANN_J_PER_K * t_k / ELECTRON_CHARGE_C
-    return b * t_k * t_k * math.exp(v_gs_minus_v_th / thermal_v)
-
-
 def _check_mode(spec: ServerSpec, mode: DvfsMode) -> None:
     if mode not in spec.modes:
         raise InvalidArgumentError(
@@ -264,11 +248,6 @@ def leakage_energy(
         raise ModelDomainError("instruction count must be >= 0")
     p_leak = leakage_power(spec, mode, thermal)
     return p_leak * spec.cpi / mode.frequency_hz * total_instructions
-
-
-def total_energy(terms: Iterable[tuple[float, float]]) -> float:
-    """Sum of ``(dynamic_J, leakage_J)`` contributions over active (server, mode) pairs."""
-    return float(sum(d + l for d, l in terms))
 
 
 # --- calibration ----------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -145,21 +145,28 @@ def load_scenario(
         raise ConfigurationError(
             f"{path}: no seed given (set optimizer.seed or pass --seed)"
         )
-    optimizer = EvolveConfig(
-        population=population or int(opt_doc.get("population", 100)),
-        generations=generations or int(opt_doc.get("generations", 25_000)),
-        seed=int(eff_seed),
-        policy=(policy or opt_doc.get("policy", doc.get("policy", "VAR"))).upper(),
-        stop_window=int(opt_doc.get("stop_window", 500)),
-        max_mode_index=(
-            max_mode_index
-            if max_mode_index is not None
-            else opt_doc.get("max_mode_index")
-        ),
-        share_step=int(opt_doc.get("share_step", 1)),
-        dyn_energy_form=doc.get("dyn_energy_form", "as-written"),
-        energy_unit_j=float(doc.get("energy_unit_j", sim.ENERGY_UNIT_J)),
-    )
+    if population is None:
+        population = int(opt_doc.get("population", 100))
+    if generations is None:
+        generations = int(opt_doc.get("generations", 25_000))
+    try:
+        optimizer = EvolveConfig(
+            population=population,
+            generations=generations,
+            seed=int(eff_seed),
+            policy=(policy or opt_doc.get("policy", doc.get("policy", "VAR"))).upper(),
+            stop_window=int(opt_doc.get("stop_window", 500)),
+            max_mode_index=(
+                max_mode_index
+                if max_mode_index is not None
+                else opt_doc.get("max_mode_index")
+            ),
+            share_step=int(opt_doc.get("share_step", 1)),
+            dyn_energy_form=doc.get("dyn_energy_form", "as-written"),
+            energy_unit_j=float(doc.get("energy_unit_j", sim.ENERGY_UNIT_J)),
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
     canonical = dict(doc)
     canonical["__overrides__"] = {

@@ -15,7 +15,7 @@ executed instruction counts only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -198,15 +198,24 @@ class _TraceArrays:
 
 
 def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArrays:
+    """Flatten ``trace``; every job must belong to a profile, every profile have a job."""
     ordered = sorted(profiles, key=lambda p: p.task_id)
     task_ids = [p.task_id for p in ordered]
     row_of = {tid: i for i, tid in enumerate(task_ids)}
     jobs = sorted(trace.jobs, key=lambda j: (j.task_id, j.job_index))
+    unknown = sorted({j.task_id for j in jobs} - row_of.keys())
+    if unknown:
+        raise InvalidArgumentError(f"trace has jobs of unknown task(s) {unknown}")
+    task_of_job = np.array([row_of[j.task_id] for j in jobs], dtype=np.int64)
+    n_jobs_of = np.bincount(task_of_job, minlength=len(task_ids))
+    idle = [tid for tid, n_jobs in zip(task_ids, n_jobs_of) if n_jobs == 0]
+    if idle:
+        raise InvalidArgumentError(f"trace has no jobs of task(s) {idle}")
     return _TraceArrays(
         arrivals=np.array([j.arrival_s for j in jobs]),
         deadlines=np.array([j.deadline_s for j in jobs]),
         works=np.array([float(j.work_instructions) for j in jobs]),
-        task_of_job=np.array([row_of[j.task_id] for j in jobs], dtype=np.int64),
+        task_of_job=task_of_job,
         job_index=np.array([j.job_index for j in jobs], dtype=np.int64),
         is_ctrl=np.array([p.kind == "CTRL" for p in ordered]),
         task_ids=task_ids,
@@ -224,6 +233,76 @@ def _soft_constraint_list(
             for c in _soft_constraints_for(p, soft_constraints):
                 out.append((i, c))
     return out
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One allocation replayed over a trace: what both evaluators report from."""
+
+    u: np.ndarray  # task x server utilization
+    dur_coef: np.ndarray  # seconds per instruction of each task
+    completion: np.ndarray  # per job, would-be completion (pre-abort)
+    overrun: np.ndarray
+    missed: np.ndarray
+    modes: list[pw.DvfsMode]  # per server
+    executed: list[float]  # instructions per server
+    dynamic_j: list[float]
+    leakage_j: list[float]
+
+
+def _run(
+    cluster: Sequence[ClusterHost],
+    alloc: Allocation,
+    arr: _TraceArrays,
+    dyn_energy_form: str,
+) -> _Run:
+    """Utilization, FIFO scan and per-server energy of a validated allocation."""
+    if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
+        raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
+    shares = np.array(alloc.shares, dtype=np.float64) / 100.0
+    weights = shares * arr.n_mean[:, None]
+    col = weights.sum(axis=0)
+    busy = col > 0
+    u = np.zeros_like(weights)
+    u[:, busy] = weights[:, busy] / col[busy]
+
+    modes = [host.spec.mode(k) for host, k in zip(cluster, alloc.dvfs)]
+    freq = np.array([mode.frequency_hz for mode in modes])
+    cpi = np.array([host.spec.cpi for host in cluster])
+
+    # Seconds per instruction of each task: slowest of its subtasks.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_server = cpi[None, :] * shares / (freq[None, :] * u)
+    per_server[shares == 0] = 0.0
+    dur_coef = per_server.max(axis=1)
+
+    completion = np.empty_like(arr.arrivals)
+    end = np.empty_like(arr.arrivals)
+    frac = np.empty_like(arr.arrivals)
+    scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef,
+              arr.is_ctrl, completion, end, frac)
+    overrun = completion - arr.deadlines
+
+    exec_per_task = np.bincount(
+        arr.task_of_job, weights=arr.works * frac, minlength=len(arr.task_ids)
+    )
+    exec_im = shares * exec_per_task[:, None]
+    executed, dynamic_j, leakage_j = [], [], []
+    for mi, (host, mode) in enumerate(zip(cluster, modes)):
+        n_exec = float(exec_im[:, mi].sum())
+        if dyn_energy_form == "as-written":
+            dyn_sum = float((u[:, mi] * exec_im[:, mi]).sum())
+        else:
+            dyn_sum = n_exec
+        executed.append(n_exec)
+        dynamic_j.append(
+            (host.spec.a_dyn * mode.voltage_v**2 * host.spec.cpi * dyn_sum)
+            / pw.FREQ_NORM_HZ
+        )
+        leakage_j.append(pw.leakage_energy(host.spec, mode, host.thermal, n_exec))
+    return _Run(
+        u, dur_coef, completion, overrun, overrun > 0, modes, executed, dynamic_j, leakage_j
+    )
 
 
 def evaluate_objectives(
@@ -246,68 +325,24 @@ def evaluate_objectives(
     validate_allocation(alloc, profiles, cluster)
     ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
-    n = len(ordered)
+    run = _run(cluster, alloc, arr, dyn_energy_form)
 
-    shares = np.array(alloc.shares, dtype=np.float64) / 100.0
-    weights = shares * arr.n_mean[:, None]
-    col = weights.sum(axis=0)
-    busy = col > 0
-    u = np.zeros_like(weights)
-    u[:, busy] = weights[:, busy] / col[busy]
-
-    freq = np.array(
-        [host.spec.mode(k).frequency_hz for host, k in zip(cluster, alloc.dvfs)]
-    )
-    cpi = np.array([host.spec.cpi for host in cluster])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_server = cpi[None, :] * shares / (freq[None, :] * u)
-    per_server[shares == 0] = 0.0
-    dur_coef = per_server.max(axis=1)
-
-    completion = np.empty_like(arr.arrivals)
-    end = np.empty_like(arr.arrivals)
-    frac = np.empty_like(arr.arrivals)
-    scan_jobs(
-        arr.arrivals,
-        arr.deadlines,
-        arr.works,
-        arr.task_of_job,
-        dur_coef,
-        arr.is_ctrl,
-        completion,
-        end,
-        frac,
-    )
-    overrun = completion - arr.deadlines
-    missed = overrun > 0
     is_real = np.array([p.kind == "REAL" for p in ordered])
-    hard_misses = int(missed[is_real[arr.task_of_job]].sum())
-    control_aborts = int(missed[arr.is_ctrl[arr.task_of_job]].sum())
-
+    hard_misses = int(run.missed[is_real[arr.task_of_job]].sum())
+    control_aborts = int(run.missed[arr.is_ctrl[arr.task_of_job]].sum())
     soft_violations = 0
-    n_jobs_of = np.bincount(arr.task_of_job, minlength=n)
+    n_jobs_of = np.bincount(arr.task_of_job, minlength=len(ordered))
     for ti, c in _soft_constraint_list(ordered, soft_constraints):
         sel = arr.task_of_job == ti
-        frac_late = float((overrun[sel] > c.x_s).sum()) / float(n_jobs_of[ti])
+        frac_late = float((run.overrun[sel] > c.x_s).sum()) / float(n_jobs_of[ti])
         if frac_late > c.beta:
             soft_violations += 1
     lam = soft_violations + control_aborts + hard_miss_weight * hard_misses
 
-    executed = arr.works * frac
-    exec_per_task = np.bincount(arr.task_of_job, weights=executed, minlength=n)
-    exec_im = shares * exec_per_task[:, None]
     energy = 0.0
-    for mi, host in enumerate(cluster):
-        mode = host.spec.mode(alloc.dvfs[mi])
-        n_exec = float(exec_im[:, mi].sum())
-        if dyn_energy_form == "as-written":
-            dyn_sum = float((u[:, mi] * exec_im[:, mi]).sum())
-        else:
-            dyn_sum = n_exec
-        energy += (
-            host.spec.a_dyn * mode.voltage_v**2 * host.spec.cpi * dyn_sum
-        ) / pw.FREQ_NORM_HZ
-        energy += pw.leakage_energy(host.spec, mode, host.thermal, n_exec)
+    for dyn, leak in zip(run.dynamic_j, run.leakage_j):
+        energy += dyn
+        energy += leak
     return lam, energy, energy / energy_unit_j
 
 
@@ -327,82 +362,32 @@ def evaluate_allocation(
     validate_allocation(alloc, profiles, cluster)
     ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
-    n, m = len(ordered), len(cluster)
+    run = _run(cluster, alloc, arr, dyn_energy_form)
+    m = len(cluster)
 
-    shares = np.array(alloc.shares, dtype=np.float64) / 100.0
-    weights = shares * arr.n_mean[:, None]
-    col = weights.sum(axis=0)
-    busy = col > 0
-    u = np.zeros_like(weights)
-    u[:, busy] = weights[:, busy] / col[busy]
-
-    freq = np.array(
-        [host.spec.mode(k).frequency_hz for host, k in zip(cluster, alloc.dvfs)]
-    )
-    cpi = np.array([host.spec.cpi for host in cluster])
-
-    # Seconds per instruction of each task: slowest of its subtasks.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_server = cpi[None, :] * shares / (freq[None, :] * u)
-    per_server[shares == 0] = 0.0
-    dur_coef = per_server.max(axis=1)
-
-    completion = np.empty_like(arr.arrivals)
-    end = np.empty_like(arr.arrivals)
-    frac = np.empty_like(arr.arrivals)
-    scan_jobs(
-        arr.arrivals,
-        arr.deadlines,
-        arr.works,
-        arr.task_of_job,
-        dur_coef,
-        arr.is_ctrl,
-        completion,
-        end,
-        frac,
-    )
-    start = completion - arr.works * dur_coef[arr.task_of_job]
-    overrun = completion - arr.deadlines
-    missed = overrun > 0
-    aborted = missed & arr.is_ctrl[arr.task_of_job]
-
-    executed = arr.works * frac
-    exec_per_task = np.bincount(arr.task_of_job, weights=executed, minlength=n)
-    exec_im = shares * exec_per_task[:, None]
-
-    servers: list[ServerOutcome] = []
-    for mi, host in enumerate(cluster):
-        mode = host.spec.mode(alloc.dvfs[mi])
-        n_exec = float(exec_im[:, mi].sum())
-        if dyn_energy_form == "as-written":
-            dyn_sum = float((u[:, mi] * exec_im[:, mi]).sum())
-        else:
-            dyn_sum = n_exec
-        dyn_e = (
-            host.spec.a_dyn * mode.voltage_v**2 * host.spec.cpi * dyn_sum
-        ) / pw.FREQ_NORM_HZ
-        leak_e = pw.leakage_energy(host.spec, mode, host.thermal, n_exec)
-        servers.append(
-            ServerOutcome(
-                server_id=host.spec.server_id,
-                mode_index=alloc.dvfs[mi],
-                busy_time_s=n_exec * host.spec.cpi / mode.frequency_hz,
-                utilization_sum=float(u[:, mi].sum()),
-                executed_instructions=n_exec,
-                dynamic_energy_j=dyn_e,
-                leakage_energy_j=leak_e,
-            )
+    servers = [
+        ServerOutcome(
+            server_id=host.spec.server_id,
+            mode_index=alloc.dvfs[mi],
+            busy_time_s=run.executed[mi] * host.spec.cpi / run.modes[mi].frequency_hz,
+            utilization_sum=float(run.u[:, mi].sum()),
+            executed_instructions=run.executed[mi],
+            dynamic_energy_j=run.dynamic_j[mi],
+            leakage_energy_j=run.leakage_j[mi],
         )
-
+        for mi, host in enumerate(cluster)
+    ]
+    start = run.completion - arr.works * run.dur_coef[arr.task_of_job]
+    aborted = run.missed & arr.is_ctrl[arr.task_of_job]
     outcomes = [
         JobOutcome(
             task_id=arr.task_ids[arr.task_of_job[j]],
             job_index=int(arr.job_index[j]),
             start_s=float(start[j]),
-            completion_s=float(completion[j]),
-            response_s=float(completion[j] - arr.arrivals[j]),
-            overrun_s=float(overrun[j]),
-            missed=bool(missed[j]),
+            completion_s=float(run.completion[j]),
+            response_s=float(run.completion[j] - arr.arrivals[j]),
+            overrun_s=float(run.overrun[j]),
+            missed=bool(run.missed[j]),
             aborted=bool(aborted[j]),
         )
         for j in range(len(arr.arrivals))

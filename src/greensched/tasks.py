@@ -12,7 +12,7 @@ Three task classes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -21,67 +21,6 @@ from .errors import (
     InfeasiblePeriodsError,
     InvalidArgumentError,
 )
-
-#: Soft utilization convention: ``"as-written"`` evaluates mu/lambda, the
-#: published form; ``"conventional"`` evaluates the queueing-theory lambda/mu.
-SOFT_UTIL_FORMS = ("as-written", "conventional")
-
-
-@dataclass(frozen=True)
-class HardTaskSpec:
-    task_id: int
-    release_s: float
-    wcet_s: float
-    period_s: float
-    deadline_s: float
-    n_instructions: int
-    n_jobs: int
-
-    def __post_init__(self):
-        if not self.wcet_s <= self.deadline_s <= self.period_s:
-            raise InvalidArgumentError(
-                f"task {self.task_id}: need C <= D <= T, "
-                f"got C={self.wcet_s} D={self.deadline_s} T={self.period_s}"
-            )
-        if not 0.0 < self.wcet_s / self.period_s <= 1.0:
-            raise InvalidArgumentError(f"task {self.task_id}: utilization out of (0,1]")
-
-
-@dataclass(frozen=True)
-class SoftTaskSpec:
-    task_id: int
-    arrival_rate: float  # jobs per second, mean inter-arrival 1/rate
-    service_rate: float  # jobs per second, mean service 1/rate
-    deadline_max_s: float
-    n_instructions: int  # mean work per job
-    n_jobs: int
-
-    def __post_init__(self):
-        if self.arrival_rate <= 0 or self.service_rate <= 0:
-            raise InvalidArgumentError(f"task {self.task_id}: rates must be > 0")
-
-
-@dataclass(frozen=True)
-class ControlTaskSpec:
-    """Firm-deadline control task; ``skip=None`` means no skips allowed."""
-
-    task_id: int
-    release_s: float
-    wcet_s: float
-    period_s: float
-    skip: int | None  # S >= 2, or None for "infinite" (hard semantics)
-    n_instructions: int
-    n_jobs: int
-
-    @property
-    def deadline_s(self) -> float:
-        return self.period_s
-
-    def __post_init__(self):
-        if self.skip is not None and self.skip < 2:
-            raise InvalidArgumentError(f"task {self.task_id}: skip must be >= 2 or None")
-        if self.wcet_s > self.period_s:
-            raise InvalidArgumentError(f"task {self.task_id}: need C <= T")
 
 
 @dataclass(frozen=True)
@@ -106,20 +45,6 @@ def control_constraint(skip: int | None) -> LatenessConstraint:
     if skip is None:
         return HARD_CONSTRAINT
     return LatenessConstraint(0.0, (skip - 1) / skip)
-
-
-def utilization(task: HardTaskSpec | ControlTaskSpec) -> float:
-    """CPU utilization C/T."""
-    return task.wcet_s / task.period_s
-
-
-def avg_utilization(task: SoftTaskSpec, form: str = "as-written") -> float:
-    """Average utilization of a soft task (see ``SOFT_UTIL_FORMS``)."""
-    if form not in SOFT_UTIL_FORMS:
-        raise InvalidArgumentError(f"unknown soft utilization form {form!r}")
-    if form == "as-written":
-        return task.service_rate / task.arrival_rate
-    return task.arrival_rate / task.service_rate
 
 
 def lateness_fraction(overruns: Sequence[float], x_s: float) -> float:

@@ -1,13 +1,15 @@
 """End-to-end CLI workflows in a temporary directory."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from greensched.cli import main
+from greensched.errors import ConfigurationError
 from greensched.power import ThermalState, total_power
-from greensched.scenario import FIXTURES, load_server_spec
+from greensched.scenario import FIXTURES, load_scenario, load_server_spec
 
 SMALL_WORKLOAD = """task_id,type,n_ins,period_s,deadline_s,n_jobs
 0,REAL,200000000,1.0,1.0,6
@@ -122,6 +124,33 @@ class TestSimulate:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"dvfs": [6, 6]}, "'shares'"),
+            ({"shares": [[100, 0], [0, 100], [50, 50]]}, "'dvfs'"),
+            ({"dvfs": [6, "fast"], "shares": [[100, 0], [0, 100], [50, 50]]}, "'dvfs'"),
+            ({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50.5, 49.5]]}, "'shares[2]'"),
+            ({"dvfs": [6, 6], "shares": 100}, "'shares'"),
+            ([6, 6], "'dvfs'"),
+        ],
+        ids=["no-shares", "no-dvfs", "str-mode", "float-share", "shares-not-list", "not-object"],
+    )
+    def test_malformed_allocation_is_parse_error(self, scenario, tmp_path, capsys, doc, field):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "simulate",
+                "--scenario", str(scenario),
+                "--allocation", str(alloc),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(alloc) in err and field in err
+
     def test_jobs_csv_columns(self, scenario, tmp_path):
         alloc = tmp_path / "alloc.json"
         alloc.write_text(
@@ -230,3 +259,26 @@ class TestErrors:
         path.write_text(json.dumps(doc))
         rc = main(["generate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_misspelt_dyn_energy_form_is_config_error(self, scenario, capsys, tmp_path):
+        doc = json.loads(scenario.read_text())
+        doc["dyn_energy_form"] = "as-writen"
+        scenario.write_text(json.dumps(doc))
+        rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and "dyn_energy_form 'as-writen'" in err
+
+
+class TestScenarioOverrides:
+    def test_explicit_overrides_win(self, scenario):
+        s = load_scenario(scenario, generations=1, population=2)
+        assert (s.optimizer.generations, s.optimizer.population) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "override", [{"generations": 0}, {"population": 0}], ids=["generations", "population"]
+    )
+    def test_zero_override_is_rejected_not_replaced(self, scenario, override):
+        name = next(iter(override))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{scenario}: {name}")):
+            load_scenario(scenario, **override)

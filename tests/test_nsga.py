@@ -192,6 +192,15 @@ class TestGeneBounds:
         with pytest.raises(ConfigurationError):
             EvolveConfig(population=1)
 
+    def test_zero_generations_rejected(self):
+        with pytest.raises(ConfigurationError, match="generations"):
+            EvolveConfig(generations=0)
+
+    def test_unknown_dyn_energy_form_rejected(self):
+        EvolveConfig(dyn_energy_form="dimensional")
+        with pytest.raises(ConfigurationError, match="dyn_energy_form 'as-writen'"):
+            EvolveConfig(dyn_energy_form="as-writen")
+
 
 class TestOperators:
     def test_crossover_swaps_tails(self):

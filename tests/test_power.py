@@ -19,10 +19,8 @@ from greensched.power import (
     ThermalState,
     dynamic_energy,
     dynamic_power,
-    leakage_current,
     leakage_energy,
     leakage_power,
-    total_energy,
     total_power,
 )
 
@@ -99,23 +97,6 @@ class TestLeakagePower:
         assert leakage_power(spec, spec.mode(mode_ix), th) == pytest.approx(
             leakage_oracle(spec, v, (t_cpu,), t_mem), rel=1e-9, abs=1e-12
         )
-
-
-class TestLeakageCurrent:
-    def test_frozen_value(self):
-        # mpmath: B*T^2*exp(dV/(n*k*T/q)) at B=1e-6, T=300, dV=-0.2, n=1.5
-        got = leakage_current(1e-6, 300.0, -0.2, 1.5)
-        assert got == pytest.approx(5.18013518668505e-4, rel=1e-12)
-
-    def test_monotonic_in_temperature(self):
-        vals = [leakage_current(1e-6, t, -0.2, 1.5) for t in (280.0, 300.0, 320.0)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_domain_errors(self):
-        with pytest.raises(ModelDomainError):
-            leakage_current(1e-6, 0.0, -0.2, 1.5)
-        with pytest.raises(ModelDomainError):
-            leakage_current(0.0, 300.0, -0.2, 1.5)
 
 
 class TestDynamicPower:
@@ -200,14 +181,6 @@ class TestLeakageEnergy:
         assert leakage_energy(spec, mode, thermal, 1e9) + leakage_energy(
             spec, mode, thermal, 2e9
         ) == pytest.approx(e, rel=1e-12)
-
-
-class TestTotalEnergy:
-    def test_sums_pairs(self):
-        assert total_energy([(1.0, 2.0), (3.5, 0.5)]) == pytest.approx(7.0)
-
-    def test_empty_is_zero(self):
-        assert total_energy([]) == 0.0
 
 
 class TestUnitSanity:

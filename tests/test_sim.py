@@ -1,20 +1,27 @@
 """Cluster simulator: closed-form cases, conservation laws, EDF baseline."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_spec
 from greensched.errors import InvalidAllocationError, InvalidArgumentError
-from greensched.power import DvfsMode, ThermalState
+from greensched.nsga import decode
+from greensched.power import DYN_ENERGY_FORMS, DvfsMode, ThermalState
+from greensched.scenario import FIXTURES, load_scenario
 from greensched.sim import (
     Allocation,
     ClusterHost,
     edf_schedule,
     evaluate_allocation,
     evaluate_objectives,
+    trace_arrays,
     validate_allocation,
 )
-from greensched.workload import Job, JobTrace, TaskProfile
+from greensched.workload import Job, JobTrace, TaskProfile, generate_jobs
 
 
 def host(f_hz=1e9, cpi=1.0, n_modes=1):
@@ -188,6 +195,58 @@ class TestConservation:
         assert r1 == r2
 
 
+@functools.lru_cache(maxsize=None)
+def bundled(name):
+    s = load_scenario(str(FIXTURES / f"scenario_{name}.json"), seed=1)
+    trace = generate_jobs(s.profiles, 1, s.phase_policy)
+    return s, trace, trace_arrays(s.profiles, trace)
+
+
+class TestEvaluatorsAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(["intel", "amd"]),
+        form=st.sampled_from(DYN_ENERGY_FORMS),
+    )
+    def test_objectives_equal_full_evaluation_on_bundled_scenarios(self, data, name, form):
+        s, trace, arr = bundled(name)
+        cluster, profiles = list(s.cluster), list(s.profiles)
+        modes = [data.draw(st.integers(1, len(h.spec.modes))) for h in cluster]
+        n_shares = len(profiles) * len(cluster)
+        shares = data.draw(
+            st.lists(st.integers(0, 100), min_size=n_shares, max_size=n_shares)
+        )
+        alloc = decode(modes + shares, profiles, cluster)
+        kw = {"soft_constraints": s.soft_constraints, "dyn_energy_form": form}
+        lam, e_j, e_u = evaluate_objectives(
+            cluster, profiles, trace, alloc, _arrays=arr, **kw
+        )
+        full = evaluate_allocation(cluster, profiles, trace, alloc, **kw)
+        assert lam == full.lam
+        assert e_j == pytest.approx(full.energy_j, rel=1e-12, abs=0.0)
+        assert e_u == pytest.approx(full.energy_units, rel=1e-12, abs=0.0)
+
+
+class TestTraceMatchesProfiles:
+    PROFILES = [
+        TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1),
+        TaskProfile(1, "SOFT", 10**8, 1.0, 1.0, 1),
+    ]
+    ALLOC = Allocation(dvfs=(1,), shares=((100,), (100,)))
+
+    @pytest.mark.parametrize(
+        "task_ids,culprit",
+        [((0,), r"no jobs of task\(s\) \[1\]"), ((0, 1, 7), r"unknown task\(s\) \[7\]")],
+        ids=["task-without-jobs", "unknown-task-id"],
+    )
+    @pytest.mark.parametrize("evaluate", [evaluate_objectives, evaluate_allocation])
+    def test_both_evaluators_raise_the_same_error(self, evaluate, task_ids, culprit):
+        jobs = [Job(t, 0, 0.0, 1.0, 10**8) for t in task_ids]
+        with pytest.raises(InvalidArgumentError, match=culprit):
+            evaluate([host()], self.PROFILES, trace_of(jobs), self.ALLOC)
+
+
 class TestEnergyAccounting:
     def test_energy_matches_hand_formula(self):
         cluster = [host()]
@@ -211,6 +270,15 @@ class TestEnergyAccounting:
         assert server.dynamic_energy_j == pytest.approx(dyn, rel=1e-12)
         assert server.leakage_energy_j == pytest.approx(leak, rel=1e-12)
         assert res.energy_j == pytest.approx(dyn + leak, rel=1e-12)
+
+    def test_unknown_dyn_energy_form_rejected(self):
+        profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1)]
+        jobs = [Job(0, 0, 0.0, 1.0, 10**8)]
+        alloc = Allocation(dvfs=(1,), shares=((100,),))
+        with pytest.raises(InvalidArgumentError, match="as-writen"):
+            evaluate_allocation(
+                [host()], profiles, trace_of(jobs), alloc, dyn_energy_form="as-writen"
+            )
 
 
 class TestHardMissPenalty:

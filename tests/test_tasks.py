@@ -15,51 +15,14 @@ from greensched.errors import (
 )
 from greensched.tasks import (
     HARD_CONSTRAINT,
-    ControlTaskSpec,
-    HardTaskSpec,
     LatenessConstraint,
-    SoftTaskSpec,
     TaskMissStats,
     _skip_distance_ok,
-    avg_utilization,
     check_constraints,
     choose_control_periods,
     control_constraint,
     lateness_fraction,
-    utilization,
 )
-
-
-class TestSpecs:
-    def test_hard_task_invariants(self):
-        HardTaskSpec(1, 0.0, 1.0, 10.0, 5.0, 10**6, 3)
-        with pytest.raises(InvalidArgumentError):
-            HardTaskSpec(1, 0.0, 6.0, 10.0, 5.0, 10**6, 3)  # C > D
-        with pytest.raises(InvalidArgumentError):
-            HardTaskSpec(1, 0.0, 1.0, 4.0, 5.0, 10**6, 3)  # D > T
-
-    def test_control_task_skip_bounds(self):
-        ControlTaskSpec(2, 0.0, 1.0, 5.0, 2, 10**6, 3)
-        ControlTaskSpec(2, 0.0, 1.0, 5.0, None, 10**6, 3)
-        with pytest.raises(InvalidArgumentError):
-            ControlTaskSpec(2, 0.0, 1.0, 5.0, 1, 10**6, 3)
-
-    def test_control_deadline_is_period(self):
-        t = ControlTaskSpec(2, 0.0, 1.0, 5.0, 2, 10**6, 3)
-        assert t.deadline_s == 5.0
-
-    def test_soft_task_rates_positive(self):
-        with pytest.raises(InvalidArgumentError):
-            SoftTaskSpec(3, 0.0, 1.0, 2.0, 10**6, 3)
-
-    def test_utilization(self):
-        t = HardTaskSpec(1, 0.0, 2.0, 8.0, 8.0, 10**6, 3)
-        assert utilization(t) == 0.25
-
-    def test_avg_utilization_forms(self):
-        t = SoftTaskSpec(3, 2.0, 5.0, 2.0, 10**6, 3)
-        assert avg_utilization(t) == pytest.approx(2.5)  # mu/lambda form
-        assert avg_utilization(t, form="conventional") == pytest.approx(0.4)
 
 
 class TestLatenessConstraint:
