@@ -10,7 +10,7 @@ single-host (REAL) tasks keep only their largest entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,15 +21,13 @@ from .tasks import LatenessConstraint
 from .workload import JobTrace, TaskProfile
 
 POLICIES = ("MIN", "MAX", "VAR")
+CROSSOVER_PROB = 0.9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ObjectiveVector:
     lam: int
     scaled_energy_j: float  # (1 + lam) * total energy
-
-    def astuple(self) -> tuple[float, float]:
-        return (self.lam, self.scaled_energy_j)
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,6 @@ class EvolveConfig:
     generations: int = 25_000
     seed: int = 0
     policy: str = "VAR"
-    crossover_prob: float = 0.9
     stop_window: int = 500  # stop after the archive has held a lam=0 point this long
     max_mode_index: int | None = None
     share_step: int = 1  # share genes move in multiples of this (must divide 100)
@@ -80,31 +77,26 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
-    """Rank per point: 0 = non-dominated, r = non-dominated after removing < r."""
-    n = len(points)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    n_dominators = [0] * n
-    for p in range(n):
-        for q in range(p + 1, n):
-            if dominates(points[p], points[q]):
-                dominated_by[p].append(q)
-                n_dominators[q] += 1
-            elif dominates(points[q], points[p]):
-                dominated_by[q].append(p)
-                n_dominators[p] += 1
-    ranks = [0] * n
-    current = [i for i in range(n) if n_dominators[i] == 0]
-    r = 0
-    while current:
-        nxt: list[int] = []
-        for p in current:
-            ranks[p] = r
-            for q in dominated_by[p]:
-                n_dominators[q] -= 1
-                if n_dominators[q] == 0:
-                    nxt.append(q)
-        current = nxt
-        r += 1
+    """Rank per point: 0 = non-dominated, r = non-dominated after removing < r.
+
+    Two objectives allow one sweep (Jensen 2003): visit points in (lam,
+    scaled energy) order and put each in the first front whose latest member
+    does not dominate it.  Every dominator of a point is visited before it,
+    the latest member of a front has that front's smallest energy so far, and
+    the fronts that dominate a point form a prefix of the front list.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+    ranks = [0] * len(points)
+    latest: list[ObjectiveVector] = []  # latest member of each front
+    for i in order:
+        r = 0
+        while r < len(latest) and dominates(latest[r], points[i]):
+            r += 1
+        if r == len(latest):
+            latest.append(points[i])
+        else:
+            latest[r] = points[i]
+        ranks[i] = r
     return ranks
 
 
@@ -229,6 +221,15 @@ def tournament_select(
     return i if ki <= kj else j
 
 
+class _Scored(NamedTuple):
+    """A ``FrontPoint`` without its allocation (genes already times ``share_step``)."""
+
+    genes: tuple[int, ...]
+    objectives: ObjectiveVector
+    energy_j: float
+    energy_units: float
+
+
 @dataclass
 class EvolveResult:
     front: list[FrontPoint]
@@ -237,18 +238,19 @@ class EvolveResult:
 
 
 class _Archive:
-    """Non-dominated archive; objective-duplicate points keep the
-    lexicographically smallest gene vector."""
+    """Non-dominated archive of scored entries (``_Scored`` or ``FrontPoint``;
+    only ``.objectives`` and ``.genes`` are read).  Objective-duplicate
+    entries keep the lexicographically smallest gene vector."""
 
     def __init__(self):
-        self.points: list[FrontPoint] = []
+        self.points: list[_Scored] = []
 
-    def offer(self, cand: FrontPoint) -> None:
-        kept: list[FrontPoint] = []
+    def offer(self, cand: _Scored) -> None:
+        kept: list[_Scored] = []
         for p in self.points:
             if dominates(p.objectives, cand.objectives):
                 return
-            if p.objectives.astuple() == cand.objectives.astuple():
+            if p.objectives == cand.objectives:
                 if p.genes <= cand.genes:
                     return
                 continue  # candidate's genes are smaller; drop the incumbent
@@ -278,17 +280,18 @@ def evolve(
     mut_prob = 1.0 / n_vars
     rng = np.random.Generator(np.random.PCG64(config.seed))
     arrays = sim.trace_arrays(ordered, trace)
+    n_servers = len(cluster)
+    scale = np.ones(n_vars, dtype=np.int64)
+    scale[n_servers:] = config.share_step
 
-    cache: dict[tuple[int, ...], tuple[ObjectiveVector, float, float]] = {}
+    cache: dict[tuple[int, ...], _Scored] = {}
 
-    def fitness(genes: np.ndarray) -> tuple[ObjectiveVector, float, float]:
-        key = tuple(int(g) for g in genes)
+    def fitness(genes: np.ndarray) -> _Scored:
+        key = tuple(int(g) for g in genes * scale)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        alloc = decode(
-            genes * _share_scale(config, genes, len(cluster)), ordered, cluster
-        )
+        alloc = decode(key, ordered, cluster)
         lam, energy_j, energy_u = sim.evaluate_objectives(
             cluster,
             ordered,
@@ -300,12 +303,9 @@ def evolve(
             energy_unit_j=config.energy_unit_j,
             _arrays=arrays,
         )
-        obj = ObjectiveVector(lam, (1 + lam) * energy_j)
-        out = (obj, energy_j, energy_u)
+        out = _Scored(key, ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u)
         cache[key] = out
         return out
-
-    n_servers = len(cluster)
 
     def random_chromosome() -> np.ndarray:
         genes = np.array(
@@ -333,14 +333,14 @@ def evolve(
     evals = [fitness(g) for g in pop]
 
     archive = _Archive()
-    for g, (obj, e_j, e_u) in zip(pop, evals):
-        archive.offer(_front_point(g, obj, e_j, e_u, config, ordered, cluster))
+    for entry in evals:
+        archive.offer(entry)
 
     convergence: list[tuple[int, int, float]] = []
     lam0_since: int | None = None
     gen = 0
     for gen in range(1, config.generations + 1):
-        objs = [e[0] for e in evals]
+        objs = [e.objectives for e in evals]
         ranks = nondominated_sort(objs)
         crowd = _crowding_by_rank(objs, ranks)
 
@@ -348,18 +348,18 @@ def evolve(
         while len(offspring) < config.population:
             pa = pop[tournament_select(rng, ranks, crowd)]
             pb = pop[tournament_select(rng, ranks, crowd)]
-            c1, c2 = single_point_crossover(pa, pb, rng, config.crossover_prob)
+            c1, c2 = single_point_crossover(pa, pb, rng, CROSSOVER_PROB)
             offspring.append(integer_flip_mutation(c1, bounds, rng, mut_prob))
             if len(offspring) < config.population:
                 offspring.append(integer_flip_mutation(c2, bounds, rng, mut_prob))
         off_evals = [fitness(g) for g in offspring]
-        for g, (obj, e_j, e_u) in zip(offspring, off_evals):
-            archive.offer(_front_point(g, obj, e_j, e_u, config, ordered, cluster))
+        for entry in off_evals:
+            archive.offer(entry)
 
         combined = pop + offspring
         combined_evals = evals + off_evals
         sel = _environmental_selection(
-            [e[0] for e in combined_evals], config.population
+            [e.objectives for e in combined_evals], config.population
         )
         pop = [combined[i] for i in sel]
         evals = [combined_evals[i] for i in sel]
@@ -377,29 +377,15 @@ def evolve(
         else:
             lam0_since = None
 
-    front = sorted(
-        archive.points, key=lambda p: (p.objectives.lam, p.objectives.scaled_energy_j)
-    )
+    front = [
+        _front_point(p, ordered, cluster)
+        for p in sorted(archive.points, key=lambda p: p.objectives)
+    ]
     return EvolveResult(front=front, convergence=convergence, generations_run=gen)
 
 
-def _share_scale(config: EvolveConfig, genes: np.ndarray, m: int) -> np.ndarray:
-    if config.share_step == 1:
-        return np.ones_like(genes)
-    scale = np.ones_like(genes)
-    scale[m:] = config.share_step
-    return scale
-
-
-def _front_point(genes, obj, e_j, e_u, config, ordered, cluster) -> FrontPoint:
-    scaled = genes * _share_scale(config, genes, len(cluster))
-    return FrontPoint(
-        genes=tuple(int(g) for g in scaled),
-        objectives=obj,
-        allocation=decode(scaled, ordered, cluster),
-        energy_j=e_j,
-        energy_units=e_u,
-    )
+def _front_point(p: _Scored, ordered, cluster) -> FrontPoint:
+    return FrontPoint(allocation=decode(p.genes, ordered, cluster), **p._asdict())
 
 
 def _crowding_by_rank(objs: Sequence[ObjectiveVector], ranks: Sequence[int]) -> list[float]:

@@ -35,6 +35,14 @@ def _resolve(name: str, base: Path | None) -> Path:
     raise ConfigurationError(f"cannot resolve referenced file {name!r}")
 
 
+def _convert(path: Path, field: str, cast, value):
+    """``cast(value)``; a bad value is a ConfigurationError naming the file and field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {field}: {exc}") from exc
+
+
 def load_server_spec(path: str | Path, server_id: int | None = None) -> pw.ServerSpec:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -111,9 +119,9 @@ def load_scenario(
 
     hosts: list[sim.ClusterHost] = []
     thermal_default = doc.get("thermal", {})
-    for entry in doc.get("cluster", []):
+    for k, entry in enumerate(doc.get("cluster", [])):
         spec_path = _resolve(entry["server"], base)
-        count = int(entry.get("count", 1))
+        count = _convert(path, f"cluster[{k}].count", int, entry.get("count", 1))
         thermal_doc = entry.get("thermal", thermal_default)
         for _ in range(count):
             spec = load_server_spec(spec_path, server_id=len(hosts))
@@ -123,7 +131,8 @@ def load_scenario(
             if len(t_cpu) == 1 and spec.n_sockets > 1:
                 t_cpu = t_cpu * spec.n_sockets
             thermal = pw.ThermalState(
-                tuple(float(t) for t in t_cpu), float(thermal_doc.get("t_mem_k", 300.0))
+                tuple(_convert(path, "thermal.t_cpu_k", float, t) for t in t_cpu),
+                _convert(path, "thermal.t_mem_k", float, thermal_doc.get("t_mem_k", 300.0)),
             )
             hosts.append(sim.ClusterHost(spec, thermal))
     if not hosts:
@@ -135,8 +144,9 @@ def load_scenario(
 
     soft_constraints: dict[int, tuple[LatenessConstraint, ...]] = {}
     for tid, pairs in doc.get("soft_constraints", {}).items():
-        soft_constraints[int(tid)] = tuple(
-            LatenessConstraint(float(x), float(b)) for x, b in pairs
+        field = f"soft_constraints[{tid!r}]"
+        soft_constraints[_convert(path, field, int, tid)] = _convert(
+            path, field, lambda v: tuple(LatenessConstraint(*map(float, c)) for c in v), pairs
         )
 
     opt_doc = doc.get("optimizer", {})
@@ -145,25 +155,30 @@ def load_scenario(
         raise ConfigurationError(
             f"{path}: no seed given (set optimizer.seed or pass --seed)"
         )
-    if population is None:
-        population = int(opt_doc.get("population", 100))
-    if generations is None:
-        generations = int(opt_doc.get("generations", 25_000))
+
+    def opt_int(name: str, default: int) -> int:
+        return _convert(path, f"optimizer.{name}", int, opt_doc.get(name, default))
+
+    numbers = dict(
+        population=opt_int("population", 100) if population is None else population,
+        generations=opt_int("generations", 25_000) if generations is None else generations,
+        seed=_convert(path, "optimizer.seed", int, eff_seed),
+        stop_window=opt_int("stop_window", 500),
+        share_step=opt_int("share_step", 1),
+        energy_unit_j=_convert(
+            path, "energy_unit_j", float, doc.get("energy_unit_j", sim.ENERGY_UNIT_J)
+        ),
+    )
     try:
         optimizer = EvolveConfig(
-            population=population,
-            generations=generations,
-            seed=int(eff_seed),
             policy=(policy or opt_doc.get("policy", doc.get("policy", "VAR"))).upper(),
-            stop_window=int(opt_doc.get("stop_window", 500)),
             max_mode_index=(
                 max_mode_index
                 if max_mode_index is not None
                 else opt_doc.get("max_mode_index")
             ),
-            share_step=int(opt_doc.get("share_step", 1)),
             dyn_energy_form=doc.get("dyn_energy_form", "as-written"),
-            energy_unit_j=float(doc.get("energy_unit_j", sim.ENERGY_UNIT_J)),
+            **numbers,
         )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

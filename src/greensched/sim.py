@@ -454,6 +454,7 @@ def edf_schedule(
     """
     if dvfs_policy not in ("max", "min"):
         raise InvalidArgumentError(f"unknown dvfs policy {dvfs_policy!r}")
+    trace_arrays(profiles, trace)  # rejects unknown tasks and tasks without jobs
     ordered = sorted(profiles, key=lambda p: p.task_id)
     mode_of = [
         len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster

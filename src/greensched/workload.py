@@ -185,19 +185,16 @@ def serialize_trace(trace: JobTrace, path: str | Path) -> None:
 def parse_trace(path: str | Path) -> JobTrace:
     """Read a trace CSV written by :func:`serialize_trace`."""
     path = Path(path)
-    seed = 0
-    horizon = 0.0
     jobs: list[Job] = []
     with path.open(newline="", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ParseError("missing trace header comment", row=1)
-        for token in first[1:].split():
-            key, _, value = token.partition("=")
-            if key == "seed":
-                seed = int(value)
-            elif key == "horizon_s":
-                horizon = float(value)
+        meta = dict(token.partition("=")[::2] for token in first[1:].split())
+        try:
+            seed, horizon = int(meta.get("seed", 0)), float(meta.get("horizon_s", 0.0))
+        except ValueError as exc:
+            raise ParseError(f"trace header: {exc}", row=1) from exc
         header = fh.readline().strip()
         if header != "task_id,job_index,arrival_s,deadline_s,work_instructions":
             raise ParseError("unexpected trace column header", row=2)
@@ -208,13 +205,10 @@ def parse_trace(path: str | Path) -> JobTrace:
             parts = line.split(",")
             if len(parts) != 5:
                 raise ParseError("expected 5 fields", row=rownum)
-            jobs.append(
-                Job(
-                    int(parts[0]),
-                    int(parts[1]),
-                    float(parts[2]),
-                    float(parts[3]),
-                    int(parts[4]),
-                )
-            )
+            try:
+                task_id, job_index, work = int(parts[0]), int(parts[1]), int(parts[4])
+                arrival, deadline = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise ParseError(str(exc), row=rownum) from exc
+            jobs.append(Job(task_id, job_index, arrival, deadline, work))
     return JobTrace(tuple(jobs), seed, horizon)

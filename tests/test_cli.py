@@ -177,6 +177,29 @@ class TestSimulate:
         first = lines[2].split(",")
         assert first[0] == "0" and first[2] == "0"
 
+    def test_malformed_trace_row_is_parse_error(self, scenario, tmp_path, capsys):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]})
+        )
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "# seed=1 horizon_s=10.0\n"
+            "task_id,job_index,arrival_s,deadline_s,work_instructions\n"
+            "x,0,0.0,1.0,5\n"
+        )
+        rc = main(
+            [
+                "simulate",
+                "--scenario", str(scenario),
+                "--allocation", str(alloc),
+                "--trace", str(trace),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        assert "row 3" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_runs_and_is_deterministic(self, scenario, tmp_path):
@@ -268,6 +291,25 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(scenario) in err and "dyn_energy_form 'as-writen'" in err
+
+    @pytest.mark.parametrize(
+        "section,key,value,field",
+        [
+            ("optimizer", "population", "many", "optimizer.population"),
+            ("soft_constraints", "x", [[0.0, 0.2]], "soft_constraints['x']"),
+        ],
+        ids=["non-numeric-population", "non-integer-task-id"],
+    )
+    def test_bad_scenario_value_is_config_error(
+        self, scenario, capsys, tmp_path, section, key, value, field
+    ):
+        doc = json.loads(scenario.read_text())
+        doc[section][key] = value
+        scenario.write_text(json.dumps(doc))
+        rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and field in err
 
 
 class TestScenarioOverrides:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
+from greensched import nsga, sim
 from greensched.errors import ConfigurationError, InvalidArgumentError
 from greensched.nsga import (
     EvolveConfig,
@@ -353,3 +354,31 @@ class TestEvolveBasics:
             (p.genes, p.objectives) for p in r2.front
         ]
         assert r1.convergence == r2.convergence
+
+    def test_decodes_only_cache_misses_and_the_returned_front(self, monkeypatch):
+        calls = {"decode": 0, "evaluate_objectives": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(nsga, "decode", counted("decode", nsga.decode))
+        monkeypatch.setattr(
+            sim, "evaluate_objectives", counted("evaluate_objectives", sim.evaluate_objectives)
+        )
+        cluster = two_host_cluster()
+        profiles = [
+            TaskProfile(0, "SOFT", 2 * 10**8, 1.0, 0.6, 4),
+            TaskProfile(1, "SOFT", 10**8, 1.0, 0.4, 4),
+        ]
+        jobs = [Job(p.task_id, j, j * 1.0, j * 1.0 + p.deadline_s, p.n_instructions)
+                for p in profiles for j in range(p.n_jobs)]
+        trace = JobTrace(tuple(jobs), 0, 6.0)
+        cfg = EvolveConfig(population=8, generations=10, seed=3, share_step=100)
+        result = evolve(cluster, profiles, trace, cfg)
+        assert calls["decode"] == calls["evaluate_objectives"] + len(result.front)
+        for p in result.front:
+            assert p.allocation == decode(p.genes, profiles, cluster)

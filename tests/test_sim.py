@@ -240,7 +240,17 @@ class TestTraceMatchesProfiles:
         [((0,), r"no jobs of task\(s\) \[1\]"), ((0, 1, 7), r"unknown task\(s\) \[7\]")],
         ids=["task-without-jobs", "unknown-task-id"],
     )
-    @pytest.mark.parametrize("evaluate", [evaluate_objectives, evaluate_allocation])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            evaluate_objectives,
+            evaluate_allocation,
+            pytest.param(
+                lambda cluster, profiles, trace, _alloc: edf_schedule(cluster, profiles, trace),
+                id="edf_schedule",
+            ),
+        ],
+    )
     def test_both_evaluators_raise_the_same_error(self, evaluate, task_ids, culprit):
         jobs = [Job(t, 0, 0.0, 1.0, 10**8) for t in task_ids]
         with pytest.raises(InvalidArgumentError, match=culprit):

@@ -164,3 +164,20 @@ class TestTraceRoundTrip:
         path.write_text("task_id,job_index,arrival_s,deadline_s,work_instructions\n")
         with pytest.raises(ParseError):
             parse_trace(path)
+
+    @pytest.mark.parametrize(
+        "header,row,bad_row",
+        [
+            ("# seed=1 horizon_s=10.0", "x,0,0.0,1.0,5", 3),
+            ("# seed=one horizon_s=10.0", "0,0,0.0,1.0,5", 1),
+            ("# seed=1 horizon_s=long", "0,0,0.0,1.0,5", 1),
+        ],
+        ids=["row", "seed", "horizon"],
+    )
+    def test_non_numeric_value_reports_row_number(self, tmp_path, header, row, bad_row):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            f"{header}\ntask_id,job_index,arrival_s,deadline_s,work_instructions\n{row}\n"
+        )
+        with pytest.raises(ParseError, match=f"^row {bad_row}: "):
+            parse_trace(path)
