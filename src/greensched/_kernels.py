@@ -1,8 +1,12 @@
-"""The FIFO job scan, the one sequential loop of allocation evaluation.
+"""The FIFO job scan of allocation evaluation, per job and per population.
 
 Jobs of one task run first-in first-out: job j+1 may not start before job j
-ends (Lindley's recursion), so the scan walks the jobs in order.  It is plain
-Python over numpy arrays.
+ends (Lindley's recursion), so a scan walks each task's jobs in order.
+``scan_jobs`` walks the jobs of one allocation one at a time; it is the
+reference form and the faster one for a single allocation.
+``scan_population`` runs the same recursion for many allocations at once,
+stepping over the job slot of every task together with ``[P, T]`` arrays.
+Both are plain Python over numpy arrays.
 """
 
 from __future__ import annotations
@@ -54,3 +58,43 @@ def scan_jobs(
             frac_out[j] = 1.0
         end_out[j] = end
         prev_end[t] = end
+
+
+def scan_population(
+    arrivals,
+    deadlines,
+    works,
+    dur_coef,
+    is_ctrl,
+    completion_out,
+    executed_out,
+):
+    """``scan_jobs`` for P allocations at once, over a trace padded to slots.
+
+    ``arrivals``, ``deadlines`` and ``works`` are ``[K, T]``: row k holds the
+    k-th job of every task.  A task with fewer than K jobs is padded with
+    arrival -inf, deadline +inf and work 0, so a padded step leaves the
+    task's previous end unchanged and executes nothing.  ``dur_coef`` is
+    ``[P, T]``.  ``completion_out`` (``[P, K, T]``) receives each job's
+    would-be completion and ``executed_out`` (``[P, T]``) each task's executed
+    instructions, added job by job in order as ``np.bincount`` adds them.
+    Every element goes through the same operations as in ``scan_jobs``.
+    """
+    executed_out[...] = 0.0
+    prev_end = np.full(dur_coef.shape, -np.inf)
+    for k in range(arrivals.shape[0]):
+        start = np.maximum(prev_end, arrivals[k])
+        duration = works[k] * dur_coef
+        completion = start + duration
+        completion_out[:, k] = completion
+        prev_end = completion
+        abort = is_ctrl & (completion > deadlines[k])
+        if abort.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = (deadlines[k] - start) / duration
+            frac = np.where(frac < 0.0, 0.0, frac)
+            frac = np.where(abort, np.where(duration > 0.0, frac, 1.0), 1.0)
+            executed_out += works[k] * frac
+            prev_end = np.where(abort, deadlines[k], completion)
+        else:
+            executed_out += works[k]

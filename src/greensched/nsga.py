@@ -286,26 +286,28 @@ def evolve(
 
     cache: dict[tuple[int, ...], _Scored] = {}
 
-    def fitness(genes: np.ndarray) -> _Scored:
-        key = tuple(int(g) for g in genes * scale)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        alloc = decode(key, ordered, cluster)
-        lam, energy_j, energy_u = sim.evaluate_objectives(
-            cluster,
-            ordered,
-            trace,
-            alloc,
-            soft_constraints=soft_constraints,
-            hard_miss_weight=config.hard_miss_weight,
-            dyn_energy_form=config.dyn_energy_form,
-            energy_unit_j=config.energy_unit_j,
-            _arrays=arrays,
-        )
-        out = _Scored(key, ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u)
-        cache[key] = out
-        return out
+    def fitness(population: Sequence[np.ndarray]) -> list[_Scored]:
+        """Score a population; its cache misses are decoded in first-seen
+        order and evaluated together in one call."""
+        keys = [tuple((genes * scale).tolist()) for genes in population]
+        misses = list(dict.fromkeys(k for k in keys if k not in cache))
+        if misses:
+            scores = sim.evaluate_objectives(
+                cluster,
+                ordered,
+                trace,
+                [decode(key, ordered, cluster) for key in misses],
+                soft_constraints=soft_constraints,
+                hard_miss_weight=config.hard_miss_weight,
+                dyn_energy_form=config.dyn_energy_form,
+                energy_unit_j=config.energy_unit_j,
+                _arrays=arrays,
+            )
+            for key, (lam, energy_j, energy_u) in zip(misses, scores):
+                cache[key] = _Scored(
+                    key, ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u
+                )
+        return [cache[key] for key in keys]
 
     def random_chromosome() -> np.ndarray:
         genes = np.array(
@@ -330,7 +332,8 @@ def evolve(
         return genes
 
     pop = [random_chromosome() for _ in range(config.population)]
-    evals = [fitness(g) for g in pop]
+    evals = fitness(pop)
+    ranks = nondominated_sort([e.objectives for e in evals])
 
     archive = _Archive()
     for entry in evals:
@@ -340,9 +343,7 @@ def evolve(
     lam0_since: int | None = None
     gen = 0
     for gen in range(1, config.generations + 1):
-        objs = [e.objectives for e in evals]
-        ranks = nondominated_sort(objs)
-        crowd = _crowding_by_rank(objs, ranks)
+        crowd = _crowding_by_rank([e.objectives for e in evals], ranks)
 
         offspring: list[np.ndarray] = []
         while len(offspring) < config.population:
@@ -352,13 +353,13 @@ def evolve(
             offspring.append(integer_flip_mutation(c1, bounds, rng, mut_prob))
             if len(offspring) < config.population:
                 offspring.append(integer_flip_mutation(c2, bounds, rng, mut_prob))
-        off_evals = [fitness(g) for g in offspring]
+        off_evals = fitness(offspring)
         for entry in off_evals:
             archive.offer(entry)
 
         combined = pop + offspring
         combined_evals = evals + off_evals
-        sel = _environmental_selection(
+        sel, ranks = _environmental_selection(
             [e.objectives for e in combined_evals], config.population
         )
         pop = [combined[i] for i in sel]
@@ -398,8 +399,15 @@ def _crowding_by_rank(objs: Sequence[ObjectiveVector], ranks: Sequence[int]) -> 
     return crowd
 
 
-def _environmental_selection(objs: Sequence[ObjectiveVector], k: int) -> list[int]:
-    """NSGA-II survivor selection: fill by rank, break the last front by crowding."""
+def _environmental_selection(
+    objs: Sequence[ObjectiveVector], k: int
+) -> tuple[list[int], list[int]]:
+    """NSGA-II survivor selection: fill by rank, break the last front by crowding.
+
+    Returns the chosen indices and their ranks, which are also their ranks
+    among the survivors alone: every point that dominates a survivor lies in
+    an earlier front, and earlier fronts are admitted whole.
+    """
     ranks = nondominated_sort(objs)
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(ranks):
@@ -416,4 +424,4 @@ def _environmental_selection(objs: Sequence[ObjectiveVector], k: int) -> list[in
             )
             chosen.extend(members[j] for j in order[: k - len(chosen)])
             break
-    return chosen
+    return chosen, [ranks[i] for i in chosen]

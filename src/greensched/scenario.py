@@ -18,7 +18,7 @@ from . import sim
 from .errors import ConfigurationError
 from .nsga import EvolveConfig
 from .tasks import LatenessConstraint
-from .workload import TaskProfile, parse_workload
+from .workload import PHASE_POLICIES, TaskProfile, parse_workload
 
 FIXTURES = resources.files("greensched") / "fixtures"
 
@@ -120,7 +120,12 @@ def load_scenario(
     hosts: list[sim.ClusterHost] = []
     thermal_default = doc.get("thermal", {})
     for k, entry in enumerate(doc.get("cluster", [])):
-        spec_path = _resolve(entry["server"], base)
+        server = entry.get("server") if isinstance(entry, dict) else None
+        if not isinstance(server, str):
+            raise ConfigurationError(
+                f"{path}: cluster[{k}].server: expected a server file name, got {server!r}"
+            )
+        spec_path = _resolve(server, base)
         count = _convert(path, f"cluster[{k}].count", int, entry.get("count", 1))
         thermal_doc = entry.get("thermal", thermal_default)
         for _ in range(count):
@@ -169,9 +174,19 @@ def load_scenario(
             path, "energy_unit_j", float, doc.get("energy_unit_j", sim.ENERGY_UNIT_J)
         ),
     )
+    if policy is None:
+        field = "optimizer.policy" if "policy" in opt_doc else "policy"
+        policy = opt_doc.get("policy", doc.get("policy", "VAR"))
+        if not isinstance(policy, str):
+            raise ConfigurationError(f"{path}: {field}: expected a string, got {policy!r}")
+    phase_policy = doc.get("phase_policy", "zero")
+    if phase_policy not in PHASE_POLICIES:
+        raise ConfigurationError(
+            f"{path}: phase_policy {phase_policy!r} is not one of {PHASE_POLICIES}"
+        )
     try:
         optimizer = EvolveConfig(
-            policy=(policy or opt_doc.get("policy", doc.get("policy", "VAR"))).upper(),
+            policy=policy.upper(),
             max_mode_index=(
                 max_mode_index
                 if max_mode_index is not None
@@ -200,7 +215,7 @@ def load_scenario(
         profiles=profiles,
         soft_constraints=soft_constraints,
         optimizer=optimizer,
-        phase_policy=doc.get("phase_policy", "zero"),
+        phase_policy=phase_policy,
         energy_unit_j=optimizer.energy_unit_j,
         dyn_energy_form=optimizer.dyn_energy_form,
         digest=digest,

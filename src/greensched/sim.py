@@ -22,7 +22,7 @@ import numpy as np
 
 from . import power as pw
 from . import tasks as tk
-from ._kernels import scan_jobs
+from ._kernels import scan_jobs, scan_population
 from .errors import InvalidAllocationError, InvalidArgumentError
 from .workload import JobTrace, TaskProfile, hyperperiod_horizon
 
@@ -185,7 +185,12 @@ def _assemble_result(
 
 @dataclass
 class _TraceArrays:
-    """Trace flattened to numpy arrays, reusable across many evaluations."""
+    """Trace flattened to numpy arrays, reusable across many evaluations.
+
+    The ``pad_*`` arrays hold the same jobs as ``[slot, task]`` (slot = the
+    job's position within its task) for the population scan; missing slots
+    are padded with arrival -inf, deadline +inf and work 0.
+    """
 
     arrivals: np.ndarray
     deadlines: np.ndarray
@@ -195,6 +200,10 @@ class _TraceArrays:
     is_ctrl: np.ndarray
     task_ids: list[int]
     n_mean: np.ndarray
+    slot: np.ndarray
+    pad_arrivals: np.ndarray
+    pad_deadlines: np.ndarray
+    pad_works: np.ndarray
 
 
 def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArrays:
@@ -211,139 +220,178 @@ def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArra
     idle = [tid for tid, n_jobs in zip(task_ids, n_jobs_of) if n_jobs == 0]
     if idle:
         raise InvalidArgumentError(f"trace has no jobs of task(s) {idle}")
+    arrivals = np.array([j.arrival_s for j in jobs])
+    deadlines = np.array([j.deadline_s for j in jobs])
+    works = np.array([float(j.work_instructions) for j in jobs])
+    first_of_task = np.cumsum(n_jobs_of) - n_jobs_of
+    slot = np.arange(len(jobs)) - first_of_task[task_of_job]
+
+    def padded(values: np.ndarray, fill: float) -> np.ndarray:
+        out = np.full((n_jobs_of.max(initial=0), len(task_ids)), fill)
+        out[slot, task_of_job] = values
+        return out
+
     return _TraceArrays(
-        arrivals=np.array([j.arrival_s for j in jobs]),
-        deadlines=np.array([j.deadline_s for j in jobs]),
-        works=np.array([float(j.work_instructions) for j in jobs]),
+        arrivals=arrivals,
+        deadlines=deadlines,
+        works=works,
         task_of_job=task_of_job,
         job_index=np.array([j.job_index for j in jobs], dtype=np.int64),
         is_ctrl=np.array([p.kind == "CTRL" for p in ordered]),
         task_ids=task_ids,
         n_mean=np.array([float(p.n_instructions) for p in ordered]),
+        slot=slot,
+        pad_arrivals=padded(arrivals, -np.inf),
+        pad_deadlines=padded(deadlines, np.inf),
+        pad_works=padded(works, 0.0),
     )
-
-
-def _soft_constraint_list(
-    profiles: Sequence[TaskProfile],
-    soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
-) -> list[tuple[int, tk.LatenessConstraint]]:
-    out = []
-    for i, p in enumerate(profiles):
-        if p.kind == "SOFT":
-            for c in _soft_constraints_for(p, soft_constraints):
-                out.append((i, c))
-    return out
 
 
 @dataclass(frozen=True)
 class _Run:
-    """One allocation replayed over a trace: what both evaluators report from."""
+    """P allocations replayed over a trace: what both evaluators report from.
 
-    u: np.ndarray  # task x server utilization
-    dur_coef: np.ndarray  # seconds per instruction of each task
-    completion: np.ndarray  # per job, would-be completion (pre-abort)
-    overrun: np.ndarray
-    missed: np.ndarray
-    modes: list[pw.DvfsMode]  # per server
-    executed: list[float]  # instructions per server
-    dynamic_j: list[float]
-    leakage_j: list[float]
+    Arrays have a leading population axis; the per-server lists hold one
+    list of M values per allocation.
+    """
+
+    u: np.ndarray  # [P, task, server] utilization
+    dur_coef: np.ndarray  # [P, task] seconds per instruction
+    completion: np.ndarray  # [P, slot, task] would-be completion (pre-abort)
+    modes: list[list[pw.DvfsMode]]
+    executed: list[list[float]]  # instructions per server
+    dynamic_j: list[list[float]]
+    leakage_j: list[list[float]]
 
 
 def _run(
     cluster: Sequence[ClusterHost],
-    alloc: Allocation,
+    allocs: Sequence[Allocation],
     arr: _TraceArrays,
     dyn_energy_form: str,
 ) -> _Run:
-    """Utilization, FIFO scan and per-server energy of a validated allocation."""
+    """Utilization, FIFO scan and per-server energy of validated allocations.
+
+    Each allocation's numbers are bit-identical to replaying it alone: every
+    element sees the same operations in the same order, so reductions over
+    tasks stay per member (sequential over the task axis, 1-D per server).
+    """
     if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
         raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
-    shares = np.array(alloc.shares, dtype=np.float64) / 100.0
+    n_pop = len(allocs)
+    shares = np.array([a.shares for a in allocs], dtype=np.float64) / 100.0
     weights = shares * arr.n_mean[:, None]
-    col = weights.sum(axis=0)
-    busy = col > 0
-    u = np.zeros_like(weights)
-    u[:, busy] = weights[:, busy] / col[busy]
+    col = weights.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(col[:, None, :] > 0, weights / col[:, None, :], 0.0)
 
-    modes = [host.spec.mode(k) for host, k in zip(cluster, alloc.dvfs)]
-    freq = np.array([mode.frequency_hz for mode in modes])
+    modes = [[host.spec.mode(k) for host, k in zip(cluster, a.dvfs)] for a in allocs]
+    freq = np.array([[mode.frequency_hz for mode in row] for row in modes])
     cpi = np.array([host.spec.cpi for host in cluster])
 
     # Seconds per instruction of each task: slowest of its subtasks.
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_server = cpi[None, :] * shares / (freq[None, :] * u)
+        per_server = cpi * shares / (freq[:, None, :] * u)
     per_server[shares == 0] = 0.0
-    dur_coef = per_server.max(axis=1)
+    dur_coef = per_server.max(axis=2)
 
-    completion = np.empty_like(arr.arrivals)
-    end = np.empty_like(arr.arrivals)
-    frac = np.empty_like(arr.arrivals)
-    scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef,
-              arr.is_ctrl, completion, end, frac)
-    overrun = completion - arr.deadlines
+    shape = (n_pop,) + arr.pad_arrivals.shape
+    if n_pop == 1:
+        # One allocation: the per-job scan is faster than stepping [1, T] arrays.
+        completion = np.full(shape, -np.inf)  # -inf in slots without a job: never late
+        flat, frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
+        scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[0],
+                  arr.is_ctrl, flat, np.empty_like(arr.arrivals), frac)
+        completion[0, arr.slot, arr.task_of_job] = flat
+        exec_per_task = np.bincount(
+            arr.task_of_job, weights=arr.works * frac, minlength=len(arr.task_ids)
+        )[None, :]
+    else:
+        completion = np.empty(shape)
+        exec_per_task = np.empty_like(dur_coef)
+        scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
+                        arr.is_ctrl, completion, exec_per_task)
 
-    exec_per_task = np.bincount(
-        arr.task_of_job, weights=arr.works * frac, minlength=len(arr.task_ids)
-    )
-    exec_im = shares * exec_per_task[:, None]
+    exec_im = shares * exec_per_task[:, :, None]
     executed, dynamic_j, leakage_j = [], [], []
-    for mi, (host, mode) in enumerate(zip(cluster, modes)):
-        n_exec = float(exec_im[:, mi].sum())
-        if dyn_energy_form == "as-written":
-            dyn_sum = float((u[:, mi] * exec_im[:, mi]).sum())
-        else:
-            dyn_sum = n_exec
-        executed.append(n_exec)
-        dynamic_j.append(
-            (host.spec.a_dyn * mode.voltage_v**2 * host.spec.cpi * dyn_sum)
-            / pw.FREQ_NORM_HZ
-        )
-        leakage_j.append(pw.leakage_energy(host.spec, mode, host.thermal, n_exec))
-    return _Run(
-        u, dur_coef, completion, overrun, overrun > 0, modes, executed, dynamic_j, leakage_j
-    )
+    for p, row in enumerate(modes):
+        executed.append([])
+        dynamic_j.append([])
+        leakage_j.append([])
+        for mi, (host, mode) in enumerate(zip(cluster, row)):
+            n_exec = float(exec_im[p, :, mi].sum())
+            if dyn_energy_form == "as-written":
+                dyn_sum = float((u[p, :, mi] * exec_im[p, :, mi]).sum())
+            else:
+                dyn_sum = n_exec
+            executed[p].append(n_exec)
+            dynamic_j[p].append(
+                (host.spec.a_dyn * mode.voltage_v**2 * host.spec.cpi * dyn_sum)
+                / pw.FREQ_NORM_HZ
+            )
+            leakage_j[p].append(pw.leakage_energy(host.spec, mode, host.thermal, n_exec))
+    return _Run(u, dur_coef, completion, modes, executed, dynamic_j, leakage_j)
 
 
 def evaluate_objectives(
     cluster: Sequence[ClusterHost],
     profiles: Sequence[TaskProfile],
     trace: JobTrace,
-    alloc: Allocation,
+    alloc: Allocation | Sequence[Allocation],
     *,
     soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None = None,
     hard_miss_weight: int = HARD_MISS_WEIGHT,
     dyn_energy_form: str = "as-written",
     energy_unit_j: float = ENERGY_UNIT_J,
     _arrays: _TraceArrays | None = None,
-) -> tuple[int, float, float]:
+) -> tuple[int, float, float] | list[tuple[int, float, float]]:
     """Fast path for optimizer loops: ``(lambda, energy_J, energy_units)`` only.
 
     Same numbers as :func:`evaluate_allocation` without materializing per-job
-    outcome records or the constraint report.
+    outcome records or the constraint report.  Given a sequence of
+    allocations, returns a list with one triple per allocation, each equal to
+    evaluating that allocation alone; the whole batch shares one FIFO scan.
     """
-    validate_allocation(alloc, profiles, cluster)
+    allocs = [alloc] if isinstance(alloc, Allocation) else list(alloc)
+    for a in allocs:
+        validate_allocation(a, profiles, cluster)
+    if not allocs:
+        return []
     ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
-    run = _run(cluster, alloc, arr, dyn_energy_form)
+    run = _run(cluster, allocs, arr, dyn_energy_form)
 
-    is_real = np.array([p.kind == "REAL" for p in ordered])
-    hard_misses = int(run.missed[is_real[arr.task_of_job]].sum())
-    control_aborts = int(run.missed[arr.is_ctrl[arr.task_of_job]].sum())
-    soft_violations = 0
+    hard_misses = np.zeros(len(allocs), dtype=np.int64)
+    control_aborts = np.zeros_like(hard_misses)
+    soft_violations = np.zeros_like(hard_misses)
     n_jobs_of = np.bincount(arr.task_of_job, minlength=len(ordered))
-    for ti, c in _soft_constraint_list(ordered, soft_constraints):
-        sel = arr.task_of_job == ti
-        frac_late = float((run.overrun[sel] > c.x_s).sum()) / float(n_jobs_of[ti])
-        if frac_late > c.beta:
-            soft_violations += 1
-    lam = soft_violations + control_aborts + hard_miss_weight * hard_misses
+    for ti, p in enumerate(ordered):
+        # Padded slots have deadline +inf, so they are never late.
+        overrun = run.completion[:, :, ti] - arr.pad_deadlines[:, ti]
+        if p.kind == "REAL":
+            hard_misses += (overrun > 0).sum(axis=1)
+        elif p.kind == "CTRL":
+            control_aborts += (overrun > 0).sum(axis=1)
+        else:
+            for c in _soft_constraints_for(p, soft_constraints):
+                frac_late = (overrun > c.x_s).sum(axis=1) / float(n_jobs_of[ti])
+                soft_violations += frac_late > c.beta
 
-    energy = 0.0
-    for dyn, leak in zip(run.dynamic_j, run.leakage_j):
-        energy += dyn
-        energy += leak
-    return lam, energy, energy / energy_unit_j
+    out = []
+    for soft, aborts, hard, dyn_row, leak_row in zip(
+        soft_violations.tolist(),
+        control_aborts.tolist(),
+        hard_misses.tolist(),
+        run.dynamic_j,
+        run.leakage_j,
+    ):
+        energy = 0.0
+        for dyn, leak in zip(dyn_row, leak_row):
+            energy += dyn
+            energy += leak
+        lam = soft + aborts + hard_miss_weight * hard
+        out.append((lam, energy, energy / energy_unit_j))
+    return out[0] if isinstance(alloc, Allocation) else out
 
 
 def evaluate_allocation(
@@ -362,32 +410,36 @@ def evaluate_allocation(
     validate_allocation(alloc, profiles, cluster)
     ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
-    run = _run(cluster, alloc, arr, dyn_energy_form)
+    run = _run(cluster, [alloc], arr, dyn_energy_form)
     m = len(cluster)
+    modes, executed = run.modes[0], run.executed[0]
+    completion = run.completion[0, arr.slot, arr.task_of_job]
+    overrun = completion - arr.deadlines
+    missed = overrun > 0
 
     servers = [
         ServerOutcome(
             server_id=host.spec.server_id,
             mode_index=alloc.dvfs[mi],
-            busy_time_s=run.executed[mi] * host.spec.cpi / run.modes[mi].frequency_hz,
-            utilization_sum=float(run.u[:, mi].sum()),
-            executed_instructions=run.executed[mi],
-            dynamic_energy_j=run.dynamic_j[mi],
-            leakage_energy_j=run.leakage_j[mi],
+            busy_time_s=executed[mi] * host.spec.cpi / modes[mi].frequency_hz,
+            utilization_sum=float(run.u[0, :, mi].sum()),
+            executed_instructions=executed[mi],
+            dynamic_energy_j=run.dynamic_j[0][mi],
+            leakage_energy_j=run.leakage_j[0][mi],
         )
         for mi, host in enumerate(cluster)
     ]
-    start = run.completion - arr.works * run.dur_coef[arr.task_of_job]
-    aborted = run.missed & arr.is_ctrl[arr.task_of_job]
+    start = completion - arr.works * run.dur_coef[0][arr.task_of_job]
+    aborted = missed & arr.is_ctrl[arr.task_of_job]
     outcomes = [
         JobOutcome(
             task_id=arr.task_ids[arr.task_of_job[j]],
             job_index=int(arr.job_index[j]),
             start_s=float(start[j]),
-            completion_s=float(run.completion[j]),
-            response_s=float(run.completion[j] - arr.arrivals[j]),
-            overrun_s=float(run.overrun[j]),
-            missed=bool(run.missed[j]),
+            completion_s=float(completion[j]),
+            response_s=float(completion[j] - arr.arrivals[j]),
+            overrun_s=float(overrun[j]),
+            missed=bool(missed[j]),
             aborted=bool(aborted[j]),
         )
         for j in range(len(arr.arrivals))

@@ -293,18 +293,31 @@ class TestErrors:
         assert str(scenario) in err and "dyn_energy_form 'as-writen'" in err
 
     @pytest.mark.parametrize(
-        "section,key,value,field",
+        "keys,value,field",
         [
-            ("optimizer", "population", "many", "optimizer.population"),
-            ("soft_constraints", "x", [[0.0, 0.2]], "soft_constraints['x']"),
+            (("optimizer", "population"), "many", "optimizer.population"),
+            (("soft_constraints", "x"), [[0.0, 0.2]], "soft_constraints['x']"),
+            (("cluster", 0), {"count": 1}, "cluster[0].server"),
+            (("optimizer", "policy"), 5, "optimizer.policy"),
+            (("phase_policy",), "staggered", "phase_policy 'staggered'"),
         ],
-        ids=["non-numeric-population", "non-integer-task-id"],
+        ids=[
+            "non-numeric-population",
+            "non-integer-task-id",
+            "cluster-entry-without-server",
+            "non-string-policy",
+            "unknown-phase-policy",
+        ],
     )
     def test_bad_scenario_value_is_config_error(
-        self, scenario, capsys, tmp_path, section, key, value, field
+        self, scenario, capsys, tmp_path, keys, value, field
     ):
         doc = json.loads(scenario.read_text())
-        doc[section][key] = value
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
         scenario.write_text(json.dumps(doc))
         rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -67,6 +67,18 @@ class TestNondominatedSort:
             ]
             assert nondominated_sort(points) == self.brute_ranks(points)
 
+    def test_survivor_ranks_equal_a_sort_of_the_survivors(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 41))
+            points = [
+                obj(int(rng.integers(0, 4)), float(rng.integers(0, 10)))
+                for _ in range(n)
+            ]
+            k = int(rng.integers(1, n + 1))
+            chosen, ranks = nsga._environmental_selection(points, k)
+            assert len(chosen) == k
+            assert ranks == nondominated_sort([points[i] for i in chosen])
+
     def test_single_front(self):
         pts = [obj(0, 3.0), obj(1, 2.0), obj(2, 1.0)]
         assert nondominated_sort(pts) == [0, 0, 0]
@@ -355,20 +367,26 @@ class TestEvolveBasics:
         ]
         assert r1.convergence == r2.convergence
 
-    def test_decodes_only_cache_misses_and_the_returned_front(self, monkeypatch):
-        calls = {"decode": 0, "evaluate_objectives": 0}
+    @staticmethod
+    def count_decodes_and_evaluations(monkeypatch):
+        """Record decoded gene vectors and the allocations passed to
+        ``evaluate_objectives`` (one call may score many)."""
+        seen = {"decoded": [], "evaluated": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def decode_wrapper(genes, *args, **kwargs):
+            seen["decoded"].append(tuple(genes))
+            return decode(genes, *args, **kwargs)
 
-            return wrapper
+        def evaluate_wrapper(cluster, profiles, trace, allocs, **kwargs):
+            seen["evaluated"] += 1 if isinstance(allocs, Allocation) else len(allocs)
+            return evaluate_objectives(cluster, profiles, trace, allocs, **kwargs)
 
-        monkeypatch.setattr(nsga, "decode", counted("decode", nsga.decode))
-        monkeypatch.setattr(
-            sim, "evaluate_objectives", counted("evaluate_objectives", sim.evaluate_objectives)
-        )
+        monkeypatch.setattr(nsga, "decode", decode_wrapper)
+        monkeypatch.setattr(sim, "evaluate_objectives", evaluate_wrapper)
+        return seen
+
+    @staticmethod
+    def two_task_instance():
         cluster = two_host_cluster()
         profiles = [
             TaskProfile(0, "SOFT", 2 * 10**8, 1.0, 0.6, 4),
@@ -376,9 +394,35 @@ class TestEvolveBasics:
         ]
         jobs = [Job(p.task_id, j, j * 1.0, j * 1.0 + p.deadline_s, p.n_instructions)
                 for p in profiles for j in range(p.n_jobs)]
-        trace = JobTrace(tuple(jobs), 0, 6.0)
+        return cluster, profiles, JobTrace(tuple(jobs), 0, 6.0)
+
+    def test_decodes_only_cache_misses_and_the_returned_front(self, monkeypatch):
+        seen = self.count_decodes_and_evaluations(monkeypatch)
+        cluster, profiles, trace = self.two_task_instance()
         cfg = EvolveConfig(population=8, generations=10, seed=3, share_step=100)
         result = evolve(cluster, profiles, trace, cfg)
-        assert calls["decode"] == calls["evaluate_objectives"] + len(result.front)
+        assert len(seen["decoded"]) == seen["evaluated"] + len(result.front)
         for p in result.front:
             assert p.allocation == decode(p.genes, profiles, cluster)
+
+    def test_identical_offspring_in_one_generation_are_scored_once(self, monkeypatch):
+        # Every pair of children leaves mutation as the same chromosome,
+        # with DVFS modes the population has not seen so far.
+        fresh_modes = itertools.product(range(1, 3), repeat=2)
+        twin = []
+
+        def twin_mutation(genes, bounds, rng, prob):
+            if not twin:
+                child = genes.copy()
+                child[:2] = next(fresh_modes, (1, 1))
+                twin.append(child)
+                return child.copy()
+            return twin.pop()
+
+        monkeypatch.setattr(nsga, "integer_flip_mutation", twin_mutation)
+        seen = self.count_decodes_and_evaluations(monkeypatch)
+        cluster, profiles, trace = self.two_task_instance()
+        cfg = EvolveConfig(population=4, generations=3, seed=5, share_step=100)
+        result = evolve(cluster, profiles, trace, cfg)
+        scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
+        assert len(scored) == len(set(scored)) == seen["evaluated"]

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_spec
+from greensched._kernels import scan_jobs, scan_population
 from greensched.errors import InvalidAllocationError, InvalidArgumentError
 from greensched.nsga import decode
 from greensched.power import DYN_ENERGY_FORMS, DvfsMode, ThermalState
+from greensched.tasks import LatenessConstraint
 from greensched.scenario import FIXTURES, load_scenario
 from greensched.sim import (
     Allocation,
@@ -226,6 +228,83 @@ class TestEvaluatorsAgree:
         assert lam == full.lam
         assert e_j == pytest.approx(full.energy_j, rel=1e-12, abs=0.0)
         assert e_u == pytest.approx(full.energy_units, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def random_instance(draw):
+    """A small cluster, tasks of every kind with uneven job counts, a jittered
+    trace whose tight control deadlines force aborts, and 2-6 decoded
+    allocations whose share genes are often zero (whole rows included)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cluster = [
+        host(f_hz=draw(st.sampled_from([5e8, 1e9, 2e9])), n_modes=3)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    kinds = draw(st.lists(st.sampled_from(["REAL", "CTRL", "SOFT"]), min_size=1, max_size=4))
+    profiles, jobs, soft = [], [], {}
+    for t, kind in enumerate(kinds):
+        n_jobs = draw(st.integers(1, 8))
+        period = float(rng.choice([0.5, 1.0, 2.0]))
+        profiles.append(TaskProfile(t, kind, int(rng.integers(10**7, 10**9)), period, period, n_jobs))
+        for j in range(n_jobs):
+            arrival = j * period + float(rng.uniform(0.0, period))
+            deadline = arrival + period * float(rng.choice([0.1, 0.5, 1.0]))
+            work = 0 if rng.random() < 0.1 else int(rng.integers(1, 2 * 10**9))
+            jobs.append(Job(t, j, arrival, deadline, work))
+        if kind == "SOFT":
+            soft[t] = (LatenessConstraint(float(rng.choice([0.0, 0.1])),
+                                          float(rng.choice([0.0, 0.2, 0.5]))),)
+    n_genes = len(profiles) * len(cluster)
+    allocs = [
+        decode(
+            [int(rng.integers(1, 4)) for _ in cluster]
+            + [int(g) if rng.random() < 0.5 else 0 for g in rng.integers(0, 101, n_genes)],
+            profiles,
+            cluster,
+        )
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    return cluster, profiles, trace_of(jobs), soft, allocs
+
+
+class TestPopulationBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=random_instance(), form=st.sampled_from(DYN_ENERGY_FORMS))
+    def test_batch_equals_one_by_one_on_random_traces(self, instance, form):
+        cluster, profiles, trace, soft, allocs = instance
+        kw = {"soft_constraints": soft, "dyn_energy_form": form}
+        batch = evaluate_objectives(cluster, profiles, trace, allocs, **kw)
+        assert batch == [
+            evaluate_objectives(cluster, profiles, trace, a, **kw) for a in allocs
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=random_instance(), seed=st.integers(0, 2**32 - 1))
+    def test_scan_population_matches_scan_jobs(self, instance, seed):
+        _, profiles, trace, _, _ = instance
+        arr = trace_arrays(profiles, trace)
+        rng = np.random.default_rng(seed)
+        dur_coef = rng.uniform(1e-10, 3e-9, (4, len(profiles)))
+        completion = np.empty((4,) + arr.pad_arrivals.shape)
+        executed = np.empty_like(dur_coef)
+        scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
+                        arr.is_ctrl, completion, executed)
+        for p in range(4):
+            want_completion, want_frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
+            scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[p],
+                      arr.is_ctrl, want_completion, np.empty_like(arr.arrivals), want_frac)
+            assert np.array_equal(completion[p, arr.slot, arr.task_of_job], want_completion)
+            want_executed = np.bincount(
+                arr.task_of_job, weights=arr.works * want_frac, minlength=len(profiles)
+            )
+            assert np.array_equal(executed[p], want_executed)
+
+    def test_one_allocation_in_a_list_returns_a_list(self):
+        s, trace, arr = bundled("amd")
+        alloc = decode([1, 1, 1] + [100, 0, 0] * len(s.profiles), s.profiles, s.cluster)
+        single = evaluate_objectives(s.cluster, s.profiles, trace, alloc, _arrays=arr)
+        assert evaluate_objectives(s.cluster, s.profiles, trace, [alloc], _arrays=arr) == [single]
+        assert evaluate_objectives(s.cluster, s.profiles, trace, [], _arrays=arr) == []
 
 
 class TestTraceMatchesProfiles:
