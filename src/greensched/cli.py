@@ -240,13 +240,6 @@ def _load_allocation(path: str) -> sim.Allocation:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
     alloc = _load_allocation(args.allocation)
-    if len(alloc.dvfs) != len(scenario.cluster) or len(alloc.shares) != len(
-        scenario.profiles
-    ):
-        raise InvalidAllocationError(
-            f"allocation shape ({len(alloc.shares)} tasks x {len(alloc.dvfs)} servers) "
-            f"does not match scenario ({len(scenario.profiles)} x {len(scenario.cluster)})"
-        )
     trace = (
         parse_trace(args.trace) if args.trace else _trace_for(scenario)
     )

@@ -59,6 +59,8 @@ class EvolveConfig:
             raise ConfigurationError("population must be >= 2")
         if self.generations < 1:
             raise ConfigurationError("generations must be >= 1")
+        if self.max_mode_index is not None and self.max_mode_index < 1:
+            raise ConfigurationError("max_mode_index must be >= 1")
         if self.dyn_energy_form not in DYN_ENERGY_FORMS:
             raise ConfigurationError(
                 f"dyn_energy_form {self.dyn_energy_form!r} is not one of {DYN_ENERGY_FORMS}"

@@ -43,6 +43,15 @@ def _convert(path: Path, field: str, cast, value):
         raise ConfigurationError(f"{path}: {field}: {exc}") from exc
 
 
+def _section(path: Path, field: str, value) -> dict:
+    """``value`` if it is a JSON object, else a ConfigurationError naming the field."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{path}: {field}: expected a JSON object, got {value!r}"
+        )
+    return value
+
+
 def load_server_spec(path: str | Path, server_id: int | None = None) -> pw.ServerSpec:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -118,7 +127,7 @@ def load_scenario(
         doc = json.load(fh)
 
     hosts: list[sim.ClusterHost] = []
-    thermal_default = doc.get("thermal", {})
+    thermal_default = _section(path, "thermal", doc.get("thermal", {}))
     for k, entry in enumerate(doc.get("cluster", [])):
         server = entry.get("server") if isinstance(entry, dict) else None
         if not isinstance(server, str):
@@ -127,7 +136,9 @@ def load_scenario(
             )
         spec_path = _resolve(server, base)
         count = _convert(path, f"cluster[{k}].count", int, entry.get("count", 1))
-        thermal_doc = entry.get("thermal", thermal_default)
+        thermal_doc = _section(
+            path, f"cluster[{k}].thermal", entry.get("thermal", thermal_default)
+        )
         for _ in range(count):
             spec = load_server_spec(spec_path, server_id=len(hosts))
             t_cpu = thermal_doc.get("t_cpu_k", [300.0])
@@ -148,13 +159,14 @@ def load_scenario(
     profiles = tuple(parse_workload(_resolve(doc["workload"], base)))
 
     soft_constraints: dict[int, tuple[LatenessConstraint, ...]] = {}
-    for tid, pairs in doc.get("soft_constraints", {}).items():
+    soft_doc = _section(path, "soft_constraints", doc.get("soft_constraints", {}))
+    for tid, pairs in soft_doc.items():
         field = f"soft_constraints[{tid!r}]"
         soft_constraints[_convert(path, field, int, tid)] = _convert(
             path, field, lambda v: tuple(LatenessConstraint(*map(float, c)) for c in v), pairs
         )
 
-    opt_doc = doc.get("optimizer", {})
+    opt_doc = _section(path, "optimizer", doc.get("optimizer", {}))
     eff_seed = seed if seed is not None else opt_doc.get("seed")
     if eff_seed is None:
         raise ConfigurationError(
@@ -184,14 +196,14 @@ def load_scenario(
         raise ConfigurationError(
             f"{path}: phase_policy {phase_policy!r} is not one of {PHASE_POLICIES}"
         )
+    if max_mode_index is None and opt_doc.get("max_mode_index") is not None:
+        max_mode_index = _convert(
+            path, "optimizer.max_mode_index", int, opt_doc["max_mode_index"]
+        )
     try:
         optimizer = EvolveConfig(
             policy=policy.upper(),
-            max_mode_index=(
-                max_mode_index
-                if max_mode_index is not None
-                else opt_doc.get("max_mode_index")
-            ),
+            max_mode_index=max_mode_index,
             dyn_energy_form=doc.get("dyn_energy_form", "as-written"),
             **numbers,
         )

@@ -24,7 +24,7 @@ from . import power as pw
 from . import tasks as tk
 from ._kernels import scan_jobs, scan_population
 from .errors import InvalidAllocationError, InvalidArgumentError
-from .workload import JobTrace, TaskProfile, hyperperiod_horizon
+from .workload import JobTrace, TaskProfile
 
 HARD_MISS_WEIGHT = 10**6
 ENERGY_UNIT_J = 95_600.0
@@ -126,25 +126,23 @@ def _soft_constraints_for(
 
 def _assemble_result(
     profiles: Sequence[TaskProfile],
+    arr: _TraceArrays,
     outcomes: list[JobOutcome],
     servers: list[ServerOutcome],
     soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
     hard_miss_weight: int,
     energy_unit_j: float,
-    task_servers: tuple[tuple[int, tuple[int, ...]], ...] = (),
+    task_servers: tuple[tuple[int, tuple[int, ...]], ...],
 ) -> EvaluationResult:
-    by_task: dict[int, list[JobOutcome]] = {p.task_id: [] for p in profiles}
-    for o in outcomes:
-        by_task[o.task_id].append(o)
+    """Constraint report and totals; ``outcomes`` are in (task, job) order."""
     stats: dict[int, tk.TaskMissStats] = {}
     hard_misses = 0
-    control_aborts = 0
-    for p in profiles:
-        rows = sorted(by_task[p.task_id], key=lambda o: o.job_index)
-        kind = KIND_TO_STATS[p.kind]
+    aborts_of_ctrl: list[tuple[int, int]] = []
+    for p, span in zip(profiles, arr.task_jobs):
+        rows = outcomes[span]
         stats[p.task_id] = tk.TaskMissStats(
             task_id=p.task_id,
-            kind=kind,
+            kind=KIND_TO_STATS[p.kind],
             overruns=tuple(o.overrun_s for o in rows),
             miss_pattern=tuple(o.missed for o in rows),
             skip=p.skip if p.kind == "CTRL" else None,
@@ -155,14 +153,13 @@ def _assemble_result(
         if p.kind == "REAL":
             hard_misses += sum(o.missed for o in rows)
         elif p.kind == "CTRL":
-            control_aborts += sum(o.aborted for o in rows)
+            aborts_of_ctrl.append((p.task_id, sum(o.aborted for o in rows)))
     report = list(tk.check_constraints(stats, [p.task_id for p in profiles]))
-    for p in profiles:
-        if p.kind == "CTRL":
-            n_aborts = sum(o.aborted for o in by_task[p.task_id])
-            report.append(
-                tk.ConstraintCheck(p.task_id, "control aborts == 0", n_aborts == 0)
-            )
+    report.extend(
+        tk.ConstraintCheck(tid, "control aborts == 0", n_aborts == 0)
+        for tid, n_aborts in aborts_of_ctrl
+    )
+    control_aborts = sum(n_aborts for _, n_aborts in aborts_of_ctrl)
     soft_ids = {p.task_id for p in profiles if p.kind == "SOFT"}
     soft_violations = sum(
         1 for c in report if c.task_id in soft_ids and not c.passed
@@ -183,6 +180,31 @@ def _assemble_result(
     )
 
 
+def _job_outcomes(
+    arr: _TraceArrays, start: np.ndarray, completion: np.ndarray, aborted: np.ndarray
+) -> list[JobOutcome]:
+    """One record per trace job, in (task, job) order, from per-job arrays.
+
+    ``start`` is each job's first run, which is never before its release (its
+    arrival, or its predecessor's end if later), and ``completion`` its
+    would-be completion, also for an aborted job.  A job is missed when it
+    overran its deadline or was aborted.
+    """
+    overrun = completion - arr.deadlines
+    missed = (overrun > 0) | aborted
+    columns = (  # in JobOutcome field order
+        [arr.task_ids[ti] for ti in arr.task_of_job.tolist()],
+        arr.job_index.tolist(),
+        start.tolist(),
+        completion.tolist(),
+        (completion - arr.arrivals).tolist(),
+        overrun.tolist(),
+        missed.tolist(),
+        aborted.tolist(),
+    )
+    return [JobOutcome(*row) for row in zip(*columns)]
+
+
 @dataclass
 class _TraceArrays:
     """Trace flattened to numpy arrays, reusable across many evaluations.
@@ -199,6 +221,7 @@ class _TraceArrays:
     job_index: np.ndarray
     is_ctrl: np.ndarray
     task_ids: list[int]
+    task_jobs: list[slice]  # each task's jobs in the flat arrays
     n_mean: np.ndarray
     slot: np.ndarray
     pad_arrivals: np.ndarray
@@ -239,6 +262,10 @@ def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArra
         job_index=np.array([j.job_index for j in jobs], dtype=np.int64),
         is_ctrl=np.array([p.kind == "CTRL" for p in ordered]),
         task_ids=task_ids,
+        task_jobs=[
+            slice(first, first + n_jobs)
+            for first, n_jobs in zip(first_of_task.tolist(), n_jobs_of.tolist())
+        ],
         n_mean=np.array([float(p.n_instructions) for p in ordered]),
         slot=slot,
         pad_arrivals=padded(arrivals, -np.inf),
@@ -262,6 +289,18 @@ class _Run:
     executed: list[list[float]]  # instructions per server
     dynamic_j: list[list[float]]
     leakage_j: list[list[float]]
+
+
+def _host_energy(
+    host: ClusterHost, mode: pw.DvfsMode, dyn_sum: float, n_exec: float
+) -> tuple[float, float]:
+    """Dynamic and leakage energy (J) of a server that executed ``n_exec``
+    instructions; ``dyn_sum`` is the instruction sum of the dynamic term."""
+    spec = host.spec
+    return (
+        (spec.a_dyn * mode.voltage_v**2 * spec.cpi * dyn_sum) / pw.FREQ_NORM_HZ,
+        pw.leakage_energy(spec, mode, host.thermal, n_exec),
+    )
 
 
 def _run(
@@ -324,12 +363,10 @@ def _run(
                 dyn_sum = float((u[p, :, mi] * exec_im[p, :, mi]).sum())
             else:
                 dyn_sum = n_exec
+            dyn_j, leak_j = _host_energy(host, mode, dyn_sum, n_exec)
             executed[p].append(n_exec)
-            dynamic_j[p].append(
-                (host.spec.a_dyn * mode.voltage_v**2 * host.spec.cpi * dyn_sum)
-                / pw.FREQ_NORM_HZ
-            )
-            leakage_j[p].append(pw.leakage_energy(host.spec, mode, host.thermal, n_exec))
+            dynamic_j[p].append(dyn_j)
+            leakage_j[p].append(leak_j)
     return _Run(u, dur_coef, completion, modes, executed, dynamic_j, leakage_j)
 
 
@@ -404,18 +441,15 @@ def evaluate_allocation(
     hard_miss_weight: int = HARD_MISS_WEIGHT,
     dyn_energy_form: str = "as-written",
     energy_unit_j: float = ENERGY_UNIT_J,
-    _arrays: _TraceArrays | None = None,
 ) -> EvaluationResult:
     """Evaluate one allocation against a trace; pure function of its inputs."""
     validate_allocation(alloc, profiles, cluster)
     ordered = sorted(profiles, key=lambda p: p.task_id)
-    arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
+    arr = trace_arrays(profiles, trace)
     run = _run(cluster, [alloc], arr, dyn_energy_form)
     m = len(cluster)
     modes, executed = run.modes[0], run.executed[0]
     completion = run.completion[0, arr.slot, arr.task_of_job]
-    overrun = completion - arr.deadlines
-    missed = overrun > 0
 
     servers = [
         ServerOutcome(
@@ -430,26 +464,15 @@ def evaluate_allocation(
         for mi, host in enumerate(cluster)
     ]
     start = completion - arr.works * run.dur_coef[0][arr.task_of_job]
-    aborted = missed & arr.is_ctrl[arr.task_of_job]
-    outcomes = [
-        JobOutcome(
-            task_id=arr.task_ids[arr.task_of_job[j]],
-            job_index=int(arr.job_index[j]),
-            start_s=float(start[j]),
-            completion_s=float(completion[j]),
-            response_s=float(completion[j] - arr.arrivals[j]),
-            overrun_s=float(overrun[j]),
-            missed=bool(missed[j]),
-            aborted=bool(aborted[j]),
-        )
-        for j in range(len(arr.arrivals))
-    ]
+    aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
+    outcomes = _job_outcomes(arr, start, completion, aborted)
     task_servers = tuple(
         (p.task_id, tuple(int(mi) for mi in range(m) if alloc.shares[i][mi] > 0))
         for i, p in enumerate(ordered)
     )
     return _assemble_result(
         ordered,
+        arr,
         outcomes,
         servers,
         soft_constraints,
@@ -501,57 +524,58 @@ def edf_schedule(
     """Single-queue-per-host preemptive EDF with a WFD task partition.
 
     Every host runs at the policy mode ("max" or "min").  Jobs of one task stay
-    FIFO (a job becomes eligible when its predecessor ends); control jobs abort
+    FIFO (a job is released when its predecessor ends); control jobs abort
     at their deadline.
     """
     if dvfs_policy not in ("max", "min"):
         raise InvalidArgumentError(f"unknown dvfs policy {dvfs_policy!r}")
-    trace_arrays(profiles, trace)  # rejects unknown tasks and tasks without jobs
+    arr = trace_arrays(profiles, trace)
     ordered = sorted(profiles, key=lambda p: p.task_id)
     mode_of = [
         len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster
     ]
     host_of = _wfd_partition(ordered, cluster, mode_of)
 
-    jobs_by_task: dict[int, list] = {p.task_id: [] for p in ordered}
-    for j in sorted(trace.jobs, key=lambda j: (j.task_id, j.job_index)):
-        jobs_by_task[j.task_id].append(j)
-
-    outcomes: list[JobOutcome] = []
+    arrivals, deadlines, works = (
+        arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
+    )
+    n_jobs = len(works)
+    start, completion, aborted = [None] * n_jobs, [0.0] * n_jobs, [False] * n_jobs
     servers: list[ServerOutcome] = []
     for h, host in enumerate(cluster):
         spec = host.spec
         mode = spec.mode(mode_of[h])
         rate = mode.frequency_hz / spec.cpi  # instructions per second
-        local = [p for i, p in enumerate(ordered) if host_of[i] == h]
-        executed_total = 0.0
-        util_sum = 0.0
-        for p in local:
-            util_sum += (spec.cpi * p.n_instructions / mode.frequency_hz) / p.period_s
-        outcomes_h, executed_total = _edf_host(
-            local, jobs_by_task, rate
+        local = [i for i in range(len(ordered)) if host_of[i] == h]
+        executed = _edf_host(
+            [(arr.task_jobs[i], ordered[i].kind == "CTRL") for i in local],
+            arrivals, deadlines, works, rate, start, completion, aborted,
         )
-        outcomes.extend(outcomes_h)
-        dyn_e = (
-            spec.a_dyn * mode.voltage_v**2 * spec.cpi * executed_total
-        ) / pw.FREQ_NORM_HZ
-        leak_e = pw.leakage_energy(spec, mode, host.thermal, executed_total)
+        util_sum = 0.0
+        for i in local:
+            p = ordered[i]
+            util_sum += (spec.cpi * p.n_instructions / mode.frequency_hz) / p.period_s
+        dyn_j, leak_j = _host_energy(host, mode, executed, executed)
         servers.append(
             ServerOutcome(
                 server_id=spec.server_id,
                 mode_index=mode_of[h],
-                busy_time_s=executed_total / rate,
+                busy_time_s=executed / rate,
                 utilization_sum=util_sum,
-                executed_instructions=executed_total,
-                dynamic_energy_j=dyn_e,
-                leakage_energy_j=leak_e,
+                executed_instructions=executed,
+                dynamic_energy_j=dyn_j,
+                leakage_energy_j=leak_j,
             )
         )
+    outcomes = _job_outcomes(
+        arr, np.array(start), np.array(completion), np.array(aborted)
+    )
     task_servers = tuple(
         (p.task_id, (host_of[i],)) for i, p in enumerate(ordered)
     )
     return _assemble_result(
         ordered,
+        arr,
         outcomes,
         servers,
         soft_constraints,
@@ -562,95 +586,67 @@ def edf_schedule(
 
 
 def _edf_host(
-    local: Sequence[TaskProfile],
-    jobs_by_task: dict[int, list],
+    tasks: Sequence[tuple[slice, bool]],
+    arrivals: list[float],
+    deadlines: list[float],
+    works: list[float],
     rate: float,
-) -> tuple[list[JobOutcome], float]:
-    """Event-driven preemptive EDF on one host at ``rate`` instructions/second."""
-    ptr = {p.task_id: 0 for p in local}
-    is_ctrl = {p.task_id: p.kind == "CTRL" for p in local}
-    # eligible[tid] = earliest start of the task's next job
-    eligible: dict[int, float] = {}
-    for p in local:
-        if jobs_by_task[p.task_id]:
-            eligible[p.task_id] = jobs_by_task[p.task_id][0].arrival_s
-    ready: list[tuple[float, float, int, float, object]] = []  # (dl, arr, tid, remaining, job)
-    outcomes: list[JobOutcome] = []
-    started: dict[tuple[int, int], float] = {}
-    executed_total = 0.0
+    start: list[float | None],
+    completion: list[float],
+    aborted: list[bool],
+) -> float:
+    """Event-driven preemptive EDF on one host at ``rate`` instructions/second.
+
+    ``tasks`` gives each hosted task's jobs in the flat trace columns and
+    whether it is a control task, in task-id order.  Each task has one current
+    job, released at the later of its arrival and its predecessor's end.  At
+    the top of the loop a current job is ready exactly when its release is not
+    after ``t``; every other one is released later, so the next release is
+    the next preemption point.  With at most one ready job per task, the job
+    to run is the minimum of (deadline, arrival, task) over the ready ones.
+    Writes each job's first run, would-be completion and abort flag into
+    ``start``, ``completion`` and ``aborted``; returns the instructions run.
+    """
+    inf = float("inf")
+    job = [span.start for span, _ in tasks]  # flat index of each task's current job
+    release = [arrivals[j] for j in job]
+    remaining = [works[j] / rate for j in job]  # seconds
+    active = list(range(len(tasks)))  # tasks with a current job
+    executed = 0.0
     t = 0.0
-    while eligible or ready:
-        if ready:
-            ready.sort(key=lambda r: (r[0], r[1], r[2]))
-            dl, arr, tid, remaining, job = ready[0]
-            horizon = t + remaining
-            next_elig = min(eligible.values()) if eligible else float("inf")
-            cutoff = dl if (is_ctrl[tid] and dl < horizon) else float("inf")
-            event = min(horizon, max(next_elig, t), cutoff)
-            if event > t:
-                ran_s = min(event - t, remaining)
-                remaining_after = remaining - ran_s
-                executed_total += ran_s * rate
-                key = (tid, job.job_index)
-                started.setdefault(key, t)
+    while active:
+        ready = [k for k in active if release[k] <= t]
+        next_release = min((release[k] for k in active if release[k] > t), default=inf)
+        if not ready:
+            t = next_release
+            continue
+        k = min(ready, key=lambda k: (deadlines[job[k]], arrivals[job[k]], k))
+        j = job[k]
+        if start[j] is None:
+            start[j] = t
+        left = remaining[k]
+        horizon = t + left
+        cutoff = deadlines[j] if tasks[k][1] and deadlines[j] < horizon else inf
+        event = min(horizon, next_release, cutoff)
+        if event > t:
+            ran_s = min(event - t, left)
+            left -= ran_s
+            executed += ran_s * rate
+        if event == horizon or event == cutoff:
+            # The job completes, or a control job aborts at its deadline and
+            # its remaining work is discarded.
+            completion[j] = event if event == horizon else event + left
+            aborted[j] = event != horizon
+            if j + 1 < tasks[k][0].stop:
+                job[k] = j + 1
+                release[k] = max(arrivals[j + 1], event)
+                remaining[k] = works[j + 1] / rate
             else:
-                remaining_after = remaining
-            if event == horizon and event <= cutoff:
-                # job completes
-                completion = event
-                overrun = completion - job.deadline_s
-                outcomes.append(
-                    JobOutcome(
-                        task_id=tid,
-                        job_index=job.job_index,
-                        start_s=started.get((tid, job.job_index), t),
-                        completion_s=completion,
-                        response_s=completion - job.arrival_s,
-                        overrun_s=overrun,
-                        missed=overrun > 0,
-                        aborted=False,
-                    )
-                )
-                ready.pop(0)
-                _advance(ptr, eligible, jobs_by_task, tid, completion)
-            elif event == cutoff and cutoff < horizon:
-                # control job aborts at its deadline; remaining work discarded
-                would_be = event + remaining_after
-                outcomes.append(
-                    JobOutcome(
-                        task_id=tid,
-                        job_index=job.job_index,
-                        start_s=started.get((tid, job.job_index), t),
-                        completion_s=would_be,
-                        response_s=would_be - job.arrival_s,
-                        overrun_s=would_be - job.deadline_s,
-                        missed=True,
-                        aborted=True,
-                    )
-                )
-                ready.pop(0)
-                _advance(ptr, eligible, jobs_by_task, tid, event)
-            else:
-                ready[0] = (dl, arr, tid, remaining_after, job)
-            t = max(t, event)
+                active.remove(k)
         else:
-            t = max(t, min(eligible.values()))
-        # admit all jobs eligible at time t
-        for tid in list(eligible):
-            if eligible[tid] <= t:
-                job = jobs_by_task[tid][ptr[tid]]
-                ready.append(
-                    (job.deadline_s, job.arrival_s, tid, job.work_instructions / rate, job)
-                )
-                del eligible[tid]
-    return outcomes, executed_total
-
-
-def _advance(ptr, eligible, jobs_by_task, tid, now):
-    ptr[tid] += 1
-    if ptr[tid] < len(jobs_by_task[tid]):
-        nxt = jobs_by_task[tid][ptr[tid]]
-        eligible[tid] = max(nxt.arrival_s, now)
+            remaining[k] = left
+        t = max(t, event)
+    return executed
 
 
 __all__ = [
@@ -662,8 +658,8 @@ __all__ = [
     "HARD_MISS_WEIGHT",
     "ENERGY_UNIT_J",
     "evaluate_allocation",
+    "evaluate_objectives",
     "edf_schedule",
-    "hyperperiod_horizon",
     "validate_allocation",
     "trace_arrays",
 ]

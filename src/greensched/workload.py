@@ -14,11 +14,10 @@ header comment.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +25,6 @@ from .errors import InvalidArgumentError, ParseError
 
 TASK_TYPES = ("REAL", "CTRL", "SOFT")
 GENERATOR_NAME = "numpy-PCG64"
-
-#: Soft relative deadlines: fixed at the profile value, or drawn uniformly on
-#: [0, deadline].
-SOFT_DEADLINE_POLICIES = ("fixed", "uniform")
 PHASE_POLICIES = ("zero", "uniform-random")
 
 
@@ -125,15 +120,10 @@ def generate_jobs(
     profiles: Sequence[TaskProfile],
     seed: int,
     phase_policy: str = "zero",
-    soft_deadline_policy: str = "fixed",
 ) -> JobTrace:
     """Expand profiles into a concrete, reproducible job trace."""
     if phase_policy not in PHASE_POLICIES:
         raise InvalidArgumentError(f"unknown phase policy {phase_policy!r}")
-    if soft_deadline_policy not in SOFT_DEADLINE_POLICIES:
-        raise InvalidArgumentError(
-            f"unknown soft deadline policy {soft_deadline_policy!r}"
-        )
     rng = np.random.Generator(np.random.PCG64(seed))
     jobs: list[Job] = []
     phases: dict[int, float] = {}
@@ -154,11 +144,7 @@ def generate_jobs(
             for j in range(p.n_jobs):
                 arrival += float(rng.exponential(p.period_s))
                 work = max(1, math.ceil(rng.exponential(p.n_instructions)))
-                if soft_deadline_policy == "fixed":
-                    rel_dl = p.deadline_s
-                else:
-                    rel_dl = float(rng.uniform(0.0, p.deadline_s))
-                jobs.append(Job(p.task_id, j, arrival, arrival + rel_dl, work))
+                jobs.append(Job(p.task_id, j, arrival, arrival + p.deadline_s, work))
     jobs.sort(key=lambda j: (j.task_id, j.job_index))
     return JobTrace(tuple(jobs), seed, hyperperiod_horizon(profiles, phases))
 

@@ -300,6 +300,11 @@ class TestErrors:
             (("cluster", 0), {"count": 1}, "cluster[0].server"),
             (("optimizer", "policy"), 5, "optimizer.policy"),
             (("phase_policy",), "staggered", "phase_policy 'staggered'"),
+            (("thermal",), 301.0, "thermal: expected a JSON object"),
+            (("optimizer",), [12, 30], "optimizer: expected a JSON object"),
+            (("soft_constraints",), [1], "soft_constraints: expected a JSON object"),
+            (("optimizer", "max_mode_index"), "x", "optimizer.max_mode_index"),
+            (("optimizer", "max_mode_index"), 0, "max_mode_index must be >= 1"),
         ],
         ids=[
             "non-numeric-population",
@@ -307,6 +312,11 @@ class TestErrors:
             "cluster-entry-without-server",
             "non-string-policy",
             "unknown-phase-policy",
+            "non-object-thermal",
+            "non-object-optimizer",
+            "list-soft-constraints",
+            "string-max-mode-index",
+            "zero-max-mode-index",
         ],
     )
     def test_bad_scenario_value_is_config_error(

@@ -396,6 +396,8 @@ class TestEdfBaseline:
         by_task = {o.task_id: o for o in res.per_job}
         assert by_task[1].completion_s == pytest.approx(2.0)
         assert by_task[0].completion_s == pytest.approx(4.0)
+        # T0's start is its first run, not its resume after the preemption.
+        assert (by_task[0].start_s, by_task[1].start_s) == (0.0, 1.0)
         assert res.lam == 0
 
     def test_nested_deadlines_schedule_inner_first(self):
@@ -420,6 +422,40 @@ class TestEdfBaseline:
         assert o.aborted
         [server] = res.per_server
         assert server.executed_instructions == pytest.approx(1e9)
+
+    def test_control_job_released_after_its_deadline_runs_nothing(self):
+        # Job 1 arrives at t=1 with deadline 2, but job 0 holds the task
+        # until t=3: job 1 is released after its deadline and aborts at once.
+        cluster = [host()]
+        profiles = [TaskProfile(0, "CTRL", 10**9, 1.0, 1.0, 2, skip=2)]
+        jobs = [Job(0, 0, 0.0, 10.0, 3 * 10**9), Job(0, 1, 1.0, 2.0, 10**9)]
+        res = edf_schedule(cluster, profiles, trace_of(jobs))
+        first, late = res.per_job
+        assert not first.aborted and first.completion_s == 3.0
+        assert late.aborted and late.missed and late.start_s == 3.0
+        assert late.completion_s == 3.0  # would-be: deadline + unrun work
+        assert res.per_server[0].executed_instructions == 3e9
+        assert res.control_aborts == 1
+
+    def test_per_job_lists_every_job_once_in_task_job_order(self, rng):
+        cluster = [host(1e9), host(2e9)]
+        kinds = ["REAL", "CTRL", "SOFT", "CTRL", "SOFT"]
+        profiles = [
+            TaskProfile(t, kind, 4 * 10**8, 0.5, 0.4, 8)
+            for t, kind in zip((7, 2, 5, 9, 0), kinds)
+        ]
+        jobs = [
+            Job(p.task_id, j, 0.3 * j + float(rng.uniform(0, 0.3)), 0.3 * j + 0.7,
+                int(rng.integers(0, 8 * 10**8)))
+            for p in profiles
+            for j in range(p.n_jobs)
+        ]
+        shuffled = [jobs[i] for i in rng.permutation(len(jobs))]
+        res = edf_schedule(cluster, profiles, trace_of(shuffled))
+        assert res.control_aborts > 0
+        assert [(o.task_id, o.job_index) for o in res.per_job] == sorted(
+            (j.task_id, j.job_index) for j in jobs
+        )
 
     def test_work_conservation(self, rng):
         cluster = [host(1e9), host(1e9)]

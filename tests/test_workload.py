@@ -136,8 +136,6 @@ class TestGenerateJobs:
         profiles = [TaskProfile(0, "REAL", 100, 5.0, 5.0, 3)]
         with pytest.raises(InvalidArgumentError):
             generate_jobs(profiles, seed=1, phase_policy="nope")
-        with pytest.raises(InvalidArgumentError):
-            generate_jobs(profiles, seed=1, soft_deadline_policy="nope")
 
 
 class TestTraceRoundTrip:
