@@ -105,7 +105,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         required = ["utilization", "t_cpu_k", "t_mem_k", "mode_index", "power_w"]
         missing = [c for c in required if c not in (reader.fieldnames or [])]
         if missing:
-            raise ParseError(f"telemetry file missing column(s): {', '.join(missing)}")
+            raise ParseError(
+                f"telemetry file missing column(s): {', '.join(missing)}", path=path
+            )
         for rownum, row in enumerate(reader, start=2):
             try:
                 samples.append(
@@ -118,7 +120,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     )
                 )
             except (ValueError, GreenschedError) as exc:
-                raise ParseError(str(exc), row=rownum) from exc
+                raise ParseError(str(exc), row=rownum, path=path) from exc
     result = pw.fit_constants(samples, template, split=args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

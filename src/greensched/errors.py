@@ -1,5 +1,7 @@
 """Exception classes shared across the package."""
 
+from pathlib import Path
+
 
 class GreenschedError(Exception):
     """Base class for all package errors."""
@@ -42,11 +44,16 @@ class UnderdeterminedFitError(GreenschedError, ValueError):
 
 
 class ParseError(GreenschedError, ValueError):
-    """A structured input file failed validation. ``row`` is 1-based when set."""
+    """A structured input file failed validation. ``row`` is 1-based when set;
+    ``path`` names the file in the message when set."""
 
-    def __init__(self, message: str, row: int | None = None):
+    def __init__(
+        self, message: str, row: int | None = None, path: str | Path | None = None
+    ):
         if row is not None:
             message = f"row {row}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.row = row
 

@@ -65,8 +65,12 @@ class EvolveConfig:
             raise ConfigurationError(
                 f"dyn_energy_form {self.dyn_energy_form!r} is not one of {DYN_ENERGY_FORMS}"
             )
+        if not 1 <= self.share_step <= 100:
+            raise ConfigurationError("share_step must be in 1..100")
         if 100 % self.share_step != 0:
             raise ConfigurationError("share_step must divide 100")
+        if not self.energy_unit_j > 0:
+            raise ConfigurationError("energy_unit_j must be > 0")
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:

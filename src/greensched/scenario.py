@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import power as pw
 from . import sim
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidArgumentError
 from .nsga import EvolveConfig
 from .tasks import LatenessConstraint
 from .workload import PHASE_POLICIES, TaskProfile, parse_workload
@@ -47,7 +47,7 @@ def _section(path: Path, field: str, value) -> dict:
     """``value`` if it is a JSON object, else a ConfigurationError naming the field."""
     if not isinstance(value, dict):
         raise ConfigurationError(
-            f"{path}: {field}: expected a JSON object, got {value!r}"
+            f"{path}: {field}: expected a JSON object, got a {type(value).__name__}"
         )
     return value
 
@@ -55,27 +55,36 @@ def _section(path: Path, field: str, value) -> dict:
 def load_server_spec(path: str | Path, server_id: int | None = None) -> pw.ServerSpec:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _section(path, "top level", json.load(fh))
+
+    def field(name: str, cast, default=None):
+        if name not in doc and default is None:
+            raise ConfigurationError(f"{path}: missing field {name!r}")
+        return _convert(path, name, cast, doc.get(name, default))
+
+    def floats(values) -> tuple[float, ...]:
+        return tuple(float(x) for x in values)
+
+    def modes(rows) -> tuple[pw.DvfsMode, ...]:
+        return tuple(pw.DvfsMode(int(i), float(f), float(v)) for i, f, v in rows)
+
     try:
-        modes = tuple(
-            pw.DvfsMode(int(i), float(f), float(v)) for i, f, v in doc["modes"]
-        )
         return pw.ServerSpec(
-            server_id=server_id if server_id is not None else int(doc["server_id"]),
-            label=str(doc["label"]),
-            a_dyn=float(doc["a_dyn"]),
-            b_cpu=tuple(float(x) for x in doc["b_cpu"]),
-            c_cpu=tuple(float(x) for x in doc["c_cpu"]),
-            d_volt=float(doc["d_volt"]),
-            e_const=float(doc["e_const"]),
-            g_mem=tuple(float(x) for x in doc["g_mem"]),
-            h_mem=tuple(float(x) for x in doc["h_mem"]),
-            modes=modes,
-            cpi=float(doc.get("cpi", 1.0)),
-            n_sockets=int(doc.get("n_sockets", 1)),
-            f_unused=float(doc["f_unused"]) if "f_unused" in doc else None,
+            server_id=server_id if server_id is not None else field("server_id", int),
+            label=field("label", str),
+            a_dyn=field("a_dyn", float),
+            b_cpu=field("b_cpu", floats),
+            c_cpu=field("c_cpu", floats),
+            d_volt=field("d_volt", float),
+            e_const=field("e_const", float),
+            g_mem=field("g_mem", floats),
+            h_mem=field("h_mem", floats),
+            modes=field("modes", modes),
+            cpi=field("cpi", float, 1.0),
+            n_sockets=field("n_sockets", int, 1),
+            f_unused=field("f_unused", float) if "f_unused" in doc else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except InvalidArgumentError as exc:  # the spec's own cross-field checks
         raise ConfigurationError(f"{path}: invalid server spec: {exc}") from exc
 
 
@@ -124,11 +133,14 @@ def load_scenario(
     path = Path(path)
     base = path.parent
     with path.open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _section(path, "top level", json.load(fh))
 
     hosts: list[sim.ClusterHost] = []
     thermal_default = _section(path, "thermal", doc.get("thermal", {}))
-    for k, entry in enumerate(doc.get("cluster", [])):
+    cluster = doc.get("cluster", [])
+    if not isinstance(cluster, list):
+        raise ConfigurationError(f"{path}: cluster: expected a list, got {cluster!r}")
+    for k, entry in enumerate(cluster):
         server = entry.get("server") if isinstance(entry, dict) else None
         if not isinstance(server, str):
             raise ConfigurationError(
@@ -136,19 +148,22 @@ def load_scenario(
             )
         spec_path = _resolve(server, base)
         count = _convert(path, f"cluster[{k}].count", int, entry.get("count", 1))
-        thermal_doc = _section(
-            path, f"cluster[{k}].thermal", entry.get("thermal", thermal_default)
-        )
+        thermal_field = f"cluster[{k}].thermal" if "thermal" in entry else "thermal"
+        thermal_doc = _section(path, thermal_field, entry.get("thermal", thermal_default))
+        t_cpu = thermal_doc.get("t_cpu_k", [300.0])
+        if isinstance(t_cpu, (int, float)):
+            t_cpu = [t_cpu]
+        if not isinstance(t_cpu, list):
+            raise ConfigurationError(
+                f"{path}: {thermal_field}.t_cpu_k: expected a number or a list, got {t_cpu!r}"
+            )
         for _ in range(count):
             spec = load_server_spec(spec_path, server_id=len(hosts))
-            t_cpu = thermal_doc.get("t_cpu_k", [300.0])
-            if isinstance(t_cpu, (int, float)):
-                t_cpu = [t_cpu]
-            if len(t_cpu) == 1 and spec.n_sockets > 1:
-                t_cpu = t_cpu * spec.n_sockets
+            temps = t_cpu * spec.n_sockets if len(t_cpu) == 1 else t_cpu
             thermal = pw.ThermalState(
-                tuple(_convert(path, "thermal.t_cpu_k", float, t) for t in t_cpu),
-                _convert(path, "thermal.t_mem_k", float, thermal_doc.get("t_mem_k", 300.0)),
+                tuple(_convert(path, f"{thermal_field}.t_cpu_k", float, t) for t in temps),
+                _convert(path, f"{thermal_field}.t_mem_k", float,
+                         thermal_doc.get("t_mem_k", 300.0)),
             )
             hosts.append(sim.ClusterHost(spec, thermal))
     if not hosts:
@@ -156,6 +171,10 @@ def load_scenario(
 
     if "workload" not in doc:
         raise ConfigurationError(f"{path}: scenario defines no workload")
+    if not isinstance(doc["workload"], str):
+        raise ConfigurationError(
+            f"{path}: workload: expected a file name, got {doc['workload']!r}"
+        )
     profiles = tuple(parse_workload(_resolve(doc["workload"], base)))
 
     soft_constraints: dict[int, tuple[LatenessConstraint, ...]] = {}

@@ -278,29 +278,45 @@ def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArra
 class _Run:
     """P allocations replayed over a trace: what both evaluators report from.
 
-    Arrays have a leading population axis; the per-server lists hold one
-    list of M values per allocation.
+    Every array has a leading population axis; the per-server arrays are
+    ``[P, M]``, one row per allocation.
     """
 
     u: np.ndarray  # [P, task, server] utilization
     dur_coef: np.ndarray  # [P, task] seconds per instruction
     completion: np.ndarray  # [P, slot, task] would-be completion (pre-abort)
-    modes: list[list[pw.DvfsMode]]
-    executed: list[list[float]]  # instructions per server
-    dynamic_j: list[list[float]]
-    leakage_j: list[list[float]]
+    freq: np.ndarray  # [P, server] frequency (Hz) of the chosen mode
+    executed: np.ndarray  # [P, server] instructions executed
+    dynamic_j: np.ndarray  # [P, server]
+    leakage_j: np.ndarray  # [P, server]
 
 
-def _host_energy(
-    host: ClusterHost, mode: pw.DvfsMode, dyn_sum: float, n_exec: float
-) -> tuple[float, float]:
-    """Dynamic and leakage energy (J) of a server that executed ``n_exec``
-    instructions; ``dyn_sum`` is the instruction sum of the dynamic term."""
-    spec = host.spec
-    return (
-        (spec.a_dyn * mode.voltage_v**2 * spec.cpi * dyn_sum) / pw.FREQ_NORM_HZ,
-        pw.leakage_energy(spec, mode, host.thermal, n_exec),
-    )
+def _mode_tables(cluster: Sequence[ClusterHost]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequency (Hz), ``a_dyn * V**2 * cpi`` and ``P_leak * cpi / f`` per (host, mode).
+
+    Three ``[M, K]`` tables: cell ``[m, k - 1]`` is host m at mode index k, K
+    the most modes of any host, unused cells NaN.  A server that executed
+    ``n`` instructions (``s`` in the dynamic sum) used ``(dyn * s) / FREQ_NORM_HZ``
+    and ``leak * n`` joules, the operations of ``power.dynamic_energy`` and
+    ``power.leakage_energy`` in their order.
+    """
+    shape = (len(cluster), max((len(h.spec.modes) for h in cluster), default=0))
+    freq, dyn, leak = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+    for m, host in enumerate(cluster):
+        spec = host.spec
+        for k, mode in enumerate(spec.modes):
+            freq[m, k] = mode.frequency_hz
+            dyn[m, k] = spec.a_dyn * mode.voltage_v**2 * spec.cpi
+            leak[m, k] = (
+                pw.leakage_power(spec, mode, host.thermal) * spec.cpi / mode.frequency_hz
+            )
+    return freq, dyn, leak
+
+
+def _server_sums(x: np.ndarray) -> np.ndarray:
+    """``[P, task, server]`` -> ``[P, server]`` sums over tasks, each one the
+    same pairwise sum as ``x[p, :, m].sum()``."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).sum(axis=2)
 
 
 def _run(
@@ -312,8 +328,9 @@ def _run(
     """Utilization, FIFO scan and per-server energy of validated allocations.
 
     Each allocation's numbers are bit-identical to replaying it alone: every
-    element sees the same operations in the same order, so reductions over
-    tasks stay per member (sequential over the task axis, 1-D per server).
+    element sees the same operations in the same order.  Sums over tasks run
+    per (member, server) on a contiguous last axis, so they do not depend on
+    the population size.
     """
     if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
         raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
@@ -324,8 +341,9 @@ def _run(
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(col[:, None, :] > 0, weights / col[:, None, :], 0.0)
 
-    modes = [[host.spec.mode(k) for host, k in zip(cluster, a.dvfs)] for a in allocs]
-    freq = np.array([[mode.frequency_hz for mode in row] for row in modes])
+    freq_of, dyn_of, leak_of = _mode_tables(cluster)
+    cell = (np.arange(len(cluster)), np.array([a.dvfs for a in allocs]) - 1)
+    freq = freq_of[cell]
     cpi = np.array([host.spec.cpi for host in cluster])
 
     # Seconds per instruction of each task: slowest of its subtasks.
@@ -352,22 +370,11 @@ def _run(
                         arr.is_ctrl, completion, exec_per_task)
 
     exec_im = shares * exec_per_task[:, :, None]
-    executed, dynamic_j, leakage_j = [], [], []
-    for p, row in enumerate(modes):
-        executed.append([])
-        dynamic_j.append([])
-        leakage_j.append([])
-        for mi, (host, mode) in enumerate(zip(cluster, row)):
-            n_exec = float(exec_im[p, :, mi].sum())
-            if dyn_energy_form == "as-written":
-                dyn_sum = float((u[p, :, mi] * exec_im[p, :, mi]).sum())
-            else:
-                dyn_sum = n_exec
-            dyn_j, leak_j = _host_energy(host, mode, dyn_sum, n_exec)
-            executed[p].append(n_exec)
-            dynamic_j[p].append(dyn_j)
-            leakage_j[p].append(leak_j)
-    return _Run(u, dur_coef, completion, modes, executed, dynamic_j, leakage_j)
+    executed = _server_sums(exec_im)
+    dyn_sum = _server_sums(u * exec_im) if dyn_energy_form == "as-written" else executed
+    dynamic_j = (dyn_of[cell] * dyn_sum) / pw.FREQ_NORM_HZ
+    leakage_j = leak_of[cell] * executed
+    return _Run(u, dur_coef, completion, freq, executed, dynamic_j, leakage_j)
 
 
 def evaluate_objectives(
@@ -414,20 +421,17 @@ def evaluate_objectives(
                 frac_late = (overrun > c.x_s).sum(axis=1) / float(n_jobs_of[ti])
                 soft_violations += frac_late > c.beta
 
-    out = []
-    for soft, aborts, hard, dyn_row, leak_row in zip(
-        soft_violations.tolist(),
-        control_aborts.tolist(),
-        hard_misses.tolist(),
-        run.dynamic_j,
-        run.leakage_j,
-    ):
-        energy = 0.0
-        for dyn, leak in zip(dyn_row, leak_row):
-            energy += dyn
-            energy += leak
-        lam = soft + aborts + hard_miss_weight * hard
-        out.append((lam, energy, energy / energy_unit_j))
+    energy = np.zeros(len(allocs))
+    for m in range(len(cluster)):  # host by host: dynamic, then leakage
+        energy += run.dynamic_j[:, m]
+        energy += run.leakage_j[:, m]
+    lam = [  # Python ints: a large hard_miss_weight must not wrap in int64
+        soft + aborts + hard_miss_weight * hard
+        for soft, aborts, hard in zip(
+            soft_violations.tolist(), control_aborts.tolist(), hard_misses.tolist()
+        )
+    ]
+    out = list(zip(lam, energy.tolist(), (energy / energy_unit_j).tolist()))
     return out[0] if isinstance(alloc, Allocation) else out
 
 
@@ -447,38 +451,36 @@ def evaluate_allocation(
     ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = trace_arrays(profiles, trace)
     run = _run(cluster, [alloc], arr, dyn_energy_form)
-    m = len(cluster)
-    modes, executed = run.modes[0], run.executed[0]
     completion = run.completion[0, arr.slot, arr.task_of_job]
 
     servers = [
         ServerOutcome(
             server_id=host.spec.server_id,
             mode_index=alloc.dvfs[mi],
-            busy_time_s=executed[mi] * host.spec.cpi / modes[mi].frequency_hz,
+            busy_time_s=n_exec * host.spec.cpi / freq,
             utilization_sum=float(run.u[0, :, mi].sum()),
-            executed_instructions=executed[mi],
-            dynamic_energy_j=run.dynamic_j[0][mi],
-            leakage_energy_j=run.leakage_j[0][mi],
+            executed_instructions=n_exec,
+            dynamic_energy_j=dyn_j,
+            leakage_energy_j=leak_j,
         )
-        for mi, host in enumerate(cluster)
+        for mi, (host, freq, n_exec, dyn_j, leak_j) in enumerate(zip(
+            cluster,
+            run.freq[0].tolist(),
+            run.executed[0].tolist(),
+            run.dynamic_j[0].tolist(),
+            run.leakage_j[0].tolist(),
+        ))
     ]
     start = completion - arr.works * run.dur_coef[0][arr.task_of_job]
     aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
     outcomes = _job_outcomes(arr, start, completion, aborted)
     task_servers = tuple(
-        (p.task_id, tuple(int(mi) for mi in range(m) if alloc.shares[i][mi] > 0))
-        for i, p in enumerate(ordered)
+        (p.task_id, tuple(mi for mi, share in enumerate(row) if share > 0))
+        for p, row in zip(ordered, alloc.shares)
     )
     return _assemble_result(
-        ordered,
-        arr,
-        outcomes,
-        servers,
-        soft_constraints,
-        hard_miss_weight,
-        energy_unit_j,
-        task_servers,
+        ordered, arr, outcomes, servers, soft_constraints, hard_miss_weight,
+        energy_unit_j, task_servers,
     )
 
 
@@ -486,28 +488,27 @@ def evaluate_allocation(
 
 
 def _wfd_partition(
-    profiles: Sequence[TaskProfile],
+    ordered: Sequence[TaskProfile],
     cluster: Sequence[ClusterHost],
-    mode_of: Sequence[int],
+    freqs: Sequence[float],
 ) -> list[int]:
-    """Worst-fit decreasing by utilization; deterministic tie-break by task id."""
-    ordered = sorted(profiles, key=lambda p: p.task_id)
-    utils = []
-    for p in ordered:
-        # Placeholder utilization at each host's selected mode is host-specific;
-        # rank by the first host's figure (homogeneous clusters) for ordering.
-        utils.append(p.n_instructions / p.period_s)
-    order = sorted(range(len(ordered)), key=lambda i: (-utils[i], ordered[i].task_id))
+    """Worst-fit decreasing by utilization; deterministic tie-break by task id.
+
+    Tasks (in task-id order) are ranked by instructions per second, the
+    utilization order on a homogeneous cluster; each goes to the least-loaded
+    host, whose load grows by the task's utilization at ``freqs[host]``.
+    """
+    order = sorted(
+        range(len(ordered)),
+        key=lambda i: (-(ordered[i].n_instructions / ordered[i].period_s), ordered[i].task_id),
+    )
     load = [0.0] * len(cluster)
     host_of = [0] * len(ordered)
     for i in order:
-        target = min(range(len(cluster)), key=lambda h: (load[h], h))
-        host_of[i] = target
-        spec = cluster[target].spec
-        mode = spec.mode(mode_of[target])
-        load[target] += (
-            spec.cpi * ordered[i].n_instructions / mode.frequency_hz
-        ) / ordered[i].period_s
+        h = min(range(len(cluster)), key=lambda h: (load[h], h))
+        host_of[i] = h
+        p = ordered[i]
+        load[h] += (cluster[h].spec.cpi * p.n_instructions / freqs[h]) / p.period_s
     return host_of
 
 
@@ -531,10 +532,10 @@ def edf_schedule(
         raise InvalidArgumentError(f"unknown dvfs policy {dvfs_policy!r}")
     arr = trace_arrays(profiles, trace)
     ordered = sorted(profiles, key=lambda p: p.task_id)
-    mode_of = [
-        len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster
-    ]
-    host_of = _wfd_partition(ordered, cluster, mode_of)
+    mode_of = [len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]
+    cell = (np.arange(len(cluster)), np.array(mode_of) - 1)
+    freqs, dyn_coefs, leak_coefs = (table[cell].tolist() for table in _mode_tables(cluster))
+    host_of = _wfd_partition(ordered, cluster, freqs)
 
     arrivals, deadlines, works = (
         arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
@@ -542,10 +543,9 @@ def edf_schedule(
     n_jobs = len(works)
     start, completion, aborted = [None] * n_jobs, [0.0] * n_jobs, [False] * n_jobs
     servers: list[ServerOutcome] = []
-    for h, host in enumerate(cluster):
+    for h, (host, freq) in enumerate(zip(cluster, freqs)):
         spec = host.spec
-        mode = spec.mode(mode_of[h])
-        rate = mode.frequency_hz / spec.cpi  # instructions per second
+        rate = freq / spec.cpi  # instructions per second
         local = [i for i in range(len(ordered)) if host_of[i] == h]
         executed = _edf_host(
             [(arr.task_jobs[i], ordered[i].kind == "CTRL") for i in local],
@@ -554,8 +554,7 @@ def edf_schedule(
         util_sum = 0.0
         for i in local:
             p = ordered[i]
-            util_sum += (spec.cpi * p.n_instructions / mode.frequency_hz) / p.period_s
-        dyn_j, leak_j = _host_energy(host, mode, executed, executed)
+            util_sum += (spec.cpi * p.n_instructions / freq) / p.period_s
         servers.append(
             ServerOutcome(
                 server_id=spec.server_id,
@@ -563,8 +562,8 @@ def edf_schedule(
                 busy_time_s=executed / rate,
                 utilization_sum=util_sum,
                 executed_instructions=executed,
-                dynamic_energy_j=dyn_j,
-                leakage_energy_j=leak_j,
+                dynamic_energy_j=(dyn_coefs[h] * executed) / pw.FREQ_NORM_HZ,
+                leakage_energy_j=leak_coefs[h] * executed,
             )
         )
     outcomes = _job_outcomes(
@@ -574,14 +573,8 @@ def edf_schedule(
         (p.task_id, (host_of[i],)) for i, p in enumerate(ordered)
     )
     return _assemble_result(
-        ordered,
-        arr,
-        outcomes,
-        servers,
-        soft_constraints,
-        hard_miss_weight,
-        energy_unit_j,
-        task_servers,
+        ordered, arr, outcomes, servers, soft_constraints, hard_miss_weight,
+        energy_unit_j, task_servers,
     )
 
 

@@ -264,6 +264,25 @@ class TestFit:
         )
         assert rc == 2
 
+    def test_bad_row_names_the_file_and_row(self, tmp_path, capsys):
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text(
+            "utilization,t_cpu_k,t_mem_k,mode_index,power_w\n"
+            "0.5,300.0,300.0,1,40.0\n"
+            "0.5,hot,300.0,1,40.0\n"
+        )
+        rc = main(
+            [
+                "fit",
+                "--telemetry", str(telemetry),
+                "--server", str(FIXTURES / "intel_xeon_e5620.json"),
+                "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{telemetry}: row 3:" in err
+
 
 class TestErrors:
     def test_missing_scenario_is_config_error(self, tmp_path):
@@ -305,6 +324,17 @@ class TestErrors:
             (("soft_constraints",), [1], "soft_constraints: expected a JSON object"),
             (("optimizer", "max_mode_index"), "x", "optimizer.max_mode_index"),
             (("optimizer", "max_mode_index"), 0, "max_mode_index must be >= 1"),
+            (("cluster",), 5, "cluster: expected a list"),
+            (("workload",), 5, "workload: expected a file name"),
+            (
+                ("cluster",),
+                [{"server": "amd_opteron_270.json", "thermal": {"t_cpu_k": {"a": 1}}}],
+                "cluster[0].thermal.t_cpu_k: expected a number or a list",
+            ),
+            (("optimizer", "share_step"), 0, "share_step must be in 1..100"),
+            (("optimizer", "share_step"), -5, "share_step must be in 1..100"),
+            (("energy_unit_j",), 0, "energy_unit_j must be > 0"),
+            (("energy_unit_j",), -1, "energy_unit_j must be > 0"),
         ],
         ids=[
             "non-numeric-population",
@@ -317,6 +347,13 @@ class TestErrors:
             "list-soft-constraints",
             "string-max-mode-index",
             "zero-max-mode-index",
+            "non-list-cluster",
+            "non-string-workload",
+            "non-list-t-cpu-on-two-sockets",
+            "zero-share-step",
+            "negative-share-step",
+            "zero-energy-unit",
+            "negative-energy-unit",
         ],
     )
     def test_bad_scenario_value_is_config_error(
@@ -333,6 +370,36 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(scenario) in err and field in err
+
+
+    def test_top_level_list_is_config_error(self, scenario, capsys, tmp_path):
+        scenario.write_text(json.dumps([json.loads(scenario.read_text())]))
+        rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{scenario}: top level: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("a_dyn", "x", "a_dyn: could not convert"),
+            ("b_cpu", ["x"], "b_cpu: could not convert"),
+            ("modes", [[1, "fast", 0.85]], "modes: could not convert"),
+            ("modes", None, "missing field 'modes'"),
+            ("a_dyn", None, "missing field 'a_dyn'"),
+        ],
+        ids=["string-a-dyn", "string-b-cpu", "string-frequency", "no-modes", "no-a-dyn"],
+    )
+    def test_bad_server_field_is_named(self, scenario, capsys, tmp_path, key, value, message):
+        server = tmp_path / "intel_xeon_e5620.json"  # resolved before the bundled file
+        doc = json.loads((FIXTURES / "intel_xeon_e5620.json").read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        server.write_text(json.dumps(doc))
+        rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{server}: {message}" in capsys.readouterr().err
 
 
 class TestScenarioOverrides:

@@ -11,7 +11,13 @@ from conftest import make_spec
 from greensched._kernels import scan_jobs, scan_population
 from greensched.errors import InvalidAllocationError, InvalidArgumentError
 from greensched.nsga import decode
-from greensched.power import DYN_ENERGY_FORMS, DvfsMode, ThermalState
+from greensched.power import (
+    DYN_ENERGY_FORMS,
+    DvfsMode,
+    ThermalState,
+    dynamic_energy,
+    leakage_energy,
+)
 from greensched.tasks import LatenessConstraint
 from greensched.scenario import FIXTURES, load_scenario
 from greensched.sim import (
@@ -232,15 +238,16 @@ class TestEvaluatorsAgree:
 
 @st.composite
 def random_instance(draw):
-    """A small cluster, tasks of every kind with uneven job counts, a jittered
-    trace whose tight control deadlines force aborts, and 2-6 decoded
-    allocations whose share genes are often zero (whole rows included)."""
+    """A small cluster whose hosts have 1-4 modes each, up to 12 tasks of every
+    kind (past numpy's 8-element pairwise-sum unroll) with uneven job counts,
+    a jittered trace whose tight control deadlines force aborts, and 2-6
+    decoded allocations whose share genes are often zero (whole rows included)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cluster = [
-        host(f_hz=draw(st.sampled_from([5e8, 1e9, 2e9])), n_modes=3)
+        host(f_hz=draw(st.sampled_from([5e8, 1e9, 2e9])), n_modes=draw(st.integers(1, 4)))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    kinds = draw(st.lists(st.sampled_from(["REAL", "CTRL", "SOFT"]), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(["REAL", "CTRL", "SOFT"]), min_size=1, max_size=12))
     profiles, jobs, soft = [], [], {}
     for t, kind in enumerate(kinds):
         n_jobs = draw(st.integers(1, 8))
@@ -257,7 +264,7 @@ def random_instance(draw):
     n_genes = len(profiles) * len(cluster)
     allocs = [
         decode(
-            [int(rng.integers(1, 4)) for _ in cluster]
+            [int(rng.integers(1, len(h.spec.modes) + 1)) for h in cluster]
             + [int(g) if rng.random() < 0.5 else 0 for g in rng.integers(0, 101, n_genes)],
             profiles,
             cluster,
@@ -305,6 +312,72 @@ class TestPopulationBatch:
         single = evaluate_objectives(s.cluster, s.profiles, trace, alloc, _arrays=arr)
         assert evaluate_objectives(s.cluster, s.profiles, trace, [alloc], _arrays=arr) == [single]
         assert evaluate_objectives(s.cluster, s.profiles, trace, [], _arrays=arr) == []
+
+
+def task_instructions(cluster, profiles, trace, alloc):
+    """Instructions each task executed under ``alloc`` and its utilization
+    ``[task, server]``: the reference per-job scan at each task's seconds per
+    instruction, ``CPI * share / (f * u)`` on its slowest server."""
+    arr = trace_arrays(profiles, trace)
+    shares = np.array(alloc.shares, dtype=np.float64) / 100.0
+    weights = shares * arr.n_mean[:, None]
+    col = weights.sum(axis=0)
+    u = np.divide(weights, col, out=np.zeros_like(weights), where=col > 0)
+    freq = np.array([h.spec.mode(k).frequency_hz for h, k in zip(cluster, alloc.dvfs)])
+    cpi = np.array([h.spec.cpi for h in cluster])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_server = np.where(shares > 0, cpi * shares / (freq * u), 0.0)
+    completion, frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
+    scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, per_server.max(axis=1),
+              arr.is_ctrl, completion, np.empty_like(arr.arrivals), frac)
+    executed = np.bincount(arr.task_of_job, weights=arr.works * frac, minlength=len(profiles))
+    return executed, u
+
+
+class TestServerEnergyMatchesPowerModel:
+    """Each server's energy and busy time equal the power model's formulas."""
+
+    @staticmethod
+    def assert_server_matches(server, h, terms, form):
+        spec, mode = h.spec, h.spec.mode(server.mode_index)
+        n_exec = server.executed_instructions
+        assert server.dynamic_energy_j == pytest.approx(
+            dynamic_energy(spec, mode, terms, form), rel=1e-12, abs=0.0
+        )
+        assert server.leakage_energy_j == pytest.approx(
+            leakage_energy(spec, mode, h.thermal, n_exec), rel=1e-12, abs=0.0
+        )
+        assert server.busy_time_s == pytest.approx(
+            n_exec * spec.cpi / mode.frequency_hz, rel=1e-12, abs=0.0
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=random_instance(),
+        form=st.sampled_from(DYN_ENERGY_FORMS),
+        policy=st.sampled_from(["max", "min"]),
+        idle_modes=st.integers(1, 4),
+    )
+    def test_evaluate_allocation_and_edf_schedule(self, instance, form, policy, idle_modes):
+        cluster, profiles, trace, soft, allocs = instance
+        # One more server that gets no share: zero work, zero energy.
+        cluster = cluster + [host(n_modes=idle_modes)]
+        alloc = Allocation(
+            allocs[0].dvfs + (idle_modes,), tuple(row + (0,) for row in allocs[0].shares)
+        )
+        res = evaluate_allocation(cluster, profiles, trace, alloc, dyn_energy_form=form)
+        executed, u = task_instructions(cluster, profiles, trace, alloc)
+        shares = np.array(alloc.shares) / 100.0
+        for m, (server, h) in enumerate(zip(res.per_server, cluster)):
+            terms = list(zip(u[:, m].tolist(), (shares[:, m] * executed).tolist()))
+            self.assert_server_matches(server, h, terms, form)
+        assert res.per_server[-1].executed_instructions == 0.0
+
+        edf = edf_schedule(cluster, profiles, trace, dvfs_policy=policy)
+        for server, h in zip(edf.per_server, cluster):
+            # One queue at full rate: the dynamic sum is the executed count.
+            terms = [(1.0, server.executed_instructions)]
+            self.assert_server_matches(server, h, terms, "dimensional")
 
 
 class TestTraceMatchesProfiles:
@@ -379,6 +452,18 @@ class TestHardMissPenalty:
         res = evaluate_allocation(cluster, profiles, trace_of(jobs), alloc)
         assert res.hard_misses == 1
         assert res.lam == 10**6
+
+    def test_large_weight_is_exact_in_both_evaluators(self):
+        # 10 misses x 10**18 is past int64: lambda stays an exact Python int.
+        cluster = [host()]
+        profiles = [TaskProfile(0, "REAL", 2 * 10**9, 1.0, 1.0, 10)]
+        jobs = [Job(0, j, float(j), j + 1.0, 2 * 10**9) for j in range(10)]
+        alloc = Allocation(dvfs=(1,), shares=((100,),))
+        args = (cluster, profiles, trace_of(jobs))
+        lam, _, _ = evaluate_objectives(*args, alloc, hard_miss_weight=10**18)
+        [batched] = evaluate_objectives(*args, [alloc], hard_miss_weight=10**18)
+        full = evaluate_allocation(*args, alloc, hard_miss_weight=10**18)
+        assert lam == batched[0] == full.lam == 10 * 10**18
 
 
 class TestEdfBaseline:
