@@ -11,14 +11,14 @@ Subcommands::
 All outputs are CSV/JSON with LF endings; every file carries the scenario
 digest and seed in a leading comment so runs are auditable and reproducible.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 model domain error,
-4 allocation/dimension error, 1 unexpected failure.
+Exit codes: 0 success, 2 configuration/parse error (a malformed input file;
+the message names the file and the field or row), 3 model domain error,
+4 allocation/dimension error.  Exit 1, a traceback, is a bug in greensched.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -32,9 +32,15 @@ from .errors import (
     ModelDomainError,
     ParseError,
 )
+from .inputs import read_json, read_table
 from .nsga import evolve
 from .scenario import Scenario, load_scenario, load_server_spec, save_server_spec
 from .workload import generate_jobs, parse_trace, serialize_trace
+
+
+TELEMETRY_COLUMNS = dict(
+    utilization=float, t_cpu_k=float, t_mem_k=float, mode_index=int, power_w=float
+)
 
 
 def _header(scenario: Scenario) -> str:
@@ -99,28 +105,12 @@ def _trace_for(scenario: Scenario):
 def cmd_fit(args: argparse.Namespace) -> int:
     template = load_server_spec(args.server)
     samples = []
-    path = Path(args.telemetry)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        required = ["utilization", "t_cpu_k", "t_mem_k", "mode_index", "power_w"]
-        missing = [c for c in required if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ParseError(
-                f"telemetry file missing column(s): {', '.join(missing)}", path=path
-            )
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                samples.append(
-                    pw.TelemetrySample(
-                        utilization=float(row["utilization"]),
-                        t_cpu_k=float(row["t_cpu_k"]),
-                        t_mem_k=float(row["t_mem_k"]),
-                        mode_index=int(row["mode_index"]),
-                        measured_power_w=float(row["power_w"]),
-                    )
-                )
-            except (ValueError, GreenschedError) as exc:
-                raise ParseError(str(exc), row=rownum, path=path) from exc
+    for line, values in read_table(args.telemetry, TELEMETRY_COLUMNS):
+        try:
+            samples.append(pw.TelemetrySample(*values))
+            template.mode(samples[-1].mode_index)
+        except GreenschedError as exc:
+            raise ParseError(args.telemetry, str(exc), line) from exc
     result = pw.fit_constants(samples, template, split=args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,22 +210,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def _load_allocation(path: str) -> sim.Allocation:
     """Read ``{"dvfs": [int, ...], "shares": [[int, ...], ...]}``."""
-    with Path(path).open(encoding="utf-8") as fh:
-        doc = json.load(fh)
-
-    def ints(value, name: str) -> tuple[int, ...]:
-        if not isinstance(value, list) or any(type(v) is not int for v in value):
-            raise ParseError(f"{path}: field {name!r} must be a list of integers")
-        return tuple(value)
-
-    for name in ("dvfs", "shares"):
-        if not isinstance(doc, dict) or name not in doc:
-            raise ParseError(f"{path}: missing field {name!r}")
-    if not isinstance(doc["shares"], list):
-        raise ParseError(f"{path}: field 'shares' must be a list of rows")
+    doc = read_json(path)
+    rows = [row.items() for row in doc.get("shares").items()]
     return sim.Allocation(
-        dvfs=ints(doc["dvfs"], "dvfs"),
-        shares=tuple(ints(row, f"shares[{i}]") for i, row in enumerate(doc["shares"])),
+        dvfs=tuple(mode.integer() for mode in doc.get("dvfs").items()),
+        shares=tuple(tuple(share.integer() for share in row) for row in rows),
     )
 
 
@@ -328,10 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModelDomainError as exc:

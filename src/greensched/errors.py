@@ -44,17 +44,11 @@ class UnderdeterminedFitError(GreenschedError, ValueError):
 
 
 class ParseError(GreenschedError, ValueError):
-    """A structured input file failed validation. ``row`` is 1-based when set;
-    ``path`` names the file in the message when set."""
+    """An input file failed to parse.  The message names the file ``path`` and,
+    when set, the 1-based physical line ``row``."""
 
-    def __init__(
-        self, message: str, row: int | None = None, path: str | Path | None = None
-    ):
-        if row is not None:
-            message = f"row {row}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+    def __init__(self, path: str | Path, message: str, row: int | None = None):
+        super().__init__(f"{path}: {message}" if row is None else f"{path}: row {row}: {message}")
         self.row = row
 
 

@@ -105,9 +105,9 @@ def validate_allocation(
     for p, row in zip(ordered, alloc.shares):
         if len(row) != m:
             raise InvalidAllocationError("share row length mismatch")
-        if sum(row) != 100:
+        if sum(row) != 100 or min(row) < 0:
             raise InvalidAllocationError(
-                f"task {p.task_id}: share row must sum to 100, got {sum(row)}"
+                f"task {p.task_id}: shares must be >= 0 and sum to 100, got {list(row)}"
             )
         if p.kind == "REAL" and sum(1 for s in row if s > 0) != 1:
             raise InvalidAllocationError(

@@ -13,7 +13,6 @@ header comment.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,10 +21,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
+from .inputs import read_table
 
 TASK_TYPES = ("REAL", "CTRL", "SOFT")
 GENERATOR_NAME = "numpy-PCG64"
 PHASE_POLICIES = ("zero", "uniform-random")
+WORKLOAD_COLUMNS = dict(
+    task_id=int, type=str, n_ins=int, period_s=float, deadline_s=float, n_jobs=int
+)
+TRACE_COLUMNS = dict(
+    task_id=int, job_index=int, arrival_s=float, deadline_s=float, work_instructions=int
+)
 
 
 @dataclass(frozen=True)
@@ -67,43 +73,16 @@ class JobTrace:
 
 def parse_workload(path: str | Path) -> list[TaskProfile]:
     """Read and validate a task-profile CSV."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        return _parse_workload_stream(fh)
-
-
-def _parse_workload_stream(fh) -> list[TaskProfile]:
-    reader = csv.reader(row for row in fh if not row.startswith("#"))
-    header = next(reader, None)
-    expected = ["task_id", "type", "n_ins", "period_s", "deadline_s", "n_jobs"]
-    if header is None or [h.strip() for h in header] != expected:
-        raise ParseError(f"expected header {','.join(expected)}", row=1)
-    profiles: list[TaskProfile] = []
-    seen: set[int] = set()
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 6:
-            raise ParseError(f"expected 6 fields, got {len(row)}", row=rownum)
+    profiles: dict[int, TaskProfile] = {}
+    for line, values in read_table(path, WORKLOAD_COLUMNS):
         try:
-            tid = int(row[0])
-            kind = row[1].strip()
-            n_ins = int(row[2])
-            period = float(row[3])
-            deadline = float(row[4])
-            n_jobs = int(row[5])
-        except ValueError as exc:
-            raise ParseError(str(exc), row=rownum) from exc
-        if kind not in TASK_TYPES:
-            raise ParseError(f"unknown task type {kind!r}", row=rownum)
-        if tid in seen:
-            raise ParseError(f"duplicate task id {tid}", row=rownum)
-        seen.add(tid)
-        try:
-            profiles.append(TaskProfile(tid, kind, n_ins, period, deadline, n_jobs))
+            profile = TaskProfile(*values)
         except InvalidArgumentError as exc:
-            raise ParseError(str(exc), row=rownum) from exc
-    return profiles
+            raise ParseError(path, str(exc), line) from exc
+        if profile.task_id in profiles:
+            raise ParseError(path, f"duplicate task id {profile.task_id}", line)
+        profiles[profile.task_id] = profile
+    return list(profiles.values())
 
 
 def hyperperiod_horizon(profiles: Sequence[TaskProfile], phases: dict[int, float] | None = None) -> float:
@@ -160,7 +139,7 @@ def serialize_trace(trace: JobTrace, path: str | Path) -> None:
             f"# seed={trace.rng_seed} generator={GENERATOR_NAME} "
             f"horizon_s={trace.horizon_s!r}\n"
         )
-        fh.write("task_id,job_index,arrival_s,deadline_s,work_instructions\n")
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for j in trace.jobs:
             fh.write(
                 f"{j.task_id},{j.job_index},{j.arrival_s!r},{j.deadline_s!r},"
@@ -170,31 +149,14 @@ def serialize_trace(trace: JobTrace, path: str | Path) -> None:
 
 def parse_trace(path: str | Path) -> JobTrace:
     """Read a trace CSV written by :func:`serialize_trace`."""
-    path = Path(path)
-    jobs: list[Job] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    jobs = tuple(Job(*values) for _, values in read_table(path, TRACE_COLUMNS))
+    with Path(path).open(encoding="utf-8") as fh:
         first = fh.readline()
-        if not first.startswith("#"):
-            raise ParseError("missing trace header comment", row=1)
-        meta = dict(token.partition("=")[::2] for token in first[1:].split())
-        try:
-            seed, horizon = int(meta.get("seed", 0)), float(meta.get("horizon_s", 0.0))
-        except ValueError as exc:
-            raise ParseError(f"trace header: {exc}", row=1) from exc
-        header = fh.readline().strip()
-        if header != "task_id,job_index,arrival_s,deadline_s,work_instructions":
-            raise ParseError("unexpected trace column header", row=2)
-        for rownum, line in enumerate(fh, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError("expected 5 fields", row=rownum)
-            try:
-                task_id, job_index, work = int(parts[0]), int(parts[1]), int(parts[4])
-                arrival, deadline = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), row=rownum) from exc
-            jobs.append(Job(task_id, job_index, arrival, deadline, work))
-    return JobTrace(tuple(jobs), seed, horizon)
+    if not first.startswith("#"):
+        raise ParseError(path, "missing trace header comment", 1)
+    meta = dict(token.partition("=")[::2] for token in first[1:].split())
+    try:
+        seed, horizon = int(meta.get("seed", 0)), float(meta.get("horizon_s", 0.0))
+    except ValueError as exc:
+        raise ParseError(path, f"trace header: {exc}", 1) from exc
+    return JobTrace(jobs, seed, horizon)

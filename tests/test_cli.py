@@ -127,12 +127,14 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "doc,field",
         [
-            ({"dvfs": [6, 6]}, "'shares'"),
-            ({"shares": [[100, 0], [0, 100], [50, 50]]}, "'dvfs'"),
-            ({"dvfs": [6, "fast"], "shares": [[100, 0], [0, 100], [50, 50]]}, "'dvfs'"),
-            ({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50.5, 49.5]]}, "'shares[2]'"),
-            ({"dvfs": [6, 6], "shares": 100}, "'shares'"),
-            ([6, 6], "'dvfs'"),
+            ({"dvfs": [6, 6]}, ": shares: required field is missing"),
+            ({"shares": [[100, 0], [0, 100], [50, 50]]}, ": dvfs: required field is missing"),
+            ({"dvfs": [6, "fast"], "shares": [[100, 0], [0, 100], [50, 50]]},
+             ": dvfs[1]: expected an integer"),
+            ({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50.5, 49.5]]},
+             ": shares[2][0]: expected an integer"),
+            ({"dvfs": [6, 6], "shares": 100}, ": shares: expected a list"),
+            ([6, 6], ": top level: expected a JSON object"),
         ],
         ids=["no-shares", "no-dvfs", "str-mode", "float-share", "shares-not-list", "not-object"],
     )
@@ -283,8 +285,70 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"{telemetry}: row 3:" in err
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0.5,300.0,300.0,1", "row 3: expected 5 fields, got 4"),
+            ("# second run\n0.5,hot,300.0,1,40.0", "row 4: t_cpu_k: could not convert"),
+            ("0.5,300.0,300.0,7,40.0", "row 3: mode index 7 out of range 1..6"),
+        ],
+        ids=["short-row", "after-comment", "unknown-mode"],
+    )
+    def test_bad_row_is_named_by_its_line(self, tmp_path, capsys, row, message):
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text(
+            "utilization,t_cpu_k,t_mem_k,mode_index,power_w\n"
+            f"0.5,300.0,300.0,1,40.0\n{row}\n"
+        )
+        rc = main(
+            [
+                "fit",
+                "--telemetry", str(telemetry),
+                "--server", str(FIXTURES / "intel_xeon_e5620.json"),
+                "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 2
+        assert f"{telemetry}: {message}" in capsys.readouterr().err
+
 
 class TestErrors:
+    @pytest.mark.parametrize("name", ["scenario.json", "intel_xeon_e5620.json", "alloc.json"])
+    def test_json_syntax_error_names_file_line_and_column(self, scenario, capsys, tmp_path, name):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]}))
+        broken = tmp_path / name  # a server file here resolves before the bundled one
+        broken.write_text('{\n  "cpi": 1.0,\n  }\n')
+        rc = main(["simulate", "--scenario", str(scenario), "--allocation", str(alloc),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{broken}: Expecting property name enclosed in double quotes: line 3 column 3" \
+            in err
+
+    @pytest.mark.parametrize("name", ["scenario.json", "workload.csv"])
+    def test_non_utf8_file_is_parse_error(self, scenario, capsys, tmp_path, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ([], "row 1: the header is followed by no data rows"),
+            (["# one task", "0,REAL,many,1.0,1.0,6"], "row 3: n_ins: invalid literal"),
+        ],
+        ids=["no-tasks", "after-comment"],
+    )
+    def test_bad_workload_names_file_and_line(self, scenario, capsys, tmp_path, lines, message):
+        workload = tmp_path / "workload.csv"
+        workload.write_text("\n".join([SMALL_WORKLOAD.splitlines()[0], *lines]) + "\n")
+        rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{workload}: {message}" in capsys.readouterr().err
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         rc = main(
             ["generate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
@@ -318,19 +382,31 @@ class TestErrors:
             (("soft_constraints", "x"), [[0.0, 0.2]], "soft_constraints['x']"),
             (("cluster", 0), {"count": 1}, "cluster[0].server"),
             (("optimizer", "policy"), 5, "optimizer.policy"),
-            (("phase_policy",), "staggered", "phase_policy 'staggered'"),
+            (("phase_policy",), "staggered", "phase_policy: 'staggered' is not one of"),
             (("thermal",), 301.0, "thermal: expected a JSON object"),
             (("optimizer",), [12, 30], "optimizer: expected a JSON object"),
             (("soft_constraints",), [1], "soft_constraints: expected a JSON object"),
             (("optimizer", "max_mode_index"), "x", "optimizer.max_mode_index"),
             (("optimizer", "max_mode_index"), 0, "max_mode_index must be >= 1"),
             (("cluster",), 5, "cluster: expected a list"),
-            (("workload",), 5, "workload: expected a file name"),
+            (("workload",), 5, "workload: expected a string"),
             (
                 ("cluster",),
                 [{"server": "amd_opteron_270.json", "thermal": {"t_cpu_k": {"a": 1}}}],
-                "cluster[0].thermal.t_cpu_k: expected a number or a list",
+                "cluster[0].thermal.t_cpu_k: expected a number",
             ),
+            (
+                ("cluster",),
+                [{"server": "amd_opteron_270.json", "thermal": {"t_cpu_k": [301.0] * 3}}],
+                "cluster[0].thermal.t_cpu_k: has 3 CPU temperatures, server has 2 sockets",
+            ),
+            (("cluster", 0, "count"), 1.9, "cluster[0].count: expected an integer, got 1.9"),
+            (("cluster", 0, "count"), "2", 'cluster[0].count: expected an integer, got "2"'),
+            (("cluster", 0, "count"), 0, "cluster[0].count: must be >= 1"),
+            (("cluster", 0, "count"), -1, "cluster[0].count: must be >= 1"),
+            (("optimizer", "population"), 12.7, "optimizer.population: expected an integer"),
+            (("optimizer", "seed"), 1.5, "optimizer.seed: expected an integer"),
+            (("optimizer", "generations"), True, "optimizer.generations: expected an integer"),
             (("optimizer", "share_step"), 0, "share_step must be in 1..100"),
             (("optimizer", "share_step"), -5, "share_step must be in 1..100"),
             (("energy_unit_j",), 0, "energy_unit_j must be > 0"),
@@ -350,6 +426,14 @@ class TestErrors:
             "non-list-cluster",
             "non-string-workload",
             "non-list-t-cpu-on-two-sockets",
+            "three-t-cpu-on-two-sockets",
+            "fractional-count",
+            "string-count",
+            "zero-count",
+            "negative-count",
+            "fractional-population",
+            "fractional-seed",
+            "bool-generations",
             "zero-share-step",
             "negative-share-step",
             "zero-energy-unit",
@@ -381,13 +465,19 @@ class TestErrors:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("a_dyn", "x", "a_dyn: could not convert"),
-            ("b_cpu", ["x"], "b_cpu: could not convert"),
-            ("modes", [[1, "fast", 0.85]], "modes: could not convert"),
-            ("modes", None, "missing field 'modes'"),
-            ("a_dyn", None, "missing field 'a_dyn'"),
+            ("a_dyn", "x", 'a_dyn: expected a number, got "x"'),
+            ("b_cpu", ["x"], 'b_cpu[0]: expected a number, got "x"'),
+            ("modes", [[1, "fast", 0.85]], 'modes[0][1]: expected a number, got "fast"'),
+            ("modes", None, "modes: required field is missing"),
+            ("a_dyn", None, "a_dyn: required field is missing"),
+            ("n_sockets", 2.7, "n_sockets: expected an integer, got 2.7"),
+            ("b_cpu", "12", 'b_cpu: expected a list, got "12"'),
+            ("label", 5, "label: expected a string, got 5"),
         ],
-        ids=["string-a-dyn", "string-b-cpu", "string-frequency", "no-modes", "no-a-dyn"],
+        ids=[
+            "string-a-dyn", "string-b-cpu", "string-frequency", "no-modes", "no-a-dyn",
+            "fractional-n-sockets", "string-b-cpu-list", "number-label",
+        ],
     )
     def test_bad_server_field_is_named(self, scenario, capsys, tmp_path, key, value, message):
         server = tmp_path / "intel_xeon_e5620.json"  # resolved before the bundled file

@@ -58,6 +58,11 @@ class TestValidateAllocation:
         with pytest.raises(InvalidAllocationError):
             validate_allocation(bad, self.profiles, self.cluster)
 
+    def test_negative_share_rejected_even_when_row_sums_to_100(self):
+        bad = Allocation(dvfs=(1, 1), shares=((100, 0), (150, -50)))
+        with pytest.raises(InvalidAllocationError, match=r"task 1: .*\[150, -50\]"):
+            validate_allocation(bad, self.profiles, self.cluster)
+
     def test_real_task_must_be_single_host(self):
         bad = Allocation(dvfs=(1, 1), shares=((50, 50), (100, 0)))
         with pytest.raises(InvalidAllocationError):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,5 +178,5 @@ class TestTraceRoundTrip:
         path.write_text(
             f"{header}\ntask_id,job_index,arrival_s,deadline_s,work_instructions\n{row}\n"
         )
-        with pytest.raises(ParseError, match=f"^row {bad_row}: "):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: row {bad_row}: "):
             parse_trace(path)
