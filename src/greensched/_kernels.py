@@ -6,7 +6,10 @@ ends (Lindley's recursion), so a scan walks each task's jobs in order.
 reference form and the faster one for a single allocation.
 ``scan_population`` runs the same recursion for many allocations at once,
 stepping over the job slot of every task together with ``[P, T]`` arrays.
-Both are plain Python over numpy arrays.
+Its loop carries only the recursion, a job's end being its completion
+capped at its deadline for control tasks; which control jobs aborted, and
+the instructions every task executed, are derived from the completions
+after the loop.  Both are plain Python over numpy arrays.
 """
 
 from __future__ import annotations
@@ -80,21 +83,32 @@ def scan_population(
     instructions, added job by job in order as ``np.bincount`` adds them.
     Every element goes through the same operations as in ``scan_jobs``.
     """
-    executed_out[...] = 0.0
+    # completion_out holds each job's duration until its slot's step adds the start.
+    np.multiply(works, dur_coef[:, None, :], out=completion_out)
+    # A control job that would finish past its deadline aborts there, so its
+    # successor may start at min(completion, deadline); other jobs never abort.
+    ends_at = np.where(is_ctrl, deadlines, np.inf)
     prev_end = np.full(dur_coef.shape, -np.inf)
-    for k in range(arrivals.shape[0]):
-        start = np.maximum(prev_end, arrivals[k])
-        duration = works[k] * dur_coef
-        completion = start + duration
-        completion_out[:, k] = completion
-        prev_end = completion
-        abort = is_ctrl & (completion > deadlines[k])
-        if abort.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = (deadlines[k] - start) / duration
-            frac = np.where(frac < 0.0, 0.0, frac)
-            frac = np.where(abort, np.where(duration > 0.0, frac, 1.0), 1.0)
-            executed_out += works[k] * frac
-            prev_end = np.where(abort, deadlines[k], completion)
-        else:
-            executed_out += works[k]
+    for arrival, end_at, job in zip(arrivals, ends_at, completion_out.transpose(1, 0, 2)):
+        np.maximum(prev_end, arrival, out=prev_end)
+        np.add(prev_end, job, out=job)
+        np.minimum(job, end_at, out=prev_end)
+
+    # Sums over jobs by accumulate, which adds in job order at every shape;
+    # a reduce pairs the additions when the other axes hold one element.
+    executed_out[...] = np.add.accumulate(works, axis=0)[-1]
+    # Control columns: each job's start (its arrival, or its predecessor's
+    # capped end if later) and executed fraction, by scan_jobs' expressions.
+    ctrl = np.flatnonzero(is_ctrl)
+    completion = completion_out[:, :, ctrl].transpose(1, 0, 2)  # [K, P, C]
+    duration = works[:, None, ctrl] * dur_coef[:, ctrl]
+    deadline = deadlines[:, None, ctrl]
+    start = np.empty_like(completion)
+    start[0] = -np.inf
+    np.minimum(completion[:-1], deadline[:-1], out=start[1:])
+    np.maximum(start, arrivals[:, None, ctrl], out=start)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (deadline - start) / duration
+    frac = np.where(frac < 0.0, 0.0, frac)
+    frac = np.where(completion > deadline, np.where(duration > 0.0, frac, 1.0), 1.0)
+    executed_out[:, ctrl] = np.add.accumulate(works[:, None, ctrl] * frac, axis=0)[-1]

@@ -125,37 +125,42 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
 
 
 def decode(
-    genes: Sequence[int],
+    genes: Sequence[int] | np.ndarray,
     profiles: Sequence[TaskProfile],
     cluster: Sequence[sim.ClusterHost],
-) -> sim.Allocation:
-    """Repairing decode of a gene vector into a valid allocation."""
+) -> sim.Allocation | list[sim.Allocation]:
+    """Repairing decode of a gene vector into a valid allocation.
+
+    Given a ``[U, G]`` block of gene vectors, returns a list with one
+    allocation per row, each equal to decoding that row alone.  A share row
+    not summing to 100 is scaled to 100 and rounded by largest remainder,
+    ties to the lower server index; ``r * 100 / total`` in float64 is the
+    correctly rounded quotient, as Python's ``int / int`` is.
+    """
     ordered = sorted(profiles, key=lambda p: p.task_id)
     n, m = len(ordered), len(cluster)
-    modes = tuple(int(g) for g in genes[:m])
-    shares: list[tuple[int, ...]] = []
-    for i, p in enumerate(ordered):
-        row = [int(g) for g in genes[m + i * m : m + (i + 1) * m]]
-        if p.kind == "REAL":
-            best = max(range(m), key=lambda j: (row[j], -j))
-            row = [100 if j == best else 0 for j in range(m)]
-        else:
-            total = sum(row)
-            if total == 0:
-                row = [100 if j == 0 else 0 for j in range(m)]
-            elif total != 100:
-                scaled = [r * 100 / total for r in row]
-                floored = [int(x) for x in scaled]
-                rem = 100 - sum(floored)
-                # largest-remainder rounding, ties to lower server index
-                order = sorted(
-                    range(m), key=lambda j: (-(scaled[j] - floored[j]), j)
-                )
-                for j in order[:rem]:
-                    floored[j] += 1
-                row = floored
-        shares.append(tuple(row))
-    return sim.Allocation(dvfs=modes, shares=tuple(shares))
+    block = np.asarray(genes, dtype=np.int64)
+    rows = np.atleast_2d(block)
+    shares = rows[:, m:].reshape(rows.shape[0], n, m)
+    server = np.arange(m)
+
+    total = shares.sum(axis=2, keepdims=True)
+    scaled = shares * 100 / np.maximum(total, 1)  # a zero row is replaced below
+    floored = np.floor(scaled)
+    rem = 100 - floored.sum(axis=2, keepdims=True)
+    order = np.argsort(floored - scaled, axis=2, kind="stable")  # largest remainder first
+    rounded = floored + (np.argsort(order, axis=2) < rem)
+    rounded = np.where(total == 0, 100 * (server == 0), rounded)
+
+    is_real = np.array([p.kind == "REAL" for p in ordered])[:, None]
+    largest = 100 * (server == np.argmax(shares, axis=2)[..., None])
+    decoded = np.where(is_real, largest, rounded).astype(np.int64)
+
+    allocs = [
+        sim.Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
+        for d, s in zip(rows[:, :m].tolist(), decoded.tolist())
+    ]
+    return allocs if block.ndim == 2 else allocs[0]
 
 
 @dataclass
@@ -302,7 +307,7 @@ def evolve(
                 cluster,
                 ordered,
                 trace,
-                [decode(key, ordered, cluster) for key in misses],
+                decode(np.array(misses), ordered, cluster),
                 soft_constraints=soft_constraints,
                 hard_miss_weight=config.hard_miss_weight,
                 dyn_energy_form=config.dyn_energy_form,

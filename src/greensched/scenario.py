@@ -115,14 +115,22 @@ def load_scenario(
     if not hosts:
         raise ConfigurationError(f"{path}: scenario defines no cluster hosts")
 
-    profiles = tuple(parse_workload(_resolve(doc.get("workload"), path.parent)))
+    workload_path = _resolve(doc.get("workload"), path.parent)
+    profiles = tuple(parse_workload(workload_path))
 
     soft_constraints: dict[int, tuple[LatenessConstraint, ...]] = {}
+    kind_of = {p.task_id: p.kind for p in profiles}
     for key, pairs in doc.get("soft_constraints", {}).object().items():
         try:
             task_id = int(key)
         except ValueError:
             raise pairs.error("expected an integer task id") from None
+        if task_id not in kind_of:
+            raise pairs.error(f"task {task_id} is not in the workload {workload_path}")
+        if kind_of[task_id] != "SOFT":
+            raise pairs.error(
+                f"task {task_id} is {kind_of[task_id]}, not SOFT, in the workload {workload_path}"
+            )
         bounds = [pair.numbers(2) for pair in pairs.items()]
         try:
             soft_constraints[task_id] = tuple(LatenessConstraint(x, b) for x, b in bounds)

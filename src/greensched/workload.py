@@ -63,6 +63,19 @@ class Job:
     deadline_s: float  # absolute
     work_instructions: int
 
+    def __post_init__(self):
+        if self.work_instructions < 0:
+            raise InvalidArgumentError(
+                f"work_instructions must be >= 0, got {self.work_instructions}"
+            )
+        for name in ("arrival_s", "deadline_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.deadline_s < self.arrival_s:
+            raise InvalidArgumentError(
+                f"deadline_s {self.deadline_s!r} is before arrival_s {self.arrival_s!r}"
+            )
+
 
 @dataclass(frozen=True)
 class JobTrace:
@@ -149,7 +162,12 @@ def serialize_trace(trace: JobTrace, path: str | Path) -> None:
 
 def parse_trace(path: str | Path) -> JobTrace:
     """Read a trace CSV written by :func:`serialize_trace`."""
-    jobs = tuple(Job(*values) for _, values in read_table(path, TRACE_COLUMNS))
+    jobs = []
+    for line, values in read_table(path, TRACE_COLUMNS):
+        try:
+            jobs.append(Job(*values))
+        except InvalidArgumentError as exc:
+            raise ParseError(path, str(exc), line) from exc
     with Path(path).open(encoding="utf-8") as fh:
         first = fh.readline()
     if not first.startswith("#"):
@@ -159,4 +177,4 @@ def parse_trace(path: str | Path) -> JobTrace:
         seed, horizon = int(meta.get("seed", 0)), float(meta.get("horizon_s", 0.0))
     except ValueError as exc:
         raise ParseError(path, f"trace header: {exc}", 1) from exc
-    return JobTrace(jobs, seed, horizon)
+    return JobTrace(tuple(jobs), seed, horizon)

@@ -203,6 +203,43 @@ class TestSimulate:
         assert "row 3" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0,0,0.0,1.0,-5", "work_instructions must be >= 0, got -5"),
+            ("0,0,inf,1.0,5", "arrival_s must be finite, got inf"),
+            ("0,0,nan,1.0,5", "arrival_s must be finite, got nan"),
+            ("0,0,0.0,nan,5", "deadline_s must be finite, got nan"),
+            ("0,0,1.0,0.5,5", "deadline_s 0.5 is before arrival_s 1.0"),
+        ],
+        ids=["negative-work", "infinite-arrival", "nan-arrival", "nan-deadline",
+             "deadline-before-arrival"],
+    )
+    def test_out_of_range_trace_row_is_parse_error(self, scenario, tmp_path, capsys, row, message):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]})
+        )
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "# seed=1 horizon_s=10.0\n"
+            "task_id,job_index,arrival_s,deadline_s,work_instructions\n"
+            "0,1,1.0,2.0,5\n"
+            f"{row}\n"
+        )
+        rc = main(
+            [
+                "simulate",
+                "--scenario", str(scenario),
+                "--allocation", str(alloc),
+                "--trace", str(trace),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        assert f"{trace}: row 4: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 class TestBaseline:
     def test_runs_and_is_deterministic(self, scenario, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -411,6 +448,12 @@ class TestErrors:
             (("optimizer", "share_step"), -5, "share_step must be in 1..100"),
             (("energy_unit_j",), 0, "energy_unit_j must be > 0"),
             (("energy_unit_j",), -1, "energy_unit_j must be > 0"),
+            (("soft_constraints", "50"), [[0.0, 0.2]],
+             "soft_constraints['50']: task 50 is not in the workload"),
+            (("soft_constraints", "0"), [[0.0, 0.2]],
+             "soft_constraints['0']: task 0 is REAL, not SOFT, in the workload"),
+            (("soft_constraints", "1"), [[0.0, 0.2]],
+             "soft_constraints['1']: task 1 is CTRL, not SOFT, in the workload"),
         ],
         ids=[
             "non-numeric-population",
@@ -438,6 +481,9 @@ class TestErrors:
             "negative-share-step",
             "zero-energy-unit",
             "negative-energy-unit",
+            "soft-constraint-of-unknown-task",
+            "soft-constraint-of-real-task",
+            "soft-constraint-of-ctrl-task",
         ],
     )
     def test_bad_scenario_value_is_config_error(

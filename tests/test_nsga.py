@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_spec
 from greensched import nsga, sim
@@ -166,6 +168,84 @@ class TestDecode:
         alloc = decode([1, 1, 1, 33, 33, 33], profiles, cluster)
         assert sum(alloc.shares[0]) == 100
         assert alloc.shares[0] == (34, 33, 33)
+
+
+def scalar_decode(genes, profiles, cluster):
+    """Row-by-row reference decode (the form ``decode`` had before it took blocks)."""
+    ordered = sorted(profiles, key=lambda p: p.task_id)
+    m = len(cluster)
+    modes = tuple(int(g) for g in genes[:m])
+    shares = []
+    for i, p in enumerate(ordered):
+        row = [int(g) for g in genes[m + i * m : m + (i + 1) * m]]
+        if p.kind == "REAL":
+            best = max(range(m), key=lambda j: (row[j], -j))
+            row = [100 if j == best else 0 for j in range(m)]
+        else:
+            total = sum(row)
+            if total == 0:
+                row = [100 if j == 0 else 0 for j in range(m)]
+            elif total != 100:
+                scaled = [r * 100 / total for r in row]
+                floored = [int(x) for x in scaled]
+                rem = 100 - sum(floored)
+                order = sorted(range(m), key=lambda j: (-(scaled[j] - floored[j]), j))
+                for j in order[:rem]:
+                    floored[j] += 1
+                row = floored
+        shares.append(tuple(row))
+    return Allocation(dvfs=modes, shares=tuple(shares))
+
+
+@st.composite
+def gene_block(draw):
+    """1-6 servers, 1-6 tasks of every kind and 1-12 gene rows.  Share genes come
+    from a narrow range (zero rows and tied remainders are common) or from the
+    full 0-100 range."""
+    m = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(["REAL", "CTRL", "SOFT"]), min_size=1, max_size=6))
+    profiles = [TaskProfile(t, kind, 10**8, 1.0, 1.0, 1) for t, kind in enumerate(kinds)]
+    cluster = [None] * m  # decode reads only the server count
+    high = draw(st.sampled_from([1, 3, 100]))
+    n_rows = draw(st.integers(1, 12))
+    rows = [
+        draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        + draw(st.lists(st.integers(0, high), min_size=m * len(kinds), max_size=m * len(kinds)))
+        for _ in range(n_rows)
+    ]
+    return np.array(rows, dtype=np.int64), profiles, cluster
+
+
+class TestBlockDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=gene_block())
+    def test_block_equals_scalar_reference(self, instance):
+        block, profiles, cluster = instance
+        want = [scalar_decode(row, profiles, cluster) for row in block.tolist()]
+        assert decode(block, profiles, cluster) == want
+        assert [decode(row, profiles, cluster) for row in block] == want
+        assert decode(tuple(block[0].tolist()), profiles, cluster) == want[0]
+
+    def test_hand_cases_equal_scalar_reference(self):
+        profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1),
+                    TaskProfile(1, "REAL", 10**8, 1.0, 1.0, 1)]
+        cluster = [None] * 3
+        block = np.array([
+            [1, 1, 1, 0, 0, 0, 0, 0, 0],  # zero rows
+            [1, 2, 3, 1, 1, 1, 5, 5, 5],  # tied remainders, tied REAL maximum
+            [1, 1, 1, 2, 1, 0, 0, 7, 7],  # a REAL tie past server 0
+            [2, 2, 2, 50, 25, 25, 0, 100, 0],  # a row already summing to 100
+        ])
+        want = [scalar_decode(row, profiles, cluster) for row in block.tolist()]
+        assert decode(block, profiles, cluster) == want
+        assert want[0].shares == ((100, 0, 0), (100, 0, 0))
+        assert want[1].shares == ((34, 33, 33), (100, 0, 0))
+        assert want[2].shares[1] == (0, 100, 0)
+
+    def test_returned_values_are_python_ints(self):
+        profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1)]
+        [alloc] = decode(np.array([[2, 3, 1, 2]]), profiles, [None] * 2)
+        assert all(type(v) is int for v in alloc.dvfs + alloc.shares[0])
 
 
 class TestGeneBounds:
@@ -374,7 +454,7 @@ class TestEvolveBasics:
         seen = {"decoded": [], "evaluated": 0}
 
         def decode_wrapper(genes, *args, **kwargs):
-            seen["decoded"].append(tuple(genes))
+            seen["decoded"].extend(map(tuple, np.atleast_2d(genes).tolist()))
             return decode(genes, *args, **kwargs)
 
         def evaluate_wrapper(cluster, profiles, trace, allocs, **kwargs):

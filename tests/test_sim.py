@@ -319,6 +319,84 @@ class TestPopulationBatch:
         assert evaluate_objectives(s.cluster, s.profiles, trace, [], _arrays=arr) == []
 
 
+def assert_scan_population_matches_scan_jobs(arr, dur_coef):
+    """``scan_population`` over ``dur_coef``'s rows equals ``scan_jobs`` per row, bit for bit."""
+    completion = np.empty(dur_coef.shape[:1] + arr.pad_arrivals.shape)
+    executed = np.empty_like(dur_coef)
+    scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
+                    arr.is_ctrl, completion, executed)
+    for p in range(dur_coef.shape[0]):
+        want_completion, want_frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
+        scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[p],
+                  arr.is_ctrl, want_completion, np.empty_like(arr.arrivals), want_frac)
+        assert completion[p, arr.slot, arr.task_of_job].tobytes() == want_completion.tobytes()
+        want_executed = np.bincount(
+            arr.task_of_job, weights=arr.works * want_frac, minlength=len(arr.task_ids)
+        )
+        assert executed[p].tobytes() == want_executed.tobytes()
+    return completion, executed
+
+
+def abort_prone_coef(profiles, rng, n_rows):
+    """Seconds per instruction putting a mean job's duration at 0.3-3 relative deadlines."""
+    per_deadline = np.array([p.deadline_s / p.n_instructions
+                             for p in sorted(profiles, key=lambda p: p.task_id)])
+    return per_deadline * rng.uniform(0.3, 3.0, (n_rows, len(profiles)))
+
+
+class TestScanPopulationLongTraces:
+    """Traces past numpy's 8- and 128-element pairwise-sum blocks, where an
+    addition order other than job order would show."""
+
+    @pytest.mark.parametrize("name", ["intel", "amd"])
+    @pytest.mark.parametrize("n_rows", [1, 7, 100])
+    def test_matches_scan_jobs_on_bundled_trace(self, name, n_rows):
+        s, _, arr = bundled(name)
+        assert arr.pad_arrivals.shape[0] == 131
+        dur_coef = abort_prone_coef(s.profiles, np.random.default_rng(0), n_rows)
+        completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
+        late = completion[:, arr.slot, arr.task_of_job] > arr.deadlines
+        aborted = late[:, arr.is_ctrl[arr.task_of_job]]
+        assert aborted.any() and not aborted.all()
+
+    @pytest.mark.parametrize("kind", ["REAL", "CTRL", "SOFT"])
+    @pytest.mark.parametrize("n_rows", [1, 2])
+    def test_single_task_of_131_jobs(self, kind, n_rows):
+        rng = np.random.default_rng(7)
+        profiles = [TaskProfile(0, kind, 10**8, 0.1, 0.1, 131)]
+        jobs = [Job(0, j, 0.1 * j, 0.1 * j + 0.1, int(rng.integers(1, 3 * 10**8)))
+                for j in range(131)]
+        arr = trace_arrays(profiles, trace_of(jobs))
+        assert_scan_population_matches_scan_jobs(arr, abort_prone_coef(profiles, rng, n_rows))
+
+    def test_completion_at_the_deadline_is_not_an_abort(self):
+        # Job 0 ends exactly at its deadline and runs in full; job 1 starts
+        # there, needs 1 s, has 0.5 s left and runs half.
+        profiles = [TaskProfile(0, "CTRL", 10**9, 1.0, 2.0, 2)]
+        jobs = [Job(0, 0, 0.0, 2.0, 2 * 10**9), Job(0, 1, 1.0, 2.5, 10**9)]
+        arr = trace_arrays(profiles, trace_of(jobs))
+        completion, executed = assert_scan_population_matches_scan_jobs(
+            arr, np.full((2, 1), 1e-9)
+        )
+        assert completion[:, :, 0].tolist() == [[2.0, 3.0]] * 2
+        assert executed[:, 0].tolist() == [2.5e9] * 2
+
+    def test_zero_work_jobs(self):
+        # Task 0 (CTRL): job 1 does nothing and is released after its
+        # deadline; task 1 (SOFT) has a zero-work job between two others.
+        profiles = [TaskProfile(0, "CTRL", 10**9, 1.0, 1.0, 3),
+                    TaskProfile(1, "SOFT", 10**9, 1.0, 1.0, 3)]
+        jobs = [Job(0, 0, 0.0, 1.0, 3 * 10**9), Job(0, 1, 0.5, 0.8, 0),
+                Job(0, 2, 2.0, 3.0, 10**9),
+                Job(1, 0, 0.0, 1.0, 10**9), Job(1, 1, 0.5, 1.5, 0), Job(1, 2, 1.0, 2.0, 10**9)]
+        arr = trace_arrays(profiles, trace_of(jobs))
+        completion, executed = assert_scan_population_matches_scan_jobs(
+            arr, np.array([[1e-9, 1e-9], [2e-9, 5e-10]])
+        )
+        assert completion[0, :, 0].tolist() == [3.0, 1.0, 3.0]
+        assert executed[0].tolist() == [2e9, 2e9]
+
+
 def task_instructions(cluster, profiles, trace, alloc):
     """Instructions each task executed under ``alloc`` and its utilization
     ``[task, server]``: the reference per-job scan at each task's seconds per
