@@ -3,9 +3,10 @@
 Jobs of one task run first-in first-out: job j+1 may not start before job j
 ends (Lindley's recursion), so a scan walks each task's jobs in order.
 ``scan_jobs`` walks the jobs of one allocation one at a time; it is the
-reference form and the faster one for a single allocation.
-``scan_population`` runs the same recursion for many allocations at once,
-stepping over the job slot of every task together with ``[P, T]`` arrays.
+reference form that the tests hold ``scan_population`` to.
+``scan_population``, the one the evaluators run, applies the same recursion
+to P allocations at once (P = 1 included), stepping over the job slot of
+every task together with ``[P, T]`` arrays.
 Its loop carries only the recursion, a job's end being its completion
 capped at its deadline for control tasks; which control jobs aborted, and
 the instructions every task executed, are derived from the completions

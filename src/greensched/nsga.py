@@ -5,6 +5,12 @@ DVFS mode per server, the remaining N*M genes are share percentages in
 [0, 100].  Decoding repairs rather than rejects: rows are normalized to sum
 100, zero rows route everything to the lowest-id server, and rows of
 single-host (REAL) tasks keep only their largest entry.
+
+The population is one int64 ``[P, G]`` gene matrix.  Each generation breeds
+it with block operators: P binary tournaments from one draw, crossover of
+the paired parent rows with one coin and one cut per pair, and a mutation
+mask whose flipped genes are redrawn in one in-bounds draw.  Cache misses are decoded and
+evaluated together, one call per generation.
 """
 
 from __future__ import annotations
@@ -198,25 +204,23 @@ def gene_bounds(
 def single_point_crossover(
     a: np.ndarray, b: np.ndarray, rng: np.random.Generator, prob: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One cut uniform over the L+1 gene boundaries, applied with ``prob``."""
-    if rng.random() >= prob:
-        return a.copy(), b.copy()
-    cut = int(rng.integers(0, a.shape[0] + 1))
-    c1 = np.concatenate([a[:cut], b[cut:]])
-    c2 = np.concatenate([b[:cut], a[cut:]])
-    return c1, c2
+    """Cross the row pairs of two ``[n, G]`` blocks: each pair with ``prob``,
+    at one cut uniform over the G + 1 gene boundaries."""
+    n, g = a.shape
+    crossed = rng.random(n) < prob
+    cut = np.where(crossed, rng.integers(0, g + 1, size=n), g)  # cut g keeps both rows
+    head = np.arange(g) < cut[:, None]
+    return np.where(head, a, b), np.where(head, b, a)
 
 
 def integer_flip_mutation(
     genes: np.ndarray, bounds: GeneBounds, rng: np.random.Generator, prob: float
 ) -> np.ndarray:
-    """Each gene independently redrawn uniformly in-bounds with ``prob``."""
+    """Each unfrozen gene of a ``[n, G]`` block redrawn uniformly in-bounds with
+    ``prob``; the flipped genes are redrawn together, in row-major order."""
+    rows, cols = np.nonzero((rng.random(genes.shape) < prob) & ~bounds.frozen)
     out = genes.copy()
-    flip = rng.random(genes.shape[0]) < prob
-    flip &= ~bounds.frozen
-    idx = np.nonzero(flip)[0]
-    for j in idx:
-        out[j] = rng.integers(bounds.low[j], bounds.high[j] + 1)
+    out[rows, cols] = rng.integers(bounds.low[cols], bounds.high[cols] + 1)
     return out
 
 
@@ -224,12 +228,15 @@ def tournament_select(
     rng: np.random.Generator,
     ranks: Sequence[int],
     crowding: Sequence[float],
-) -> int:
-    """Binary tournament on (rank, -crowding)."""
-    i, j = int(rng.integers(len(ranks))), int(rng.integers(len(ranks)))
-    ki = (ranks[i], -crowding[i])
-    kj = (ranks[j], -crowding[j])
-    return i if ki <= kj else j
+    n: int,
+) -> np.ndarray:
+    """``n`` binary tournaments on (rank, -crowding); the first entrant wins ties."""
+    rank, crowd = np.asarray(ranks), np.asarray(crowding)
+    first, second = rng.integers(len(rank), size=(2, n))
+    first_wins = (rank[first] < rank[second]) | (
+        (rank[first] == rank[second]) & (crowd[first] >= crowd[second])
+    )
+    return np.where(first_wins, first, second)
 
 
 class _Scored(NamedTuple):
@@ -297,10 +304,10 @@ def evolve(
 
     cache: dict[tuple[int, ...], _Scored] = {}
 
-    def fitness(population: Sequence[np.ndarray]) -> list[_Scored]:
-        """Score a population; its cache misses are decoded in first-seen
-        order and evaluated together in one call."""
-        keys = [tuple((genes * scale).tolist()) for genes in population]
+    def fitness(population: np.ndarray) -> list[_Scored]:
+        """Score a ``[P, G]`` population; its cache misses are decoded in
+        first-seen order and evaluated together in one call."""
+        keys = list(map(tuple, (population * scale).tolist()))
         misses = list(dict.fromkeys(k for k in keys if k not in cache))
         if misses:
             scores = sim.evaluate_objectives(
@@ -320,29 +327,18 @@ def evolve(
                 )
         return [cache[key] for key in keys]
 
-    def random_chromosome() -> np.ndarray:
-        genes = np.array(
-            [rng.integers(bounds.low[j], bounds.high[j] + 1) for j in range(n_vars)],
-            dtype=np.int64,
-        )
-        # Share rows start one-hot (each task on a single random server) so the
-        # initial population samples whole-server placements; uniform rows would
-        # start every task smeared across ~half the cluster.
-        for t in range(len(ordered)):
-            row = n_servers + t * n_servers
-            free = [
-                j
-                for j in range(row, row + n_servers)
-                if bounds.high[j] > bounds.low[j]
-            ]
-            if not free:
-                continue
-            genes[row : row + n_servers] = bounds.low[row : row + n_servers]
-            pick = free[int(rng.integers(len(free)))]
-            genes[pick] = bounds.high[pick]
-        return genes
-
-    pop = [random_chromosome() for _ in range(config.population)]
+    # Uniform mode genes; each share row one-hot on a random server (share
+    # genes are never fixed: they span 0..100 // share_step), so the initial
+    # population samples whole-server placements; uniform rows would start
+    # every task smeared across ~half the cluster.
+    n_pop, n_tasks = config.population, len(ordered)
+    modes = rng.integers(bounds.low[:n_servers], bounds.high[:n_servers] + 1,
+                         size=(n_pop, n_servers))
+    picked = rng.integers(n_servers, size=(n_pop, n_tasks, 1)) == np.arange(n_servers)
+    share_low = bounds.low[n_servers:].reshape(n_tasks, n_servers)
+    share_high = bounds.high[n_servers:].reshape(n_tasks, n_servers)
+    shares = np.where(picked, share_high, share_low).reshape(n_pop, -1)
+    pop = np.concatenate([modes, shares], axis=1)
     evals = fitness(pop)
     ranks = nondominated_sort([e.objectives for e in evals])
 
@@ -353,27 +349,24 @@ def evolve(
     convergence: list[tuple[int, int, float]] = []
     lam0_since: int | None = None
     gen = 0
+    n_pairs = (n_pop + 1) // 2
     for gen in range(1, config.generations + 1):
         crowd = _crowding_by_rank([e.objectives for e in evals], ranks)
 
-        offspring: list[np.ndarray] = []
-        while len(offspring) < config.population:
-            pa = pop[tournament_select(rng, ranks, crowd)]
-            pb = pop[tournament_select(rng, ranks, crowd)]
-            c1, c2 = single_point_crossover(pa, pb, rng, CROSSOVER_PROB)
-            offspring.append(integer_flip_mutation(c1, bounds, rng, mut_prob))
-            if len(offspring) < config.population:
-                offspring.append(integer_flip_mutation(c2, bounds, rng, mut_prob))
+        # Parents pair up in draw order; children c1, c2 of each pair stay
+        # adjacent, and an odd population drops the last pair's c2.
+        parents = pop[tournament_select(rng, ranks, crowd, 2 * n_pairs)]
+        c1, c2 = single_point_crossover(parents[0::2], parents[1::2], rng, CROSSOVER_PROB)
+        children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, n_vars)[:n_pop]
+        offspring = integer_flip_mutation(children, bounds, rng, mut_prob)
         off_evals = fitness(offspring)
         for entry in off_evals:
             archive.offer(entry)
 
-        combined = pop + offspring
+        combined = np.concatenate([pop, offspring])
         combined_evals = evals + off_evals
-        sel, ranks = _environmental_selection(
-            [e.objectives for e in combined_evals], config.population
-        )
-        pop = [combined[i] for i in sel]
+        sel, ranks = _environmental_selection([e.objectives for e in combined_evals], n_pop)
+        pop = combined[sel]
         evals = [combined_evals[i] for i in sel]
 
         best = min(archive.points, key=lambda p: (p.objectives.lam, p.energy_j))

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import power as pw
 from . import tasks as tk
-from ._kernels import scan_jobs, scan_population
+# scan_jobs is not called here: perfbench's tracer resolves its
+# kernels.scan_jobs layer through this module's binding.
+from ._kernels import scan_jobs, scan_population  # noqa: F401
 from .errors import InvalidAllocationError, InvalidArgumentError
 from .workload import JobTrace, TaskProfile
 
@@ -334,7 +336,6 @@ def _run(
     """
     if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
         raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
-    n_pop = len(allocs)
     shares = np.array([a.shares for a in allocs], dtype=np.float64) / 100.0
     weights = shares * arr.n_mean[:, None]
     col = weights.sum(axis=1)
@@ -352,22 +353,10 @@ def _run(
     per_server[shares == 0] = 0.0
     dur_coef = per_server.max(axis=2)
 
-    shape = (n_pop,) + arr.pad_arrivals.shape
-    if n_pop == 1:
-        # One allocation: the per-job scan is faster than stepping [1, T] arrays.
-        completion = np.full(shape, -np.inf)  # -inf in slots without a job: never late
-        flat, frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
-        scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[0],
-                  arr.is_ctrl, flat, np.empty_like(arr.arrivals), frac)
-        completion[0, arr.slot, arr.task_of_job] = flat
-        exec_per_task = np.bincount(
-            arr.task_of_job, weights=arr.works * frac, minlength=len(arr.task_ids)
-        )[None, :]
-    else:
-        completion = np.empty(shape)
-        exec_per_task = np.empty_like(dur_coef)
-        scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
-                        arr.is_ctrl, completion, exec_per_task)
+    completion = np.empty((len(allocs),) + arr.pad_arrivals.shape)
+    exec_per_task = np.empty_like(dur_coef)
+    scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
+                    arr.is_ctrl, completion, exec_per_task)
 
     exec_im = shares * exec_per_task[:, :, None]
     executed = _server_sums(exec_im)
@@ -494,9 +483,12 @@ def _wfd_partition(
 ) -> list[int]:
     """Worst-fit decreasing by utilization; deterministic tie-break by task id.
 
-    Tasks (in task-id order) are ranked by instructions per second, the
-    utilization order on a homogeneous cluster; each goes to the least-loaded
-    host, whose load grows by the task's utilization at ``freqs[host]``.
+    Tasks are ranked by instructions per second, ``n / T``.  A task's
+    utilization on host h is ``(cpi_h / f_h) * n / T``, a factor that is the
+    same for every task, so this is the decreasing utilization order on
+    every host of any cluster, homogeneous or not.  Each task goes to the
+    least-loaded host, whose load grows by the task's utilization at
+    ``freqs[host]``.
     """
     order = sorted(
         range(len(ordered)),

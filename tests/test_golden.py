@@ -16,22 +16,22 @@ from greensched.scenario import FIXTURES
 
 GOLDEN = {
     ("intel", "var"): {
-        "optimize/best_allocation.json": "c0f3f304a2f6b4783c7f52766f13db8da4be49d18cbe94465cfa4e42d598a943",
-        "optimize/best_modes.txt": "c55efed598179247f84c1262ceb1f116946e5c4355f1683d58ec5636b5cc7835",
-        "optimize/convergence.csv": "2832fd60c2d8dde250fac873c1a84cdf6ccb1cfb83cdc7384d2209d6cc2e1574",
-        "optimize/front.csv": "9fbbe3a111bd8786e72ae7307960453213e02ae4084e41f9b32f699b432afd9c",
-        "simulate/simulate_jobs.csv": "29aed843429111cb4996ca8477cc12fa093a25f1a8387b36c7431810773e771d",
-        "simulate/simulate_summary.json": "94e18657703777418cbe01ef0a805957b18107e521cf2f28e3715cb969a00491",
+        "optimize/best_allocation.json": "6957b42fb69fa88dbcccf7c04ac7bf72c3bed67eaa832bdb1458df8153f2a4d3",
+        "optimize/best_modes.txt": "6e2c6921e0b74f07ce55a643946b6b25c458ff560668779856cb4f810ae2f4cb",
+        "optimize/convergence.csv": "2069c5cd8ed61ed740fa506cd5328b62b718fc2c8fd5126ac1bd4c26f32489c6",
+        "optimize/front.csv": "3b11c41013acb3ffdf6d1c2fcba6ad50c959b3f5f8b931c2345646f7dfbf4bf8",
+        "simulate/simulate_jobs.csv": "9d03271da86b1ca6e0a053873b7ea79024565c07b9d645223679b7b26e9ede0e",
+        "simulate/simulate_summary.json": "7b02e3882d28f75cc7c97bd51a676d6b29aeba3cc6681e9c8e254c702e71c31a",
         "baseline/baseline_jobs.csv": "eb491fc78d8b5bdb0c90d1fe7b81146f649b434ccb906022e6d1e4f8b9a6aaed",
         "baseline/baseline_summary.json": "1f6c38b562a4ba8a92f9414d866773caea7207d3f390962d907ae338124fe67a",
     },
     ("amd", "min"): {
-        "optimize/best_allocation.json": "406dd515a22855db42b859cbdd1de30df9eb05359843f5f43ea77e16422165e3",
+        "optimize/best_allocation.json": "d8896c3115559ab75d9d38c747fa62ffec1740373d9e86e5caa9f6093153d289",
         "optimize/best_modes.txt": "fc2b6f0a5132f5032a4ebe7e56d5bbd6c8ca284e110dcfaba24930ccfad890e7",
-        "optimize/convergence.csv": "e19715ae7c8b48c52f756ae95baf3d7541f4d5b4fccec42d50627dc282b286ee",
-        "optimize/front.csv": "66b273d40e1319175e2a60d8098e9d3e6784b3f1d6f5ae211985a1bde36ae845",
-        "simulate/simulate_jobs.csv": "9021320e1bc537d096cac538fb1e3e955a58ec1b640b7e98a75400d2973ea708",
-        "simulate/simulate_summary.json": "29b2b1254cbc63d7f1a2a432828ac7b276d3c8d50c2ddf8a5e21fd88078770e8",
+        "optimize/convergence.csv": "11296b048b19c30b1e7c8332ee68e917b7f11b178b74d9e34cfff26c7139d192",
+        "optimize/front.csv": "dd58c43f427ca73444ec38e2864e9a63a8aa01478198755b71258a4e9269cf90",
+        "simulate/simulate_jobs.csv": "a9f95df7a0d5c135c71508286e6d3e56718c66f8b95907cb0a4b01f4f33292c1",
+        "simulate/simulate_summary.json": "52ee7ce6dc68b843907e0a0342b766e41c94354b259ccaf74c8c899d99d78591",
         "baseline/baseline_jobs.csv": "7e10cbc22da70dd528d92dd80ba4d43b6eb0a978b654bb8e860ff3fdd1845a81",
         "baseline/baseline_summary.json": "033132b9957b625dc71d66a81f63d2b7b029781060d98431cdb4bab178d2d13b",
     },

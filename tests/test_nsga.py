@@ -298,59 +298,84 @@ class TestGeneBounds:
 class TestOperators:
     def test_crossover_swaps_tails(self):
         rng = np.random.default_rng(0)
-        a = np.array([1, 1, 1, 1], dtype=np.int64)
-        b = np.array([2, 2, 2, 2], dtype=np.int64)
-        seen = set()
-        for _ in range(100):
-            c1, c2 = single_point_crossover(a, b, rng, prob=1.0)
-            assert (np.sort(np.concatenate([c1, c2])) == [1, 1, 1, 1, 2, 2, 2, 2]).all()
-            seen.add(tuple(c1))
-        assert len(seen) > 1  #multiple cut positions exercised
+        a = np.ones((100, 4), dtype=np.int64)
+        b = np.full((100, 4), 2, dtype=np.int64)
+        c1, c2 = single_point_crossover(a, b, rng, prob=1.0)
+        for r1, r2 in zip(c1, c2):
+            cut = int((r1 == 1).sum())
+            assert (r1 == [1] * cut + [2] * (4 - cut)).all()
+            assert (r2 == [2] * cut + [1] * (4 - cut)).all()
+        assert len({tuple(r) for r in c1}) > 1  # multiple cut positions exercised
+
+    def test_crossover_cut_reaches_both_boundaries(self):
+        rng = np.random.default_rng(4)
+        a = np.zeros((2000, 5), dtype=np.int64)
+        b = np.ones((2000, 5), dtype=np.int64)
+        c1, _ = single_point_crossover(a, b, rng, prob=1.0)
+        cuts = set((c1 == 0).sum(axis=1).tolist())
+        assert cuts == set(range(6))  # boundary 0 (c1 = b) through G (c1 = a)
 
     def test_crossover_skipped_below_probability(self):
         rng = np.random.default_rng(0)
-        a = np.array([1, 2, 3], dtype=np.int64)
-        b = np.array([4, 5, 6], dtype=np.int64)
+        a = np.array([[1, 2, 3], [7, 8, 9]], dtype=np.int64)
+        b = np.array([[4, 5, 6], [1, 1, 1]], dtype=np.int64)
         c1, c2 = single_point_crossover(a, b, rng, prob=0.0)
         assert (c1 == a).all() and (c2 == b).all()
+
+    def test_crossover_rate_close_to_probability(self):
+        rng = np.random.default_rng(5)
+        a = np.zeros((4000, 3), dtype=np.int64)
+        b = np.ones((4000, 3), dtype=np.int64)
+        c1, _ = single_point_crossover(a, b, rng, prob=0.5)
+        # a crossed pair keeps c1 = a only at cut G, one cut in four
+        kept = (c1 == 0).all(axis=1).mean()
+        assert 0.5 + 0.5 / 4 - 0.03 <= kept <= 0.5 + 0.5 / 4 + 0.03
 
     def test_mutation_respects_bounds_and_frozen(self):
         rng = np.random.default_rng(1)
         bounds = GeneBounds(
-            low=np.array([1, 0, 0]),
-            high=np.array([1, 5, 5]),
-            frozen=np.array([True, False, False]),
+            low=np.array([1, 0, 0, 2]),
+            high=np.array([1, 5, 5, 4]),
+            frozen=np.array([True, False, False, True]),
         )
-        genes = np.array([1, 3, 3], dtype=np.int64)
-        for _ in range(200):
-            out = integer_flip_mutation(genes, bounds, rng, prob=1.0)
-            assert out[0] == 1
-            assert 0 <= out[1] <= 5 and 0 <= out[2] <= 5
+        genes = np.tile(np.array([1, 3, 3, 3], dtype=np.int64), (200, 1))
+        out = integer_flip_mutation(genes, bounds, rng, prob=1.0)
+        assert (out[:, 0] == 1).all()
+        assert (out[:, 3] == 3).all()  # frozen genes never move, even off their low value
+        assert ((0 <= out[:, 1:3]) & (out[:, 1:3] <= 5)).all()
+        assert set(out[:, 1].tolist()) == set(range(6))
 
     def test_mutation_rate_close_to_probability(self):
         rng = np.random.default_rng(2)
-        n = 1000
+        n, trials = 1000, 50
         bounds = GeneBounds(
             low=np.zeros(n, dtype=np.int64),
             high=np.full(n, 100, dtype=np.int64),
             frozen=np.zeros(n, dtype=bool),
         )
-        genes = np.full(n, 50, dtype=np.int64)
-        changed = 0
-        trials = 50
-        for _ in range(trials):
-            out = integer_flip_mutation(genes, bounds, rng, prob=0.1)
-            changed += int((out != genes).sum())
+        genes = np.full((trials, n), 50, dtype=np.int64)
+        out = integer_flip_mutation(genes, bounds, rng, prob=0.1)
         # each flip redraws uniformly, so ~1% of redraws keep the old value
-        rate = changed / (trials * n)
+        rate = (out != genes).sum() / (trials * n)
         assert 0.07 <= rate <= 0.13
 
     def test_tournament_prefers_lower_rank(self):
         rng = np.random.default_rng(3)
-        ranks = [0, 5]
-        crowding = [1.0, 1.0]
-        wins = sum(tournament_select(rng, ranks, crowding) == 0 for _ in range(200))
-        assert wins >= 140  # index 0 wins every mixed tournament
+        winners = tournament_select(rng, [0, 5], [1.0, 1.0], 200)
+        assert winners.shape == (200,)
+        assert (winners == 0).sum() >= 140  # index 0 wins every mixed tournament
+
+    def test_tournament_prefers_larger_crowding_within_a_rank(self):
+        rng = np.random.default_rng(6)
+        winners = tournament_select(rng, [1, 1], [0.5, float("inf")], 200)
+        assert (winners == 1).sum() >= 140
+
+    def test_tournament_tie_goes_to_first_entrant(self):
+        # Equal (rank, crowding): the winner is the first of the two draws.
+        ranks, crowding = [2] * 7, [0.5] * 7
+        winners = tournament_select(np.random.default_rng(7), ranks, crowding, 300)
+        first = np.random.default_rng(7).integers(7, size=(2, 300))[0]
+        assert (winners == first).all()
 
 
 class TestArchive:
@@ -489,15 +514,13 @@ class TestEvolveBasics:
         # Every pair of children leaves mutation as the same chromosome,
         # with DVFS modes the population has not seen so far.
         fresh_modes = itertools.product(range(1, 3), repeat=2)
-        twin = []
 
         def twin_mutation(genes, bounds, rng, prob):
-            if not twin:
-                child = genes.copy()
-                child[:2] = next(fresh_modes, (1, 1))
-                twin.append(child)
-                return child.copy()
-            return twin.pop()
+            children = genes.copy()
+            for i in range(0, len(children) - 1, 2):
+                children[i, :2] = next(fresh_modes, (1, 1))
+                children[i + 1] = children[i]
+            return children
 
         monkeypatch.setattr(nsga, "integer_flip_mutation", twin_mutation)
         seen = self.count_decodes_and_evaluations(monkeypatch)
@@ -506,3 +529,25 @@ class TestEvolveBasics:
         result = evolve(cluster, profiles, trace, cfg)
         scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
         assert len(scored) == len(set(scored)) == seen["evaluated"]
+
+    def test_odd_population_breeds_and_keeps_its_size(self, monkeypatch):
+        sizes = {"offspring": [], "candidates": [], "survivors": []}
+        mutate, select = nsga.integer_flip_mutation, nsga._environmental_selection
+
+        def mutation_wrapper(genes, *args):
+            sizes["offspring"].append(len(genes))
+            return mutate(genes, *args)
+
+        def selection_wrapper(objs, k):
+            chosen, ranks = select(objs, k)
+            sizes["candidates"].append(len(objs))
+            sizes["survivors"].append(len(chosen))
+            return chosen, ranks
+
+        monkeypatch.setattr(nsga, "integer_flip_mutation", mutation_wrapper)
+        monkeypatch.setattr(nsga, "_environmental_selection", selection_wrapper)
+        cluster, profiles, trace = self.two_task_instance()
+        cfg = EvolveConfig(population=5, generations=6, seed=2, stop_window=6)
+        result = evolve(cluster, profiles, trace, cfg)
+        assert result.generations_run == 6
+        assert sizes == {"offspring": [5] * 6, "candidates": [10] * 6, "survivors": [5] * 6}

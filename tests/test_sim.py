@@ -550,6 +550,40 @@ class TestHardMissPenalty:
 
 
 class TestEdfBaseline:
+    @pytest.mark.parametrize("policy", ["max", "min"])
+    def test_partition_is_worst_fit_decreasing_on_a_mixed_cluster(self, policy):
+        # Two server types (different cpi and mode frequencies).  A task's
+        # utilization on host h is (cpi_h / f_h) * n / T: one order for every
+        # host, and each host's load grows by its own utilization.
+        cluster = [host(1e9, 1.0, 2), host(2.5e9, 1.6, 3), host(1e9, 1.0, 2), host(2.5e9, 1.6, 3)]
+        profiles = [
+            TaskProfile(t, "SOFT", n, period, period, 1)
+            for t, (n, period) in enumerate(
+                [(3e8, 1.0), (9e8, 2.0), (2e8, 0.5), (7e8, 1.0), (5e8, 4.0), (6e8, 0.5), (1e8, 1.0)]
+            )
+        ]
+        jobs = [Job(p.task_id, 0, 0.0, p.deadline_s, int(p.n_instructions)) for p in profiles]
+        res = edf_schedule(cluster, profiles, trace_of(jobs), dvfs_policy=policy)
+
+        modes = [h.spec.modes[-1 if policy == "max" else 0] for h in cluster]
+        util = [
+            [h.spec.cpi * p.n_instructions / m.frequency_hz / p.period_s
+             for h, m in zip(cluster, modes)]
+            for p in profiles
+        ]
+        orders = [
+            sorted(range(len(profiles)), key=lambda i: (-util[i][h], i))
+            for h in range(len(cluster))
+        ]
+        assert all(order == orders[0] for order in orders)
+        load, want = [0.0] * len(cluster), {}
+        for i in orders[0]:
+            h = min(range(len(cluster)), key=lambda h: (load[h], h))
+            want[profiles[i].task_id] = (h,)
+            load[h] += util[i][h]
+        assert dict(res.task_servers) == want
+        assert len(set(want.values())) == len(cluster)
+
     def test_hand_scheduled_preemption(self):
         # one host at 1 GHz; T0 releases 3e9 at t=0 (deadline 10),
         # T1 releases 1e9 at t=1 (deadline 3).  EDF runs T0 for 1 s, preempts
