@@ -5,12 +5,15 @@ ends (Lindley's recursion), so a scan walks each task's jobs in order.
 ``scan_jobs`` walks the jobs of one allocation one at a time; it is the
 reference form that the tests hold ``scan_population`` to.
 ``scan_population``, the one the evaluators run, applies the same recursion
-to P allocations at once (P = 1 included), stepping over the job slot of
-every task together with ``[P, T]`` arrays.
-Its loop carries only the recursion, a job's end being its completion
-capped at its deadline for control tasks; which control jobs aborted, and
-the instructions every task executed, are derived from the completions
-after the loop.  Both are plain Python over numpy arrays.
+to P allocations at once (P = 1 included) over a ``[P, slot, task]`` block.
+Few jobs wait for their predecessor in the traces the search replays, so it
+first computes every job as if it started at its arrival, then recomputes
+only the jobs that wait, in waves along each task's queue, and falls back to
+stepping over the job slots when the waves grow past one job per (member,
+task) column.  A job's end is its completion capped at its deadline for
+control tasks; which control jobs aborted, and the instructions every task
+executed, are derived from the completions afterwards.  Both scans are plain
+Python over numpy arrays.
 """
 
 from __future__ import annotations
@@ -77,23 +80,77 @@ def scan_population(
 
     ``arrivals``, ``deadlines`` and ``works`` are ``[K, T]``: row k holds the
     k-th job of every task.  A task with fewer than K jobs is padded with
-    arrival -inf, deadline +inf and work 0, so a padded step leaves the
-    task's previous end unchanged and executes nothing.  ``dur_coef`` is
-    ``[P, T]``.  ``completion_out`` (``[P, K, T]``) receives each job's
-    would-be completion and ``executed_out`` (``[P, T]``) each task's executed
-    instructions, added job by job in order as ``np.bincount`` adds them.
-    Every element goes through the same operations as in ``scan_jobs``.
+    arrival -inf, deadline +inf and work 0.  ``dur_coef`` is ``[P, T]``.
+    ``completion_out`` (``[P, K, T]``) receives each job's would-be completion
+    and ``executed_out`` (``[P, T]``) each task's executed instructions, added
+    job by job in order as ``np.bincount`` adds them.  Padded jobs execute
+    nothing and their completions are unspecified; their deadline is +inf,
+    so they are never late.
+
+    Every real job gets the operations of ``scan_jobs``' step,
+    ``min(max(prev_end, arrival) + work * coef, end_at)``, from its
+    predecessor's final end, so the result is bit-identical.  Three steps:
+
+    1. Sweep: every job starts at its arrival, over the whole block.  That is
+       exact for each job whose predecessor ended by its arrival, because
+       ``max(prev_end, arrival)`` then returns the arrival.  The recursion is
+       monotone, so every sweep end is a lower bound of the final one.
+    2. Waves: the chain heads, jobs whose predecessor's sweep end is after
+       their arrival while the predecessor itself does not wait, are
+       recomputed from the predecessor's end.  A recomputed job whose end is
+       after its successor's arrival puts the successor in the next wave.
+       Ends only grow, so every change to a job's end re-queues a successor
+       that waits for it, and each job's last value comes from its
+       predecessor's final end; a head that a chain from further back
+       reaches later is recomputed again then.
+    3. Budget: the waves recompute at most P * T jobs in total.  Past that,
+       the slot loop of the recursion finishes the scan from the earliest
+       slot still holding a queued job.  No later wave would touch a slot
+       before it, so those slots are final.
     """
-    # completion_out holds each job's duration until its slot's step adds the start.
+    # Sweep: each job's duration, plus its arrival.
     np.multiply(works, dur_coef[:, None, :], out=completion_out)
+    np.add(completion_out, arrivals, out=completion_out)
     # A control job that would finish past its deadline aborts there, so its
     # successor may start at min(completion, deadline); other jobs never abort.
     ends_at = np.where(is_ctrl, deadlines, np.inf)
-    prev_end = np.full(dur_coef.shape, -np.inf)
-    for arrival, end_at, job in zip(arrivals, ends_at, completion_out.transpose(1, 0, 2)):
-        np.maximum(prev_end, arrival, out=prev_end)
-        np.add(prev_end, job, out=job)
-        np.minimum(job, end_at, out=prev_end)
+    # A job's successor waits when the job's end, min(completion, ends_at),
+    # is after the successor's arrival: when its completion is after this
+    # threshold.  Padding never waits, nor does a successor arriving at or
+    # after the job's latest end.
+    threshold = np.full(arrivals.shape, np.inf)
+    later = arrivals[1:]
+    np.copyto(threshold[:-1], later, where=(ends_at[:-1] > later) & ~np.isneginf(later))
+    waits = completion_out > threshold  # [P, K, T]
+    # heads[:, k]: job k + 1 is a chain head, it waits and job k does not
+    # (slot 0 never waits).
+    heads = waits.copy()
+    np.greater(waits[:, 1:], waits[:, :-1], out=heads[:, 1:])
+
+    # Waves over the queued jobs (p, k, t); past the budget, the slot loop
+    # from the earliest slot still queued.
+    p, k, t = np.unravel_index(np.flatnonzero(heads), heads.shape)
+    k += 1
+    budget = dur_coef.size
+    while 0 < k.size <= budget:
+        budget -= k.size
+        prev_end = np.minimum(completion_out[p, k - 1, t], ends_at[k - 1, t])
+        completion = np.maximum(prev_end, arrivals[k, t])
+        completion += works[k, t] * dur_coef[p, t]
+        completion_out[p, k, t] = completion
+        queued = completion > threshold[k, t]
+        p, k, t = p[queued], k[queued] + 1, t[queued]
+    if k.size:
+        first = int(k.min())
+        job_durations = completion_out[:, first:]
+        np.multiply(works[first:], dur_coef[:, None, :], out=job_durations)
+        prev_end = np.minimum(completion_out[:, first - 1], ends_at[first - 1])
+        for arrival, end_at, job in zip(
+            arrivals[first:], ends_at[first:], job_durations.transpose(1, 0, 2)
+        ):
+            np.maximum(prev_end, arrival, out=prev_end)
+            np.add(prev_end, job, out=job)
+            np.minimum(job, end_at, out=prev_end)
 
     # Sums over jobs by accumulate, which adds in job order at every shape;
     # a reduce pairs the additions when the other axes hold one element.

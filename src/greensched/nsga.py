@@ -65,6 +65,8 @@ class EvolveConfig:
             raise ConfigurationError("population must be >= 2")
         if self.generations < 1:
             raise ConfigurationError("generations must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.max_mode_index is not None and self.max_mode_index < 1:
             raise ConfigurationError("max_mode_index must be >= 1")
         if self.dyn_energy_form not in DYN_ENERGY_FORMS:
@@ -97,17 +99,25 @@ def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
     the latest member of a front has that front's smallest energy so far, and
     the fronts that dominate a point form a prefix of the front list.
     """
-    order = sorted(range(len(points)), key=points.__getitem__)
-    ranks = [0] * len(points)
-    latest: list[ObjectiveVector] = []  # latest member of each front
+    keys = [(p.lam, p.scaled_energy_j) for p in points]  # ObjectiveVector's order
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
+    latest: list[tuple[int, float]] = []  # latest member of each front
     for i in order:
+        lam, energy = key = keys[i]
         r = 0
-        while r < len(latest) and dominates(latest[r], points[i]):
+        for front_lam, front_energy in latest:  # inlined ``dominates``
+            if not (
+                front_lam <= lam
+                and front_energy <= energy
+                and (front_lam < lam or front_energy < energy)
+            ):
+                break
             r += 1
         if r == len(latest):
-            latest.append(points[i])
+            latest.append(key)
         else:
-            latest[r] = points[i]
+            latest[r] = key
         ranks[i] = r
     return ranks
 

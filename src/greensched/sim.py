@@ -286,7 +286,7 @@ class _Run:
 
     u: np.ndarray  # [P, task, server] utilization
     dur_coef: np.ndarray  # [P, task] seconds per instruction
-    completion: np.ndarray  # [P, slot, task] would-be completion (pre-abort)
+    completion: np.ndarray  # [P, slot, task] would-be completion (pre-abort); padding unspecified
     freq: np.ndarray  # [P, server] frequency (Hz) of the chosen mode
     executed: np.ndarray  # [P, server] instructions executed
     dynamic_j: np.ndarray  # [P, server]

@@ -116,6 +116,8 @@ def generate_jobs(
     """Expand profiles into a concrete, reproducible job trace."""
     if phase_policy not in PHASE_POLICIES:
         raise InvalidArgumentError(f"unknown phase policy {phase_policy!r}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     jobs: list[Job] = []
     phases: dict[int, float] = {}

@@ -443,6 +443,7 @@ class TestErrors:
             (("cluster", 0, "count"), -1, "cluster[0].count: must be >= 1"),
             (("optimizer", "population"), 12.7, "optimizer.population: expected an integer"),
             (("optimizer", "seed"), 1.5, "optimizer.seed: expected an integer"),
+            (("optimizer", "seed"), -1, "seed must be >= 0, got -1"),
             (("optimizer", "generations"), True, "optimizer.generations: expected an integer"),
             (("optimizer", "share_step"), 0, "share_step must be in 1..100"),
             (("optimizer", "share_step"), -5, "share_step must be in 1..100"),
@@ -476,6 +477,7 @@ class TestErrors:
             "negative-count",
             "fractional-population",
             "fractional-seed",
+            "negative-seed",
             "bool-generations",
             "zero-share-step",
             "negative-share-step",
@@ -501,6 +503,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(scenario) in err and field in err
 
+    @pytest.mark.parametrize("command", ["generate", "baseline", "optimize"])
+    def test_negative_seed_flag_is_config_error(self, scenario, capsys, tmp_path, command):
+        rc = main([command, "--scenario", str(scenario), "--seed", "-1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{scenario}: seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_top_level_list_is_config_error(self, scenario, capsys, tmp_path):
         scenario.write_text(json.dumps([json.loads(scenario.read_text())]))

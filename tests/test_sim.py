@@ -344,20 +344,48 @@ def abort_prone_coef(profiles, rng, n_rows):
     return per_deadline * rng.uniform(0.3, 3.0, (n_rows, len(profiles)))
 
 
+def queue_prone_coef(arr, rng, n_rows):
+    """Seconds per instruction putting a mean job's duration at 1-3 times its
+    task's smallest inter-arrival gap, so that jobs queue behind each other."""
+    smallest_gap = np.array([np.diff(arr.arrivals[jobs]).min() for jobs in arr.task_jobs])
+    return smallest_gap / arr.n_mean * rng.uniform(1.0, 3.0, (n_rows, len(arr.task_ids)))
+
+
+def with_idle_tasks(profiles, jobs, n_idle):
+    """``trace_arrays`` of ``jobs`` plus ``n_idle`` one-job tasks that never
+    queue: each task is one more (member, task) column of the scan's budget."""
+    idle = range(len(profiles), len(profiles) + n_idle)
+    profiles = profiles + [TaskProfile(t, "SOFT", 10**9, 1.0, 1.0, 1) for t in idle]
+    jobs = jobs + [Job(t, 0, 0.0, 1.0, 0) for t in idle]
+    return trace_arrays(profiles, trace_of(jobs))
+
+
 class TestScanPopulationLongTraces:
     """Traces past numpy's 8- and 128-element pairwise-sum blocks, where an
     addition order other than job order would show."""
 
     @pytest.mark.parametrize("name", ["intel", "amd"])
     @pytest.mark.parametrize("n_rows", [1, 7, 100])
-    def test_matches_scan_jobs_on_bundled_trace(self, name, n_rows):
+    @pytest.mark.parametrize("traffic", ["abort-prone", "queue-prone"])
+    def test_matches_scan_jobs_on_bundled_trace(self, name, n_rows, traffic):
         s, _, arr = bundled(name)
         assert arr.pad_arrivals.shape[0] == 131
-        dur_coef = abort_prone_coef(s.profiles, np.random.default_rng(0), n_rows)
+        rng = np.random.default_rng(0)
+        if traffic == "abort-prone":
+            dur_coef = abort_prone_coef(s.profiles, rng, n_rows)
+        else:
+            dur_coef = queue_prone_coef(arr, rng, n_rows)
         completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
-        late = completion[:, arr.slot, arr.task_of_job] > arr.deadlines
-        aborted = late[:, arr.is_ctrl[arr.task_of_job]]
-        assert aborted.any() and not aborted.all()
+        completion = completion[:, arr.slot, arr.task_of_job]
+        if traffic == "abort-prone":
+            aborted = (completion > arr.deadlines)[:, arr.is_ctrl[arr.task_of_job]]
+            assert aborted.any() and not aborted.all()
+        else:  # every REAL job after its task's first waits for its predecessor
+            kinds = [p.kind for p in sorted(s.profiles, key=lambda p: p.task_id)]
+            real = [jobs for jobs, kind in zip(arr.task_jobs, kinds) if kind == "REAL"]
+            assert real and all(
+                (completion[:, jobs][:, :-1] > arr.arrivals[jobs][1:]).all() for jobs in real
+            )
 
     @pytest.mark.parametrize("kind", ["REAL", "CTRL", "SOFT"])
     @pytest.mark.parametrize("n_rows", [1, 2])
@@ -380,6 +408,55 @@ class TestScanPopulationLongTraces:
         )
         assert completion[:, :, 0].tolist() == [[2.0, 3.0]] * 2
         assert executed[:, 0].tolist() == [2.5e9] * 2
+
+    @pytest.mark.parametrize("n_idle", [0, 3], ids=["slot-loop", "waves"])
+    def test_head_reached_by_an_earlier_chain(self, n_idle):
+        # Sweep ends 1.5, 1.8, 3.2, 3.5: jobs 1 and 3 are heads.  Job 1's new
+        # end (2.3) makes job 2 wait, whose new end (3.5) puts job 3 in a third
+        # wave.  Three idle tasks make the waves' budget (one job per column)
+        # the four recomputations; without them the slot loop finishes.
+        profiles = [TaskProfile(0, "SOFT", 10**9, 1.0, 1.0, 4)]
+        works = [1.5e9, 0.8e9, 1.2e9, 0.5e9]
+        jobs = [Job(0, j, float(j), j + 5.0, int(w)) for j, w in enumerate(works)]
+        arr = with_idle_tasks(profiles, jobs, n_idle)
+        completion, executed = assert_scan_population_matches_scan_jobs(
+            arr, np.full((1, 1 + n_idle), 1e-9)
+        )
+        assert completion[0, :, 0].tolist() == pytest.approx([1.5, 2.3, 3.5, 4.0])
+        assert executed[0, 0] == sum(works)
+
+    @pytest.mark.parametrize("n_idle", [0, 2], ids=["slot-loop", "waves"])
+    def test_chain_cut_by_a_control_abort(self, n_idle):
+        # Jobs 1 and 2 wait; job 2 would complete at 4.5 but aborts at its
+        # deadline 2.9, before job 3 arrives, so job 3 starts on time and
+        # its own chain (job 4 waits) stands apart.
+        profiles = [TaskProfile(0, "CTRL", 10**9, 1.0, 1.5, 5)]
+        spec = [(0.0, 1.5, 1.5e9), (1.0, 2.6, 1.0e9), (2.0, 2.9, 2.0e9),
+                (3.0, 4.5, 1.2e9), (4.0, 5.5, 0.5e9)]
+        jobs = [Job(0, j, a, d, int(w)) for j, (a, d, w) in enumerate(spec)]
+        arr = with_idle_tasks(profiles, jobs, n_idle)
+        completion, executed = assert_scan_population_matches_scan_jobs(
+            arr, np.full((1, 1 + n_idle), 1e-9)
+        )
+        assert completion[0, :, 0].tolist() == pytest.approx([1.5, 2.5, 4.5, 4.2, 4.7])
+        assert executed[0, 0] == pytest.approx(1.5e9 + 1.0e9 + 0.4e9 + 1.2e9 + 0.5e9)
+
+    @pytest.mark.parametrize("n_idle", [0, 2], ids=["slot-loop", "waves"])
+    def test_chain_into_a_padded_tail(self, n_idle):
+        # Task 0 (3 jobs) queues to its last job, whose successor slots are
+        # padding; task 1 (6 jobs) has a chain of two in the middle.
+        profiles = [TaskProfile(0, "REAL", 10**9, 1.0, 1.0, 3),
+                    TaskProfile(1, "SOFT", 10**9, 0.5, 1.0, 6)]
+        jobs = [Job(0, j, float(j), j + 10.0, 2 * 10**9) for j in range(3)]
+        works = [0.4e9, 0.2e9, 1.0e9, 0.2e9, 0.2e9, 0.2e9]
+        jobs += [Job(1, j, 0.5 * j, 0.5 * j + 10.0, int(w)) for j, w in enumerate(works)]
+        arr = with_idle_tasks(profiles, jobs, n_idle)
+        assert arr.pad_arrivals.shape == (6, 2 + n_idle)
+        completion, _ = assert_scan_population_matches_scan_jobs(
+            arr, np.full((1, 2 + n_idle), 1e-9)
+        )
+        assert completion[0, :3, 0].tolist() == pytest.approx([2.0, 4.0, 6.0])
+        assert completion[0, :, 1].tolist() == pytest.approx([0.4, 0.7, 2.0, 2.2, 2.4, 2.7])
 
     def test_zero_work_jobs(self):
         # Task 0 (CTRL): job 1 does nothing and is released after its

@@ -112,6 +112,10 @@ class TestGenerateJobs:
         t3 = generate_jobs(profiles, seed=4)
         assert t1 != t3
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
+            generate_jobs(parse_workload(WORKLOAD_CSV), seed=-1)
+
     def test_soft_interarrival_mean_matches_period(self):
         # law of large numbers: mean inter-arrival within 2% at 20k jobs
         profiles = [TaskProfile(0, "SOFT", 1000, 3.0, 2.0, 20_000)]
