@@ -79,6 +79,10 @@ class EvolveConfig:
             raise ConfigurationError("share_step must divide 100")
         if not self.energy_unit_j > 0:
             raise ConfigurationError("energy_unit_j must be > 0")
+        if type(self.hard_miss_weight) is not int or self.hard_miss_weight < 1:
+            raise ConfigurationError(
+                f"hard_miss_weight must be an int >= 1, got {self.hard_miss_weight!r}"
+            )
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:

@@ -132,6 +132,8 @@ def load_scenario(
                 f"task {task_id} is {kind_of[task_id]}, not SOFT, in the workload {workload_path}"
             )
         bounds = [pair.numbers(2) for pair in pairs.items()]
+        if not bounds:
+            raise pairs.error("expected at least one [x, beta] pair")
         try:
             soft_constraints[task_id] = tuple(LatenessConstraint(x, b) for x, b in bounds)
         except InvalidArgumentError as exc:

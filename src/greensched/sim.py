@@ -8,14 +8,17 @@ a subtask of a job therefore executes in ``CPI * n_share / (f * u)`` seconds
 and a job completes when its slowest subtask does (fork-join).  Jobs of one
 task run FIFO: a job may not start before its predecessor ends.
 
-The penalty count ``lam`` aggregates soft lateness-constraint violations,
-control-job aborts and (heavily weighted) hard misses; energy follows the
+Every evaluator's penalty is ``lam = soft violations + control aborts +
+hard misses * hard_miss_weight``: one per failed ``alpha(x) <= beta`` of a SOFT
+task, one per CTRL job aborted at its deadline, and the weight per REAL job past
+its deadline.  The report rows of a control task's ``alpha(0)`` bound and its
+no-skip or skip-distance check do not enter ``lam``.  Energy follows the
 executed instruction counts only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -121,71 +124,58 @@ def _soft_constraints_for(
     profile: TaskProfile,
     soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
 ) -> tuple[tk.LatenessConstraint, ...]:
-    if soft_constraints and profile.task_id in soft_constraints:
-        return tuple(soft_constraints[profile.task_id])
-    return DEFAULT_SOFT_CONSTRAINTS
+    """A task's ``alpha(x) <= beta`` bounds: none unless it is SOFT."""
+    if profile.kind != "SOFT":
+        return ()
+    return tuple((soft_constraints or {}).get(profile.task_id, DEFAULT_SOFT_CONSTRAINTS))
+
+
+def _task_counts(
+    arr: _TraceArrays,
+    overrun: np.ndarray,
+    aborted: np.ndarray,
+    soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-task hard misses, control aborts and soft violations, three ``[P, T]`` arrays.
+
+    ``overrun`` and ``aborted`` are ``[P, task, slot]``, the scan's layout
+    transposed so that sums over jobs run along a contiguous axis.  A padded
+    slot must hold overrun -inf (or NaN) and no abort.  Aborts are an input,
+    not derived from overruns: an EDF abort can round to overrun 0.
+    """
+    hard = np.where([p.kind == "REAL" for p in arr.profiles], (overrun > 0).sum(axis=2), 0)
+    soft = np.zeros_like(hard)
+    for ti, p in enumerate(arr.profiles):
+        for c in _soft_constraints_for(p, soft_constraints):
+            soft[:, ti] += (overrun[:, ti] > c.x_s).sum(axis=1) / arr.n_jobs[ti] > c.beta
+    return hard, aborted.sum(axis=2), soft
+
+
+def _fold_lam(
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray], hard_miss_weight: int
+) -> list[tuple[int, int, int, int]]:
+    """``(lam, hard misses, control aborts, soft violations)`` per member, as
+    Python ints: a large ``hard_miss_weight`` must not wrap in int64."""
+    if type(hard_miss_weight) is not int or hard_miss_weight < 1:  # a bool is rejected too
+        raise InvalidArgumentError(
+            f"hard_miss_weight must be an int >= 1, got {hard_miss_weight!r}"
+        )
+    hard, aborts, soft = (c.sum(axis=1).tolist() for c in counts)
+    return [(s + a + hard_miss_weight * h, h, a, s) for h, a, s in zip(hard, aborts, soft)]
 
 
 def _assemble_result(
-    profiles: Sequence[TaskProfile],
     arr: _TraceArrays,
-    outcomes: list[JobOutcome],
+    start: np.ndarray,
+    completion: np.ndarray,
+    aborted: np.ndarray,
     servers: list[ServerOutcome],
     soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
     hard_miss_weight: int,
     energy_unit_j: float,
     task_servers: tuple[tuple[int, tuple[int, ...]], ...],
 ) -> EvaluationResult:
-    """Constraint report and totals; ``outcomes`` are in (task, job) order."""
-    stats: dict[int, tk.TaskMissStats] = {}
-    hard_misses = 0
-    aborts_of_ctrl: list[tuple[int, int]] = []
-    for p, span in zip(profiles, arr.task_jobs):
-        rows = outcomes[span]
-        stats[p.task_id] = tk.TaskMissStats(
-            task_id=p.task_id,
-            kind=KIND_TO_STATS[p.kind],
-            overruns=tuple(o.overrun_s for o in rows),
-            miss_pattern=tuple(o.missed for o in rows),
-            skip=p.skip if p.kind == "CTRL" else None,
-            soft_constraints=(
-                _soft_constraints_for(p, soft_constraints) if p.kind == "SOFT" else ()
-            ),
-        )
-        if p.kind == "REAL":
-            hard_misses += sum(o.missed for o in rows)
-        elif p.kind == "CTRL":
-            aborts_of_ctrl.append((p.task_id, sum(o.aborted for o in rows)))
-    report = list(tk.check_constraints(stats, [p.task_id for p in profiles]))
-    report.extend(
-        tk.ConstraintCheck(tid, "control aborts == 0", n_aborts == 0)
-        for tid, n_aborts in aborts_of_ctrl
-    )
-    control_aborts = sum(n_aborts for _, n_aborts in aborts_of_ctrl)
-    soft_ids = {p.task_id for p in profiles if p.kind == "SOFT"}
-    soft_violations = sum(
-        1 for c in report if c.task_id in soft_ids and not c.passed
-    )
-    lam = soft_violations + control_aborts + hard_miss_weight * hard_misses
-    energy = float(sum(s.dynamic_energy_j + s.leakage_energy_j for s in servers))
-    return EvaluationResult(
-        lam=lam,
-        energy_j=energy,
-        energy_units=energy / energy_unit_j,
-        per_job=tuple(outcomes),
-        per_server=tuple(servers),
-        constraint_report=tuple(report),
-        hard_misses=hard_misses,
-        control_aborts=control_aborts,
-        soft_violations=soft_violations,
-        task_servers=task_servers,
-    )
-
-
-def _job_outcomes(
-    arr: _TraceArrays, start: np.ndarray, completion: np.ndarray, aborted: np.ndarray
-) -> list[JobOutcome]:
-    """One record per trace job, in (task, job) order, from per-job arrays.
+    """Per-job records, report and totals from per-job arrays in (task, job) order.
 
     ``start`` is each job's first run, which is never before its release (its
     arrival, or its predecessor's end if later), and ``completion`` its
@@ -193,18 +183,50 @@ def _job_outcomes(
     overran its deadline or was aborted.
     """
     overrun = completion - arr.deadlines
-    missed = (overrun > 0) | aborted
+    counts = _task_counts(arr, arr.pad(overrun, -np.inf).T[None],
+                          arr.pad(aborted, False).T[None], soft_constraints)
+    [(lam, hard_misses, control_aborts, soft_violations)] = _fold_lam(counts, hard_miss_weight)
+    overruns, missed = overrun.tolist(), ((overrun > 0) | aborted).tolist()
     columns = (  # in JobOutcome field order
         [arr.task_ids[ti] for ti in arr.task_of_job.tolist()],
         arr.job_index.tolist(),
         start.tolist(),
         completion.tolist(),
         (completion - arr.arrivals).tolist(),
-        overrun.tolist(),
-        missed.tolist(),
+        overruns,
+        missed,
         aborted.tolist(),
     )
-    return [JobOutcome(*row) for row in zip(*columns)]
+    stats = {
+        p.task_id: tk.TaskMissStats(
+            task_id=p.task_id,
+            kind=KIND_TO_STATS[p.kind],
+            overruns=tuple(overruns[span]),
+            miss_pattern=tuple(missed[span]),
+            skip=p.skip if p.kind == "CTRL" else None,
+            soft_constraints=_soft_constraints_for(p, soft_constraints),
+        )
+        for p, span in zip(arr.profiles, arr.task_jobs)
+    }
+    report = tk.check_constraints(stats, arr.task_ids)
+    report.extend(
+        tk.ConstraintCheck(p.task_id, "control aborts == 0", n_aborts == 0)
+        for p, n_aborts in zip(arr.profiles, counts[1][0].tolist())  # per-task aborts
+        if p.kind == "CTRL"
+    )
+    energy = float(sum(s.dynamic_energy_j + s.leakage_energy_j for s in servers))
+    return EvaluationResult(
+        lam=lam,
+        energy_j=energy,
+        energy_units=energy / energy_unit_j,
+        per_job=tuple(JobOutcome(*row) for row in zip(*columns)),
+        per_server=tuple(servers),
+        constraint_report=tuple(report),
+        hard_misses=hard_misses,
+        control_aborts=control_aborts,
+        soft_violations=soft_violations,
+        task_servers=task_servers,
+    )
 
 
 @dataclass
@@ -221,14 +243,27 @@ class _TraceArrays:
     works: np.ndarray
     task_of_job: np.ndarray
     job_index: np.ndarray
+    profiles: tuple[TaskProfile, ...]  # in task-id order
     is_ctrl: np.ndarray
     task_ids: list[int]
     task_jobs: list[slice]  # each task's jobs in the flat arrays
+    n_jobs: np.ndarray  # jobs per task
     n_mean: np.ndarray
     slot: np.ndarray
-    pad_arrivals: np.ndarray
-    pad_deadlines: np.ndarray
-    pad_works: np.ndarray
+    pad_arrivals: np.ndarray = field(init=False)
+    pad_deadlines: np.ndarray = field(init=False)
+    pad_works: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.pad_arrivals = self.pad(self.arrivals, -np.inf)
+        self.pad_deadlines = self.pad(self.deadlines, np.inf)
+        self.pad_works = self.pad(self.works, 0.0)
+
+    def pad(self, values: np.ndarray, fill: float | bool) -> np.ndarray:
+        """Per-job ``values`` as ``[slot, task]``, missing slots set to ``fill``."""
+        out = np.full((self.n_jobs.max(initial=0), len(self.task_ids)), fill)
+        out[self.slot, self.task_of_job] = values
+        return out
 
 
 def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArrays:
@@ -245,34 +280,23 @@ def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArra
     idle = [tid for tid, n_jobs in zip(task_ids, n_jobs_of) if n_jobs == 0]
     if idle:
         raise InvalidArgumentError(f"trace has no jobs of task(s) {idle}")
-    arrivals = np.array([j.arrival_s for j in jobs])
-    deadlines = np.array([j.deadline_s for j in jobs])
-    works = np.array([float(j.work_instructions) for j in jobs])
     first_of_task = np.cumsum(n_jobs_of) - n_jobs_of
-    slot = np.arange(len(jobs)) - first_of_task[task_of_job]
-
-    def padded(values: np.ndarray, fill: float) -> np.ndarray:
-        out = np.full((n_jobs_of.max(initial=0), len(task_ids)), fill)
-        out[slot, task_of_job] = values
-        return out
-
     return _TraceArrays(
-        arrivals=arrivals,
-        deadlines=deadlines,
-        works=works,
+        arrivals=np.array([j.arrival_s for j in jobs]),
+        deadlines=np.array([j.deadline_s for j in jobs]),
+        works=np.array([float(j.work_instructions) for j in jobs]),
         task_of_job=task_of_job,
         job_index=np.array([j.job_index for j in jobs], dtype=np.int64),
+        profiles=tuple(ordered),
         is_ctrl=np.array([p.kind == "CTRL" for p in ordered]),
         task_ids=task_ids,
         task_jobs=[
             slice(first, first + n_jobs)
             for first, n_jobs in zip(first_of_task.tolist(), n_jobs_of.tolist())
         ],
+        n_jobs=n_jobs_of,
         n_mean=np.array([float(p.n_instructions) for p in ordered]),
-        slot=slot,
-        pad_arrivals=padded(arrivals, -np.inf),
-        pad_deadlines=padded(deadlines, np.inf),
-        pad_works=padded(works, 0.0),
+        slot=np.arange(len(jobs)) - first_of_task[task_of_job],
     )
 
 
@@ -390,36 +414,17 @@ def evaluate_objectives(
         validate_allocation(a, profiles, cluster)
     if not allocs:
         return []
-    ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
     run = _run(cluster, allocs, arr, dyn_energy_form)
-
-    hard_misses = np.zeros(len(allocs), dtype=np.int64)
-    control_aborts = np.zeros_like(hard_misses)
-    soft_violations = np.zeros_like(hard_misses)
-    n_jobs_of = np.bincount(arr.task_of_job, minlength=len(ordered))
-    for ti, p in enumerate(ordered):
-        # Padded slots have deadline +inf, so they are never late.
-        overrun = run.completion[:, :, ti] - arr.pad_deadlines[:, ti]
-        if p.kind == "REAL":
-            hard_misses += (overrun > 0).sum(axis=1)
-        elif p.kind == "CTRL":
-            control_aborts += (overrun > 0).sum(axis=1)
-        else:
-            for c in _soft_constraints_for(p, soft_constraints):
-                frac_late = (overrun > c.x_s).sum(axis=1) / float(n_jobs_of[ti])
-                soft_violations += frac_late > c.beta
-
+    # Padded slots have deadline +inf, so they are never late.  The scan
+    # aborts a control job exactly when it overran.
+    overrun = np.subtract(run.completion.transpose(0, 2, 1), arr.pad_deadlines.T, order="C")
+    counts = _task_counts(arr, overrun, (overrun > 0) & arr.is_ctrl[:, None], soft_constraints)
     energy = np.zeros(len(allocs))
     for m in range(len(cluster)):  # host by host: dynamic, then leakage
         energy += run.dynamic_j[:, m]
         energy += run.leakage_j[:, m]
-    lam = [  # Python ints: a large hard_miss_weight must not wrap in int64
-        soft + aborts + hard_miss_weight * hard
-        for soft, aborts, hard in zip(
-            soft_violations.tolist(), control_aborts.tolist(), hard_misses.tolist()
-        )
-    ]
+    lam = [penalty[0] for penalty in _fold_lam(counts, hard_miss_weight)]
     out = list(zip(lam, energy.tolist(), (energy / energy_unit_j).tolist()))
     return out[0] if isinstance(alloc, Allocation) else out
 
@@ -437,7 +442,6 @@ def evaluate_allocation(
 ) -> EvaluationResult:
     """Evaluate one allocation against a trace; pure function of its inputs."""
     validate_allocation(alloc, profiles, cluster)
-    ordered = sorted(profiles, key=lambda p: p.task_id)
     arr = trace_arrays(profiles, trace)
     run = _run(cluster, [alloc], arr, dyn_energy_form)
     completion = run.completion[0, arr.slot, arr.task_of_job]
@@ -462,14 +466,13 @@ def evaluate_allocation(
     ]
     start = completion - arr.works * run.dur_coef[0][arr.task_of_job]
     aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
-    outcomes = _job_outcomes(arr, start, completion, aborted)
     task_servers = tuple(
         (p.task_id, tuple(mi for mi, share in enumerate(row) if share > 0))
-        for p, row in zip(ordered, alloc.shares)
+        for p, row in zip(arr.profiles, alloc.shares)
     )
     return _assemble_result(
-        ordered, arr, outcomes, servers, soft_constraints, hard_miss_weight,
-        energy_unit_j, task_servers,
+        arr, start, completion, aborted, servers, soft_constraints,
+        hard_miss_weight, energy_unit_j, task_servers,
     )
 
 
@@ -523,11 +526,10 @@ def edf_schedule(
     if dvfs_policy not in ("max", "min"):
         raise InvalidArgumentError(f"unknown dvfs policy {dvfs_policy!r}")
     arr = trace_arrays(profiles, trace)
-    ordered = sorted(profiles, key=lambda p: p.task_id)
     mode_of = [len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]
     cell = (np.arange(len(cluster)), np.array(mode_of) - 1)
     freqs, dyn_coefs, leak_coefs = (table[cell].tolist() for table in _mode_tables(cluster))
-    host_of = _wfd_partition(ordered, cluster, freqs)
+    host_of = _wfd_partition(arr.profiles, cluster, freqs)
 
     arrivals, deadlines, works = (
         arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
@@ -538,14 +540,14 @@ def edf_schedule(
     for h, (host, freq) in enumerate(zip(cluster, freqs)):
         spec = host.spec
         rate = freq / spec.cpi  # instructions per second
-        local = [i for i in range(len(ordered)) if host_of[i] == h]
+        local = [i for i in range(len(arr.profiles)) if host_of[i] == h]
         executed = _edf_host(
-            [(arr.task_jobs[i], ordered[i].kind == "CTRL") for i in local],
+            [(arr.task_jobs[i], arr.profiles[i].kind == "CTRL") for i in local],
             arrivals, deadlines, works, rate, start, completion, aborted,
         )
         util_sum = 0.0
         for i in local:
-            p = ordered[i]
+            p = arr.profiles[i]
             util_sum += (spec.cpi * p.n_instructions / freq) / p.period_s
         servers.append(
             ServerOutcome(
@@ -558,15 +560,12 @@ def edf_schedule(
                 leakage_energy_j=leak_coefs[h] * executed,
             )
         )
-    outcomes = _job_outcomes(
-        arr, np.array(start), np.array(completion), np.array(aborted)
-    )
     task_servers = tuple(
-        (p.task_id, (host_of[i],)) for i, p in enumerate(ordered)
+        (p.task_id, (host_of[i],)) for i, p in enumerate(arr.profiles)
     )
     return _assemble_result(
-        ordered, arr, outcomes, servers, soft_constraints, hard_miss_weight,
-        energy_unit_j, task_servers,
+        arr, np.array(start), np.array(completion), np.array(aborted), servers,
+        soft_constraints, hard_miss_weight, energy_unit_j, task_servers,
     )
 
 

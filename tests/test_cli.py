@@ -455,6 +455,8 @@ class TestErrors:
              "soft_constraints['0']: task 0 is REAL, not SOFT, in the workload"),
             (("soft_constraints", "1"), [[0.0, 0.2]],
              "soft_constraints['1']: task 1 is CTRL, not SOFT, in the workload"),
+            (("soft_constraints", "2"), [],
+             "soft_constraints['2']: expected at least one [x, beta] pair"),
         ],
         ids=[
             "non-numeric-population",
@@ -486,6 +488,7 @@ class TestErrors:
             "soft-constraint-of-unknown-task",
             "soft-constraint-of-real-task",
             "soft-constraint-of-ctrl-task",
+            "empty-soft-constraint-list",
         ],
     )
     def test_bad_scenario_value_is_config_error(

@@ -8,6 +8,7 @@ in CHANGES.md and re-record them.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -53,3 +54,33 @@ def test_outputs_match_golden_digests(fixture, policy, tmp_path):
         for p in sorted(tmp_path.glob("*/*"))
     }
     assert written == GOLDEN[fixture, policy]
+
+
+# Every task at 100 % on host 0, every host at mode 1: the one golden case
+# with hard misses and control aborts in the output (the fixture runs above
+# have none).  Recorded from the code before lambda's counts were merged
+# into one function, so that they guard that merge.
+OVERLOADED = {
+    "intel": (6, 243_000_214, {
+        "simulate_jobs.csv": "f2f8c536860e86eff8c29e6a151365414b7ab7428971444d60671dea89319a65",
+        "simulate_summary.json": "a1d3f43c92de2f1bc0417f6570af72a0eabd3ad2c7fc1fccb183a159389b68e4",
+    }),
+    "amd": (3, 243_000_119, {
+        "simulate_jobs.csv": "7485d3b2823e84f26eef26d601ba488a0b004ea4c102f9f71e99289c1b8e988a",
+        "simulate_summary.json": "d9c32229149e340d3c114e4b40b3d207385c119cbdb3a0f710efa9bbc2c09e1d",
+    }),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(OVERLOADED))
+def test_overloaded_host_matches_golden_digests(fixture, tmp_path):
+    n_hosts, lam, digests = OVERLOADED[fixture]
+    alloc = tmp_path / "allocation.json"
+    alloc.write_text(json.dumps({"dvfs": [1] * n_hosts,
+                                 "shares": [[100] + [0] * (n_hosts - 1)] * 9}))
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--scenario", str(FIXTURES / f"scenario_{fixture}.json"),
+                 "--seed", "1", "--allocation", str(alloc), "--out", str(out)]) == 0
+    assert f'"lambda": {lam},' in (out / "simulate_summary.json").read_text()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == digests

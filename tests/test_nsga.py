@@ -284,6 +284,9 @@ class TestGeneBounds:
             EvolveConfig(share_step=30)
         with pytest.raises(ConfigurationError):
             EvolveConfig(population=1)
+        for weight in (0, -1, 10.0, True, np.int64(10)):
+            with pytest.raises(ConfigurationError, match="hard_miss_weight"):
+                EvolveConfig(hard_miss_weight=weight)
 
     def test_zero_generations_rejected(self):
         with pytest.raises(ConfigurationError, match="generations"):

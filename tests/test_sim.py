@@ -625,6 +625,70 @@ class TestHardMissPenalty:
         full = evaluate_allocation(*args, alloc, hard_miss_weight=10**18)
         assert lam == batched[0] == full.lam == 10 * 10**18
 
+    @pytest.mark.parametrize("weight", [0, -1, 2.0, True, np.int64(10)])
+    def test_weight_must_be_a_positive_int_in_every_evaluator(self, weight):
+        # A float weight makes lambda a float; a weight <= 0 hides hard misses.
+        cluster = [host()]
+        profiles = [TaskProfile(0, "REAL", 2 * 10**9, 1.0, 1.0, 1)]
+        args = (cluster, profiles, trace_of([Job(0, 0, 0.0, 1.0, 2 * 10**9)]))
+        alloc = Allocation(dvfs=(1,), shares=((100,),))
+        for evaluate in (
+            functools.partial(evaluate_objectives, *args, alloc),
+            functools.partial(evaluate_allocation, *args, alloc),
+            functools.partial(edf_schedule, *args),
+        ):
+            with pytest.raises(InvalidArgumentError, match="hard_miss_weight"):
+                evaluate(hard_miss_weight=weight)
+
+
+class TestCountsMatchRecords:
+    """The counts behind lambda against what the result itself records: the
+    per-job miss and abort flags, and the SOFT rows of the constraint report,
+    which ``check_constraints`` derives on its own from the per-job overruns."""
+
+    @staticmethod
+    def assert_counts_match_records(res, profiles, weight):
+        kind_of = {p.task_id: p.kind for p in profiles}
+        hard = sum(o.missed for o in res.per_job if kind_of[o.task_id] == "REAL")
+        aborts = sum(o.aborted for o in res.per_job)
+        soft_failed = sum(
+            not c.passed for c in res.constraint_report if kind_of[c.task_id] == "SOFT"
+        )
+        counts = (res.hard_misses, res.control_aborts, res.soft_violations)
+        assert counts == (hard, aborts, soft_failed)
+        assert res.lam == soft_failed + aborts + weight * hard
+        assert all(type(n) is int for n in (res.lam, *counts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        instance=random_instance(),
+        weight=st.sampled_from([1, 7, 10**6]),
+        policy=st.sampled_from(["max", "min"]),
+    )
+    def test_evaluate_allocation_and_edf_schedule(self, instance, weight, policy):
+        cluster, profiles, trace, soft, allocs = instance
+        kw = {"soft_constraints": soft, "hard_miss_weight": weight}
+        results = [evaluate_allocation(cluster, profiles, trace, a, **kw) for a in allocs]
+        results.append(edf_schedule(cluster, profiles, trace, dvfs_policy=policy, **kw))
+        for res in results:
+            self.assert_counts_match_records(res, profiles, weight)
+
+    def test_job_ending_at_its_deadline_is_on_time(self):
+        # Each task alone on a 1 GHz host: every job ends exactly at its deadline.
+        profiles = [TaskProfile(t, kind, 10**9, 2.0, 1.0, 2)
+                    for t, kind in enumerate(["REAL", "CTRL", "SOFT"])]
+        jobs = [Job(t, j, 2.0 * j, 2.0 * j + 1.0, 10**9) for t in range(3) for j in range(2)]
+        cluster = [host(), host(), host()]
+        alloc = Allocation(dvfs=(1, 1, 1), shares=((100, 0, 0), (0, 100, 0), (0, 0, 100)))
+        soft = {2: (LatenessConstraint(0.0, 0.0),)}
+        args = (cluster, profiles, trace_of(jobs))
+        for res in (evaluate_allocation(*args, alloc, soft_constraints=soft),
+                    edf_schedule(*args, soft_constraints=soft)):
+            assert [o.overrun_s for o in res.per_job] == [0.0] * 6
+            self.assert_counts_match_records(res, profiles, 10**6)
+            assert res.lam == 0
+        assert evaluate_objectives(*args, alloc, soft_constraints=soft)[0] == 0
+
 
 class TestEdfBaseline:
     @pytest.mark.parametrize("policy", ["max", "min"])
