@@ -306,15 +306,15 @@ def evolve(
         raise ConfigurationError("empty cluster")
     if not profiles:
         raise ConfigurationError("empty profile list")
-    ordered = sorted(profiles, key=lambda p: p.task_id)
+    context = sim._prepare(cluster, profiles, trace, soft_constraints, config.hard_miss_weight,
+                           config.dyn_energy_form, config.energy_unit_j)
+    ordered = context.arr.profiles
     bounds = gene_bounds(ordered, cluster, config)
     n_vars = bounds.low.shape[0]
     mut_prob = 1.0 / n_vars
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    arrays = sim.trace_arrays(ordered, trace)
     n_servers = len(cluster)
-    scale = np.ones(n_vars, dtype=np.int64)
-    scale[n_servers:] = config.share_step
+    scale = np.where(np.arange(n_vars) < n_servers, 1, config.share_step)
 
     cache: dict[tuple[int, ...], _Scored] = {}
 
@@ -325,15 +325,8 @@ def evolve(
         misses = list(dict.fromkeys(k for k in keys if k not in cache))
         if misses:
             scores = sim.evaluate_objectives(
-                cluster,
-                ordered,
-                trace,
-                decode(np.array(misses), ordered, cluster),
-                soft_constraints=soft_constraints,
-                hard_miss_weight=config.hard_miss_weight,
-                dyn_energy_form=config.dyn_energy_form,
-                energy_unit_j=config.energy_unit_j,
-                _arrays=arrays,
+                cluster, ordered, trace, decode(np.array(misses), ordered, cluster),
+                _context=context,
             )
             for key, (lam, energy_j, energy_u) in zip(misses, scores):
                 cache[key] = _Scored(

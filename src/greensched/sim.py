@@ -14,6 +14,13 @@ task, one per CTRL job aborted at its deadline, and the weight per REAL job past
 its deadline.  The report rows of a control task's ``alpha(0)`` bound and its
 no-skip or skip-distance check do not enter ``lam``.  Energy follows the
 executed instruction counts only.
+
+Each evaluator call (and each ``evolve`` run) checks its arguments once in
+:func:`_prepare`, which builds the context all evaluation reads: the trace
+arrays with the tasks in id order and their REAL/CTRL masks, the ``[host,
+mode]`` energy tables, each host's ``cpi``, every task's soft constraints and
+the scoring arguments.  ``evaluate_objectives(..., _context=)`` takes one in
+place of its cluster, profiles, trace and keyword arguments.
 """
 
 from __future__ import annotations
@@ -120,21 +127,8 @@ def validate_allocation(
             )
 
 
-def _soft_constraints_for(
-    profile: TaskProfile,
-    soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
-) -> tuple[tk.LatenessConstraint, ...]:
-    """A task's ``alpha(x) <= beta`` bounds: none unless it is SOFT."""
-    if profile.kind != "SOFT":
-        return ()
-    return tuple((soft_constraints or {}).get(profile.task_id, DEFAULT_SOFT_CONSTRAINTS))
-
-
 def _task_counts(
-    arr: _TraceArrays,
-    overrun: np.ndarray,
-    aborted: np.ndarray,
-    soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
+    ctx: _Context, overrun: np.ndarray, aborted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-task hard misses, control aborts and soft violations, three ``[P, T]`` arrays.
 
@@ -143,36 +137,27 @@ def _task_counts(
     slot must hold overrun -inf (or NaN) and no abort.  Aborts are an input,
     not derived from overruns: an EDF abort can round to overrun 0.
     """
-    hard = np.where([p.kind == "REAL" for p in arr.profiles], (overrun > 0).sum(axis=2), 0)
+    hard = np.where(ctx.arr.is_real, (overrun > 0).sum(axis=2), 0)
     soft = np.zeros_like(hard)
-    for ti, p in enumerate(arr.profiles):
-        for c in _soft_constraints_for(p, soft_constraints):
-            soft[:, ti] += (overrun[:, ti] > c.x_s).sum(axis=1) / arr.n_jobs[ti] > c.beta
+    for ti, bounds in enumerate(ctx.soft):
+        for c in bounds:
+            soft[:, ti] += (overrun[:, ti] > c.x_s).sum(axis=1) / ctx.arr.n_jobs[ti] > c.beta
     return hard, aborted.sum(axis=2), soft
 
 
-def _fold_lam(
-    counts: tuple[np.ndarray, np.ndarray, np.ndarray], hard_miss_weight: int
-) -> list[tuple[int, int, int, int]]:
+def _fold_lam(ctx: _Context, counts: tuple[np.ndarray, ...]) -> list[tuple[int, int, int, int]]:
     """``(lam, hard misses, control aborts, soft violations)`` per member, as
     Python ints: a large ``hard_miss_weight`` must not wrap in int64."""
-    if type(hard_miss_weight) is not int or hard_miss_weight < 1:  # a bool is rejected too
-        raise InvalidArgumentError(
-            f"hard_miss_weight must be an int >= 1, got {hard_miss_weight!r}"
-        )
     hard, aborts, soft = (c.sum(axis=1).tolist() for c in counts)
-    return [(s + a + hard_miss_weight * h, h, a, s) for h, a, s in zip(hard, aborts, soft)]
+    return [(s + a + ctx.hard_miss_weight * h, h, a, s) for h, a, s in zip(hard, aborts, soft)]
 
 
 def _assemble_result(
-    arr: _TraceArrays,
+    ctx: _Context,
     start: np.ndarray,
     completion: np.ndarray,
     aborted: np.ndarray,
     servers: list[ServerOutcome],
-    soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None,
-    hard_miss_weight: int,
-    energy_unit_j: float,
     task_servers: tuple[tuple[int, tuple[int, ...]], ...],
 ) -> EvaluationResult:
     """Per-job records, report and totals from per-job arrays in (task, job) order.
@@ -182,10 +167,10 @@ def _assemble_result(
     would-be completion, also for an aborted job.  A job is missed when it
     overran its deadline or was aborted.
     """
+    arr = ctx.arr
     overrun = completion - arr.deadlines
-    counts = _task_counts(arr, arr.pad(overrun, -np.inf).T[None],
-                          arr.pad(aborted, False).T[None], soft_constraints)
-    [(lam, hard_misses, control_aborts, soft_violations)] = _fold_lam(counts, hard_miss_weight)
+    counts = _task_counts(ctx, arr.pad(overrun, -np.inf).T[None], arr.pad(aborted, False).T[None])
+    [(lam, hard_misses, control_aborts, soft_violations)] = _fold_lam(ctx, counts)
     overruns, missed = overrun.tolist(), ((overrun > 0) | aborted).tolist()
     columns = (  # in JobOutcome field order
         [arr.task_ids[ti] for ti in arr.task_of_job.tolist()],
@@ -204,9 +189,9 @@ def _assemble_result(
             overruns=tuple(overruns[span]),
             miss_pattern=tuple(missed[span]),
             skip=p.skip if p.kind == "CTRL" else None,
-            soft_constraints=_soft_constraints_for(p, soft_constraints),
+            soft_constraints=bounds,
         )
-        for p, span in zip(arr.profiles, arr.task_jobs)
+        for p, span, bounds in zip(arr.profiles, arr.task_jobs, ctx.soft)
     }
     report = tk.check_constraints(stats, arr.task_ids)
     report.extend(
@@ -218,7 +203,7 @@ def _assemble_result(
     return EvaluationResult(
         lam=lam,
         energy_j=energy,
-        energy_units=energy / energy_unit_j,
+        energy_units=energy / ctx.energy_unit_j,
         per_job=tuple(JobOutcome(*row) for row in zip(*columns)),
         per_server=tuple(servers),
         constraint_report=tuple(report),
@@ -244,7 +229,8 @@ class _TraceArrays:
     task_of_job: np.ndarray
     job_index: np.ndarray
     profiles: tuple[TaskProfile, ...]  # in task-id order
-    is_ctrl: np.ndarray
+    is_ctrl: np.ndarray  # per task
+    is_real: np.ndarray  # per task
     task_ids: list[int]
     task_jobs: list[slice]  # each task's jobs in the flat arrays
     n_jobs: np.ndarray  # jobs per task
@@ -289,6 +275,7 @@ def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArra
         job_index=np.array([j.job_index for j in jobs], dtype=np.int64),
         profiles=tuple(ordered),
         is_ctrl=np.array([p.kind == "CTRL" for p in ordered]),
+        is_real=np.array([p.kind == "REAL" for p in ordered]),
         task_ids=task_ids,
         task_jobs=[
             slice(first, first + n_jobs)
@@ -301,42 +288,64 @@ def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArra
 
 
 @dataclass(frozen=True)
-class _Run:
-    """P allocations replayed over a trace: what both evaluators report from.
+class _Context:
+    """What every evaluation over one (cluster, profiles, trace) reads.
 
-    Every array has a leading population axis; the per-server arrays are
-    ``[P, M]``, one row per allocation.
+    ``tables[:, m, k - 1]`` holds the frequency (Hz), ``a_dyn * V**2 * cpi``
+    and ``P_leak * cpi / f`` of host m at mode index k; unused cells are NaN.
+    A server that executed ``n`` instructions (``s`` in the dynamic sum) used
+    ``(dyn * s) / FREQ_NORM_HZ`` and ``leak * n`` joules, the operations of
+    ``power.dynamic_energy`` and ``power.leakage_energy`` in their order.
     """
 
-    u: np.ndarray  # [P, task, server] utilization
-    dur_coef: np.ndarray  # [P, task] seconds per instruction
-    completion: np.ndarray  # [P, slot, task] would-be completion (pre-abort); padding unspecified
-    freq: np.ndarray  # [P, server] frequency (Hz) of the chosen mode
-    executed: np.ndarray  # [P, server] instructions executed
-    dynamic_j: np.ndarray  # [P, server]
-    leakage_j: np.ndarray  # [P, server]
+    cluster: tuple[ClusterHost, ...]
+    arr: _TraceArrays
+    tables: np.ndarray  # [3, M, K], K the most modes of any host
+    cpi: np.ndarray  # per host
+    soft: tuple[tuple[tk.LatenessConstraint, ...], ...]  # per task; () unless SOFT
+    hard_miss_weight: int
+    dyn_energy_form: str
+    energy_unit_j: float
 
 
-def _mode_tables(cluster: Sequence[ClusterHost]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequency (Hz), ``a_dyn * V**2 * cpi`` and ``P_leak * cpi / f`` per (host, mode).
-
-    Three ``[M, K]`` tables: cell ``[m, k - 1]`` is host m at mode index k, K
-    the most modes of any host, unused cells NaN.  A server that executed
-    ``n`` instructions (``s`` in the dynamic sum) used ``(dyn * s) / FREQ_NORM_HZ``
-    and ``leak * n`` joules, the operations of ``power.dynamic_energy`` and
-    ``power.leakage_energy`` in their order.
-    """
-    shape = (len(cluster), max((len(h.spec.modes) for h in cluster), default=0))
-    freq, dyn, leak = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+def _prepare(
+    cluster: Sequence[ClusterHost],
+    profiles: Sequence[TaskProfile],
+    trace: JobTrace,
+    soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None = None,
+    hard_miss_weight: int = HARD_MISS_WEIGHT,
+    dyn_energy_form: str = "as-written",
+    energy_unit_j: float = ENERGY_UNIT_J,
+) -> _Context:
+    """Check the arguments and build the context; SOFT tasks default to
+    ``DEFAULT_SOFT_CONSTRAINTS``, every other task has no soft constraint."""
+    if type(hard_miss_weight) is not int or hard_miss_weight < 1:  # a bool is rejected too
+        raise InvalidArgumentError(f"hard_miss_weight {hard_miss_weight!r} is not an int >= 1")
+    if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
+        raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
+    if not energy_unit_j > 0:
+        raise InvalidArgumentError(f"energy_unit_j must be > 0, got {energy_unit_j!r}")
+    arr = trace_arrays(profiles, trace)
+    soft_constraints = soft_constraints or {}
+    soft_ids = {p.task_id for p in arr.profiles if p.kind == "SOFT"}
+    bad = [tid for tid, bounds in soft_constraints.items() if tid not in soft_ids or not bounds]
+    if bad:
+        raise InvalidArgumentError(f"task(s) {bad}: soft constraints need a SOFT task and a bound")
+    tables = np.full((3, len(cluster), max([0] + [len(h.spec.modes) for h in cluster])), np.nan)
     for m, host in enumerate(cluster):
         spec = host.spec
-        for k, mode in enumerate(spec.modes):
-            freq[m, k] = mode.frequency_hz
-            dyn[m, k] = spec.a_dyn * mode.voltage_v**2 * spec.cpi
-            leak[m, k] = (
-                pw.leakage_power(spec, mode, host.thermal) * spec.cpi / mode.frequency_hz
-            )
-    return freq, dyn, leak
+        tables[:, m, : len(spec.modes)] = np.transpose([
+            (mode.frequency_hz,
+             spec.a_dyn * mode.voltage_v**2 * spec.cpi,
+             pw.leakage_power(spec, mode, host.thermal) * spec.cpi / mode.frequency_hz)
+            for mode in spec.modes
+        ])
+    return _Context(
+        tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]),
+        tuple(tuple(soft_constraints.get(p.task_id, DEFAULT_SOFT_CONSTRAINTS))
+              if p.kind == "SOFT" else () for p in arr.profiles),
+        hard_miss_weight, dyn_energy_form, energy_unit_j,
+    )
 
 
 def _server_sums(x: np.ndarray) -> np.ndarray:
@@ -345,49 +354,42 @@ def _server_sums(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1)).sum(axis=2)
 
 
-def _run(
-    cluster: Sequence[ClusterHost],
-    allocs: Sequence[Allocation],
-    arr: _TraceArrays,
-    dyn_energy_form: str,
-) -> _Run:
-    """Utilization, FIFO scan and per-server energy of validated allocations.
+def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Replay P validated allocations, given as ``[P, M]`` mode indices (1-based)
+    and ``[P, N, M]`` percentages, each bit-identical to replaying it alone.
 
-    Each allocation's numbers are bit-identical to replaying it alone: every
-    element sees the same operations in the same order.  Sums over tasks run
-    per (member, server) on a contiguous last axis, so they do not depend on
-    the population size.
+    Returns the ``[P, slot, task]`` would-be completions (pre-abort; padding
+    unspecified), the ``[P, server]`` dynamic and leakage joules and executed
+    instructions, the ``[P, task, server]`` utilizations and the ``[P, task]``
+    seconds per instruction.  Sums over tasks run per (member, server) on a
+    contiguous last axis, so they do not depend on the population size.
     """
-    if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
-        raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
-    shares = np.array([a.shares for a in allocs], dtype=np.float64) / 100.0
+    arr = ctx.arr
+    shares = shares / 100.0
     weights = shares * arr.n_mean[:, None]
     col = weights.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(col[:, None, :] > 0, weights / col[:, None, :], 0.0)
 
-    freq_of, dyn_of, leak_of = _mode_tables(cluster)
-    cell = (np.arange(len(cluster)), np.array([a.dvfs for a in allocs]) - 1)
-    freq = freq_of[cell]
-    cpi = np.array([host.spec.cpi for host in cluster])
+    freq, dyn, leak = ctx.tables[:, np.arange(len(ctx.cluster)), modes - 1]
 
     # Seconds per instruction of each task: slowest of its subtasks.
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_server = cpi * shares / (freq[:, None, :] * u)
+        per_server = ctx.cpi * shares / (freq[:, None, :] * u)
     per_server[shares == 0] = 0.0
     dur_coef = per_server.max(axis=2)
 
-    completion = np.empty((len(allocs),) + arr.pad_arrivals.shape)
+    completion = np.empty((len(modes),) + arr.pad_arrivals.shape)
     exec_per_task = np.empty_like(dur_coef)
     scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
                     arr.is_ctrl, completion, exec_per_task)
 
     exec_im = shares * exec_per_task[:, :, None]
     executed = _server_sums(exec_im)
-    dyn_sum = _server_sums(u * exec_im) if dyn_energy_form == "as-written" else executed
-    dynamic_j = (dyn_of[cell] * dyn_sum) / pw.FREQ_NORM_HZ
-    leakage_j = leak_of[cell] * executed
-    return _Run(u, dur_coef, completion, freq, executed, dynamic_j, leakage_j)
+    dyn_sum = _server_sums(u * exec_im) if ctx.dyn_energy_form == "as-written" else executed
+    dynamic_j = (dyn * dyn_sum) / pw.FREQ_NORM_HZ
+    leakage_j = leak * executed
+    return completion, dynamic_j, leakage_j, executed, u, dur_coef
 
 
 def evaluate_objectives(
@@ -400,32 +402,35 @@ def evaluate_objectives(
     hard_miss_weight: int = HARD_MISS_WEIGHT,
     dyn_energy_form: str = "as-written",
     energy_unit_j: float = ENERGY_UNIT_J,
-    _arrays: _TraceArrays | None = None,
+    _context: _Context | None = None,
 ) -> tuple[int, float, float] | list[tuple[int, float, float]]:
-    """Fast path for optimizer loops: ``(lambda, energy_J, energy_units)`` only.
+    """``(lambda, energy_J, energy_units)`` of an allocation, or a list of them.
 
     Same numbers as :func:`evaluate_allocation` without materializing per-job
     outcome records or the constraint report.  Given a sequence of
     allocations, returns a list with one triple per allocation, each equal to
     evaluating that allocation alone; the whole batch shares one FIFO scan.
     """
+    ctx = _context or _prepare(cluster, profiles, trace, soft_constraints,
+                               hard_miss_weight, dyn_energy_form, energy_unit_j)
     allocs = [alloc] if isinstance(alloc, Allocation) else list(alloc)
     for a in allocs:
-        validate_allocation(a, profiles, cluster)
+        validate_allocation(a, ctx.arr.profiles, ctx.cluster)
     if not allocs:
         return []
-    arr = _arrays if _arrays is not None else trace_arrays(profiles, trace)
-    run = _run(cluster, allocs, arr, dyn_energy_form)
+    completion, dynamic_j, leakage_j, *_ = _run(
+        ctx, np.array([a.dvfs for a in allocs]), np.array([a.shares for a in allocs])
+    )
     # Padded slots have deadline +inf, so they are never late.  The scan
     # aborts a control job exactly when it overran.
-    overrun = np.subtract(run.completion.transpose(0, 2, 1), arr.pad_deadlines.T, order="C")
-    counts = _task_counts(arr, overrun, (overrun > 0) & arr.is_ctrl[:, None], soft_constraints)
+    overrun = np.subtract(completion.transpose(0, 2, 1), ctx.arr.pad_deadlines.T, order="C")
+    counts = _task_counts(ctx, overrun, (overrun > 0) & ctx.arr.is_ctrl[:, None])
     energy = np.zeros(len(allocs))
-    for m in range(len(cluster)):  # host by host: dynamic, then leakage
-        energy += run.dynamic_j[:, m]
-        energy += run.leakage_j[:, m]
-    lam = [penalty[0] for penalty in _fold_lam(counts, hard_miss_weight)]
-    out = list(zip(lam, energy.tolist(), (energy / energy_unit_j).tolist()))
+    for m in range(len(ctx.cluster)):  # host by host: dynamic, then leakage
+        energy += dynamic_j[:, m]
+        energy += leakage_j[:, m]
+    lam = [penalty[0] for penalty in _fold_lam(ctx, counts)]
+    out = list(zip(lam, energy.tolist(), (energy / ctx.energy_unit_j).tolist()))
     return out[0] if isinstance(alloc, Allocation) else out
 
 
@@ -441,39 +446,39 @@ def evaluate_allocation(
     energy_unit_j: float = ENERGY_UNIT_J,
 ) -> EvaluationResult:
     """Evaluate one allocation against a trace; pure function of its inputs."""
-    validate_allocation(alloc, profiles, cluster)
-    arr = trace_arrays(profiles, trace)
-    run = _run(cluster, [alloc], arr, dyn_energy_form)
-    completion = run.completion[0, arr.slot, arr.task_of_job]
+    ctx = _prepare(cluster, profiles, trace, soft_constraints, hard_miss_weight,
+                   dyn_energy_form, energy_unit_j)
+    validate_allocation(alloc, ctx.arr.profiles, ctx.cluster)
+    arr = ctx.arr
+    padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(
+        ctx, np.array([alloc.dvfs]), np.array([alloc.shares])
+    )
+    completion = padded[0, arr.slot, arr.task_of_job]
 
     servers = [
         ServerOutcome(
             server_id=host.spec.server_id,
             mode_index=alloc.dvfs[mi],
-            busy_time_s=n_exec * host.spec.cpi / freq,
-            utilization_sum=float(run.u[0, :, mi].sum()),
+            busy_time_s=n_exec * host.spec.cpi / ctx.tables[0, mi, alloc.dvfs[mi] - 1].item(),
+            utilization_sum=float(u[0, :, mi].sum()),
             executed_instructions=n_exec,
             dynamic_energy_j=dyn_j,
             leakage_energy_j=leak_j,
         )
-        for mi, (host, freq, n_exec, dyn_j, leak_j) in enumerate(zip(
-            cluster,
-            run.freq[0].tolist(),
-            run.executed[0].tolist(),
-            run.dynamic_j[0].tolist(),
-            run.leakage_j[0].tolist(),
+        for mi, (host, n_exec, dyn_j, leak_j) in enumerate(zip(
+            ctx.cluster,
+            executed[0].tolist(),
+            dynamic_j[0].tolist(),
+            leakage_j[0].tolist(),
         ))
     ]
-    start = completion - arr.works * run.dur_coef[0][arr.task_of_job]
+    start = completion - arr.works * dur_coef[0][arr.task_of_job]
     aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
     task_servers = tuple(
         (p.task_id, tuple(mi for mi, share in enumerate(row) if share > 0))
         for p, row in zip(arr.profiles, alloc.shares)
     )
-    return _assemble_result(
-        arr, start, completion, aborted, servers, soft_constraints,
-        hard_miss_weight, energy_unit_j, task_servers,
-    )
+    return _assemble_result(ctx, start, completion, aborted, servers, task_servers)
 
 
 # --- EDF baseline ----------------------------------------------------------
@@ -525,17 +530,19 @@ def edf_schedule(
     """
     if dvfs_policy not in ("max", "min"):
         raise InvalidArgumentError(f"unknown dvfs policy {dvfs_policy!r}")
-    arr = trace_arrays(profiles, trace)
+    ctx = _prepare(cluster, profiles, trace, soft_constraints, hard_miss_weight,
+                   energy_unit_j=energy_unit_j)
+    arr = ctx.arr
     mode_of = [len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]
-    cell = (np.arange(len(cluster)), np.array(mode_of) - 1)
-    freqs, dyn_coefs, leak_coefs = (table[cell].tolist() for table in _mode_tables(cluster))
+    freqs, dyn_coefs, leak_coefs = ctx.tables[
+        :, np.arange(len(cluster)), np.array(mode_of) - 1
+    ].tolist()
     host_of = _wfd_partition(arr.profiles, cluster, freqs)
 
     arrivals, deadlines, works = (
         arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
     )
-    n_jobs = len(works)
-    start, completion, aborted = [None] * n_jobs, [0.0] * n_jobs, [False] * n_jobs
+    start, completion, aborted = [None] * len(works), [0.0] * len(works), [False] * len(works)
     servers: list[ServerOutcome] = []
     for h, (host, freq) in enumerate(zip(cluster, freqs)):
         spec = host.spec
@@ -564,8 +571,7 @@ def edf_schedule(
         (p.task_id, (host_of[i],)) for i, p in enumerate(arr.profiles)
     )
     return _assemble_result(
-        arr, np.array(start), np.array(completion), np.array(aborted), servers,
-        soft_constraints, hard_miss_weight, energy_unit_j, task_servers,
+        ctx, np.array(start), np.array(completion), np.array(aborted), servers, task_servers
     )
 
 

@@ -1,5 +1,6 @@
 """Optimizer internals: sorting, crowding, decoding, operators, small fronts."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_spec
-from greensched import nsga, sim
+from greensched import nsga, power, sim
 from greensched.errors import ConfigurationError, InvalidArgumentError
 from greensched.nsga import (
     EvolveConfig,
@@ -27,8 +28,9 @@ from greensched.nsga import (
     tournament_select,
 )
 from greensched.power import DvfsMode, ThermalState
+from greensched.scenario import FIXTURES, load_scenario
 from greensched.sim import Allocation, ClusterHost, evaluate_objectives
-from greensched.workload import Job, JobTrace, TaskProfile
+from greensched.workload import Job, JobTrace, TaskProfile, generate_jobs
 
 
 def obj(lam, e):
@@ -532,6 +534,24 @@ class TestEvolveBasics:
         result = evolve(cluster, profiles, trace, cfg)
         scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
         assert len(scored) == len(set(scored)) == seen["evaluated"]
+
+    @pytest.mark.parametrize("name, n_cells", [("intel", 36), ("amd", 9)])
+    def test_mode_tables_are_built_once_per_run(self, monkeypatch, name, n_cells):
+        # One static power per (host, mode) cell for the whole run, not one per
+        # generation's evaluation call.
+        s = load_scenario(str(FIXTURES / f"scenario_{name}.json"), seed=1)
+        trace = generate_jobs(s.profiles, 1, s.phase_policy)
+        calls = []
+        leakage_power = power.leakage_power
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return leakage_power(*args, **kwargs)
+
+        monkeypatch.setattr(power, "leakage_power", counting)
+        cfg = dataclasses.replace(s.optimizer, seed=1, population=20, generations=10)
+        evolve(list(s.cluster), list(s.profiles), trace, cfg, soft_constraints=s.soft_constraints)
+        assert len(calls) == sum(len(h.spec.modes) for h in s.cluster) == n_cells
 
     def test_odd_population_breeds_and_keeps_its_size(self, monkeypatch):
         sizes = {"offspring": [], "candidates": [], "survivors": []}

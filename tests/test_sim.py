@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_spec
 from greensched._kernels import scan_jobs, scan_population
 from greensched.errors import InvalidAllocationError, InvalidArgumentError
-from greensched.nsga import decode
+from greensched.nsga import EvolveConfig, decode, evolve
 from greensched.power import (
     DYN_ENERGY_FORMS,
     DvfsMode,
@@ -28,6 +28,7 @@ from greensched.sim import (
     evaluate_objectives,
     trace_arrays,
     validate_allocation,
+    _prepare,
 )
 from greensched.workload import Job, JobTrace, TaskProfile, generate_jobs
 
@@ -233,7 +234,7 @@ class TestEvaluatorsAgree:
         alloc = decode(modes + shares, profiles, cluster)
         kw = {"soft_constraints": s.soft_constraints, "dyn_energy_form": form}
         lam, e_j, e_u = evaluate_objectives(
-            cluster, profiles, trace, alloc, _arrays=arr, **kw
+            cluster, profiles, trace, alloc, **kw
         )
         full = evaluate_allocation(cluster, profiles, trace, alloc, **kw)
         assert lam == full.lam
@@ -289,6 +290,8 @@ class TestPopulationBatch:
         assert batch == [
             evaluate_objectives(cluster, profiles, trace, a, **kw) for a in allocs
         ]
+        prepared = _prepare(cluster, profiles, trace, **kw)
+        assert evaluate_objectives(cluster, profiles, trace, allocs, _context=prepared) == batch
 
     @settings(max_examples=100, deadline=None)
     @given(instance=random_instance(), seed=st.integers(0, 2**32 - 1))
@@ -314,9 +317,9 @@ class TestPopulationBatch:
     def test_one_allocation_in_a_list_returns_a_list(self):
         s, trace, arr = bundled("amd")
         alloc = decode([1, 1, 1] + [100, 0, 0] * len(s.profiles), s.profiles, s.cluster)
-        single = evaluate_objectives(s.cluster, s.profiles, trace, alloc, _arrays=arr)
-        assert evaluate_objectives(s.cluster, s.profiles, trace, [alloc], _arrays=arr) == [single]
-        assert evaluate_objectives(s.cluster, s.profiles, trace, [], _arrays=arr) == []
+        single = evaluate_objectives(s.cluster, s.profiles, trace, alloc)
+        assert evaluate_objectives(s.cluster, s.profiles, trace, [alloc]) == [single]
+        assert evaluate_objectives(s.cluster, s.profiles, trace, []) == []
 
 
 def assert_scan_population_matches_scan_jobs(arr, dur_coef):
@@ -639,6 +642,53 @@ class TestHardMissPenalty:
         ):
             with pytest.raises(InvalidArgumentError, match="hard_miss_weight"):
                 evaluate(hard_miss_weight=weight)
+
+
+def _evolve_with(cluster, profiles, trace, soft_constraints=None, **config_fields):
+    """``evolve`` with ``config_fields`` set past ``EvolveConfig``'s own checks,
+    which raise ``ConfigurationError`` for the same values."""
+    config = EvolveConfig(population=2, generations=1, seed=1)
+    for name, value in config_fields.items():
+        object.__setattr__(config, name, value)
+    return evolve(cluster, profiles, trace, config, soft_constraints=soft_constraints)
+
+
+EVALUATORS = {
+    "objectives-empty-list": lambda *args, alloc, **kw: evaluate_objectives(*args, [], **kw),
+    "objectives-one": lambda *args, alloc, **kw: evaluate_objectives(*args, alloc, **kw),
+    "objectives-list-of-one": lambda *args, alloc, **kw: evaluate_objectives(*args, [alloc], **kw),
+    "allocation": lambda *args, alloc, **kw: evaluate_allocation(*args, alloc, **kw),
+    "edf": lambda *args, alloc, **kw: edf_schedule(*args, **kw),
+    "evolve": lambda *args, alloc, **kw: _evolve_with(*args, **kw),
+}
+
+BAD_ARGUMENTS = {  # kwargs, message pattern
+    "empty-soft-constraint-tuple": ({"soft_constraints": {8: ()}}, r"task\(s\) \[8\]"),
+    "soft-constraints-of-an-unknown-task": (
+        {"soft_constraints": {99: (LatenessConstraint(0.0, 0.1),)}}, r"task\(s\) \[99\]"
+    ),
+    "soft-constraints-of-a-real-task": (
+        {"soft_constraints": {0: (LatenessConstraint(0.0, 0.1),)}}, r"task\(s\) \[0\]"
+    ),
+    "unknown-dyn-energy-form": ({"dyn_energy_form": "bogus"}, "'bogus'"),
+    "zero-hard-miss-weight": ({"hard_miss_weight": 0}, "hard_miss_weight"),
+    "zero-energy-unit": ({"energy_unit_j": 0.0}, "energy_unit_j"),
+    "negative-energy-unit": ({"energy_unit_j": -1.0}, "energy_unit_j"),
+}
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("evaluator, case", [
+        (evaluator, case) for evaluator in EVALUATORS for case in BAD_ARGUMENTS
+        if (evaluator, case) != ("edf", "unknown-dyn-energy-form")  # edf takes no such argument
+    ])
+    def test_every_evaluator_rejects_bad_arguments_at_every_batch_size(self, evaluator, case):
+        kw, message = BAD_ARGUMENTS[case]
+        s, trace, _ = bundled("amd")
+        cluster, profiles = list(s.cluster), list(s.profiles)
+        alloc = decode([1, 1, 1] + [100, 0, 0] * len(profiles), profiles, cluster)
+        with pytest.raises(InvalidArgumentError, match=message):
+            EVALUATORS[evaluator](cluster, profiles, trace, alloc=alloc, **kw)
 
 
 class TestCountsMatchRecords:
