@@ -9,8 +9,15 @@ single-host (REAL) tasks keep only their largest entry.
 The population is one int64 ``[P, G]`` gene matrix.  Each generation breeds
 it with block operators: P binary tournaments from one draw, crossover of
 the paired parent rows with one coin and one cut per pair, and a mutation
-mask whose flipped genes are redrawn in one in-bounds draw.  Cache misses are decoded and
-evaluated together, one call per generation.
+mask whose flipped genes are redrawn in one in-bounds draw.
+
+Each piece of work is done once per distinct input.  Scores are cached by the
+bytes of each scaled gene row.  The rows a generation brings that were never
+seen are repaired together, and their scores are memoized by the bytes of the
+repaired row, since many gene rows repair to one allocation: only allocations
+never scored become ``Allocation`` objects, evaluated together in one call
+per generation.  The archive is offered only the entries first seen in a
+round, and ranking sweeps the distinct objective vectors.
 """
 
 from __future__ import annotations
@@ -101,14 +108,14 @@ def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
     scaled energy) order and put each in the first front whose latest member
     does not dominate it.  Every dominator of a point is visited before it,
     the latest member of a front has that front's smallest energy so far, and
-    the fronts that dominate a point form a prefix of the front list.
+    the fronts that dominate a point form a prefix of the front list.  Equal
+    points share a rank, so the sweep visits each distinct point once.
     """
     keys = [(p.lam, p.scaled_energy_j) for p in points]  # ObjectiveVector's order
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = [0] * len(keys)
+    rank_of: dict[tuple[int, float], int] = {}
     latest: list[tuple[int, float]] = []  # latest member of each front
-    for i in order:
-        lam, energy = key = keys[i]
+    for key in sorted(set(keys)):
+        lam, energy = key
         r = 0
         for front_lam, front_energy in latest:  # inlined ``dominates``
             if not (
@@ -122,8 +129,8 @@ def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
             latest.append(key)
         else:
             latest[r] = key
-        ranks[i] = r
-    return ranks
+        rank_of[key] = r
+    return [rank_of[key] for key in keys]
 
 
 def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
@@ -132,15 +139,15 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
     if n == 0:
         raise InvalidArgumentError("crowding distance of an empty front")
     dist = [0.0] * n
-    for key in (lambda p: p.lam, lambda p: p.scaled_energy_j):
-        order = sorted(range(n), key=lambda i: key(front[i]))
-        lo, hi = key(front[order[0]]), key(front[order[-1]])
+    for values in ([p.lam for p in front], [p.scaled_energy_j for p in front]):
+        order = sorted(range(n), key=values.__getitem__)
+        ordered = [values[i] for i in order]
         dist[order[0]] = dist[order[-1]] = float("inf")
-        span = hi - lo
+        span = ordered[-1] - ordered[0]
         if span == 0:
             continue  # degenerate objective contributes nothing
         for j in range(1, n - 1):
-            dist[order[j]] += (key(front[order[j + 1]]) - key(front[order[j - 1]])) / span
+            dist[order[j]] += (ordered[j + 1] - ordered[j - 1]) / span
     return dist
 
 
@@ -158,11 +165,20 @@ def decode(
     correctly rounded quotient, as Python's ``int / int`` is.
     """
     ordered = sorted(profiles, key=lambda p: p.task_id)
-    n, m = len(ordered), len(cluster)
     block = np.asarray(genes, dtype=np.int64)
     rows = np.atleast_2d(block)
-    shares = rows[:, m:].reshape(rows.shape[0], n, m)
-    server = np.arange(m)
+    m = len(cluster)
+    allocs = _allocations(
+        rows[:, :m], _repair(rows, m, np.array([p.kind == "REAL" for p in ordered]))
+    )
+    return allocs if block.ndim == 2 else allocs[0]
+
+
+def _repair(rows: np.ndarray, n_servers: int, is_real: np.ndarray) -> np.ndarray:
+    """The ``[U, N, M]`` share percentages :func:`decode` makes of a ``[U, G]``
+    gene block; ``is_real`` flags the REAL tasks in task-id order."""
+    shares = rows[:, n_servers:].reshape(len(rows), len(is_real), n_servers)
+    server = np.arange(n_servers)
 
     total = shares.sum(axis=2, keepdims=True)
     scaled = shares * 100 / np.maximum(total, 1)  # a zero row is replaced below
@@ -172,15 +188,31 @@ def decode(
     rounded = floored + (np.argsort(order, axis=2) < rem)
     rounded = np.where(total == 0, 100 * (server == 0), rounded)
 
-    is_real = np.array([p.kind == "REAL" for p in ordered])[:, None]
     largest = 100 * (server == np.argmax(shares, axis=2)[..., None])
-    decoded = np.where(is_real, largest, rounded).astype(np.int64)
+    return np.where(is_real[:, None], largest, rounded).astype(np.int64)
 
-    allocs = [
+
+def _allocations(modes: np.ndarray, shares: np.ndarray) -> list[sim.Allocation]:
+    """One allocation of Python ints per row of ``[U, M]`` modes and ``[U, N, M]`` shares."""
+    return [
         sim.Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
-        for d, s in zip(rows[:, :m].tolist(), decoded.tolist())
+        for d, s in zip(modes.tolist(), shares.tolist())
     ]
-    return allocs if block.ndim == 2 else allocs[0]
+
+
+def _row_bytes(block: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous 2-D array, as dict keys: a
+    ``bytes`` caches its hash, a tuple of ints is rehashed at every lookup."""
+    return block.view(np.dtype((np.void, block.shape[1] * block.itemsize))).ravel().tolist()
+
+
+def _first_seen(keys: Sequence[bytes], known: dict) -> dict[bytes, int]:
+    """Each key not in ``known``, mapped to its first index, in first-seen order."""
+    out: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        if key not in known and key not in out:
+            out[key] = i
+    return out
 
 
 @dataclass
@@ -254,7 +286,10 @@ def tournament_select(
 
 
 class _Scored(NamedTuple):
-    """A ``FrontPoint`` without its allocation (genes already times ``share_step``)."""
+    """A ``FrontPoint`` without its allocation (genes already times ``share_step``).
+
+    ``evolve`` makes one per distinct gene row, cached by the row's bytes;
+    rows that repair to one allocation share its memoized scores."""
 
     genes: tuple[int, ...]
     objectives: ObjectiveVector
@@ -316,23 +351,39 @@ def evolve(
     n_servers = len(cluster)
     scale = np.where(np.arange(n_vars) < n_servers, 1, config.share_step)
 
-    cache: dict[tuple[int, ...], _Scored] = {}
+    # Gene rows and repaired rows are keyed by their bytes in the narrowest
+    # dtype that holds every scaled gene, a mode index or a share (0..100).
+    key_type = np.min_scalar_type(int((bounds.high * scale).max()))
+    cache: dict[bytes, _Scored] = {}  # by scaled gene row
+    scores: dict[bytes, tuple[ObjectiveVector, float, float]] = {}  # by repaired row
 
-    def fitness(population: np.ndarray) -> list[_Scored]:
-        """Score a ``[P, G]`` population; its cache misses are decoded in
-        first-seen order and evaluated together in one call."""
-        keys = list(map(tuple, (population * scale).tolist()))
-        misses = list(dict.fromkeys(k for k in keys if k not in cache))
-        if misses:
-            scores = sim.evaluate_objectives(
-                cluster, ordered, trace, decode(np.array(misses), ordered, cluster),
-                _context=context,
+    def fitness(population: np.ndarray) -> tuple[list[_Scored], list[_Scored]]:
+        """Score a ``[P, G]`` population: every row's entry, and the entries of
+        rows never seen before in first-seen order.  Those rows are repaired
+        together; the allocations among them never scored are evaluated
+        together in one call."""
+        genes = population * scale
+        keys = _row_bytes(genes.astype(key_type))
+        fresh = _first_seen(keys, cache)
+        if fresh:
+            rows = genes[list(fresh.values())]
+            dvfs = rows[:, :n_servers]
+            repaired = _repair(rows, n_servers, context.arr.is_real)
+            alloc_keys = _row_bytes(
+                np.concatenate([dvfs, repaired.reshape(len(rows), -1)], axis=1).astype(key_type)
             )
-            for key, (lam, energy_j, energy_u) in zip(misses, scores):
-                cache[key] = _Scored(
-                    key, ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u
+            unscored = _first_seen(alloc_keys, scores)
+            if unscored:
+                idx = list(unscored.values())
+                results = sim.evaluate_objectives(
+                    cluster, ordered, trace, _allocations(dvfs[idx], repaired[idx]),
+                    _context=context,
                 )
-        return [cache[key] for key in keys]
+                for key, (lam, energy_j, energy_u) in zip(unscored, results):
+                    scores[key] = ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u
+            for key, row, alloc_key in zip(fresh, rows.tolist(), alloc_keys):
+                cache[key] = _Scored(tuple(row), *scores[alloc_key])
+        return [cache[key] for key in keys], [cache[key] for key in fresh]
 
     # Uniform mode genes; each share row one-hot on a random server (share
     # genes are never fixed: they span 0..100 // share_step), so the initial
@@ -346,11 +397,13 @@ def evolve(
     share_high = bounds.high[n_servers:].reshape(n_tasks, n_servers)
     shares = np.where(picked, share_high, share_low).reshape(n_pop, -1)
     pop = np.concatenate([modes, shares], axis=1)
-    evals = fitness(pop)
+    evals, fresh = fitness(pop)
     ranks = nondominated_sort([e.objectives for e in evals])
 
+    # Only entries never offered before: an archive that was offered an entry
+    # stays unchanged when offered it again.
     archive = _Archive()
-    for entry in evals:
+    for entry in fresh:
         archive.offer(entry)
 
     convergence: list[tuple[int, int, float]] = []
@@ -366,8 +419,8 @@ def evolve(
         c1, c2 = single_point_crossover(parents[0::2], parents[1::2], rng, CROSSOVER_PROB)
         children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, n_vars)[:n_pop]
         offspring = integer_flip_mutation(children, bounds, rng, mut_prob)
-        off_evals = fitness(offspring)
-        for entry in off_evals:
+        off_evals, fresh = fitness(offspring)
+        for entry in fresh:
             archive.offer(entry)
 
         combined = np.concatenate([pop, offspring])

@@ -108,12 +108,15 @@ def validate_allocation(
         raise InvalidAllocationError(f"expected {m} mode genes, got {len(alloc.dvfs)}")
     if len(alloc.shares) != n:
         raise InvalidAllocationError(f"expected {n} share rows, got {len(alloc.shares)}")
+    ordered = sorted(profiles, key=lambda p: p.task_id)
+    # Plain ints are the common case; only otherwise look for the culprit.
+    if not {type(v) for row in (alloc.dvfs, *alloc.shares) for v in row} <= {int}:
+        _check_integers(alloc, ordered, cluster)
     for k, host in zip(alloc.dvfs, cluster):
         if not 1 <= k <= len(host.spec.modes):
             raise InvalidAllocationError(
                 f"mode index {k} out of range for server {host.spec.server_id}"
             )
-    ordered = sorted(profiles, key=lambda p: p.task_id)
     for p, row in zip(ordered, alloc.shares):
         if len(row) != m:
             raise InvalidAllocationError("share row length mismatch")
@@ -124,6 +127,27 @@ def validate_allocation(
         if p.kind == "REAL" and sum(1 for s in row if s > 0) != 1:
             raise InvalidAllocationError(
                 f"task {p.task_id}: REAL tasks must run on a single host"
+            )
+
+
+def _check_integers(
+    alloc: Allocation, ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost]
+) -> None:
+    """Name the first mode or share that is not a Python or numpy integer (a
+    bool is not one)."""
+
+    def integral(value) -> bool:
+        return type(value) is int or isinstance(value, np.integer)
+
+    for k, host in zip(alloc.dvfs, cluster):
+        if not integral(k):
+            raise InvalidAllocationError(
+                f"server {host.spec.server_id}: mode index {k!r} is not an integer"
+            )
+    for p, row in zip(ordered, alloc.shares):
+        if not all(map(integral, row)):
+            raise InvalidAllocationError(
+                f"task {p.task_id}: shares must be integers, got {list(row)}"
             )
 
 

@@ -1,6 +1,7 @@
 """Optimizer internals: sorting, crowding, decoding, operators, small fronts."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -119,6 +120,73 @@ class TestCrowdingDistance:
     def test_empty_front_rejected(self):
         with pytest.raises(InvalidArgumentError):
             crowding_distance([])
+
+
+def reference_nondominated_sort(points):
+    """``nondominated_sort`` as it was before it swept distinct keys (verbatim)."""
+    keys = [(p.lam, p.scaled_energy_j) for p in points]  # ObjectiveVector's order
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
+    latest: list[tuple[int, float]] = []  # latest member of each front
+    for i in order:
+        lam, energy = key = keys[i]
+        r = 0
+        for front_lam, front_energy in latest:  # inlined ``dominates``
+            if not (
+                front_lam <= lam
+                and front_energy <= energy
+                and (front_lam < lam or front_energy < energy)
+            ):
+                break
+            r += 1
+        if r == len(latest):
+            latest.append(key)
+        else:
+            latest[r] = key
+        ranks[i] = r
+    return ranks
+
+
+def reference_crowding_distance(front):
+    """``crowding_distance`` as it was before it read each objective into a
+    list (verbatim)."""
+    n = len(front)
+    if n == 0:
+        raise InvalidArgumentError("crowding distance of an empty front")
+    dist = [0.0] * n
+    for key in (lambda p: p.lam, lambda p: p.scaled_energy_j):
+        order = sorted(range(n), key=lambda i: key(front[i]))
+        lo, hi = key(front[order[0]]), key(front[order[-1]])
+        dist[order[0]] = dist[order[-1]] = float("inf")
+        span = hi - lo
+        if span == 0:
+            continue  # degenerate objective contributes nothing
+        for j in range(1, n - 1):
+            dist[order[j]] += (key(front[order[j + 1]]) - key(front[order[j - 1]])) / span
+    return dist
+
+
+class TestRankingEqualsReference:
+    LAMS = [0, 1, 2, 3, 10**6, 10**18, 10**19 - 1, 10**19, 10**19 + 7]
+
+    def random_points(self, rng):
+        """A set of at most 12 distinct points, drawn with replacement."""
+        distinct = [
+            obj(self.LAMS[int(rng.integers(len(self.LAMS)))],
+                float(rng.choice([0.0, 1.0, 2.5, rng.random() * 1e3, rng.random() * 1e21])))
+            for _ in range(int(rng.integers(1, 13)))
+        ]
+        return [distinct[i] for i in rng.integers(len(distinct), size=int(rng.integers(1, 61)))]
+
+    def test_nondominated_sort_equals_reference(self, rng):
+        for _ in range(500):
+            points = self.random_points(rng)
+            assert nondominated_sort(points) == reference_nondominated_sort(points)
+
+    def test_crowding_distance_equals_reference(self, rng):
+        for _ in range(500):
+            points = self.random_points(rng)
+            assert crowding_distance(points) == reference_crowding_distance(points)
 
 
 def two_host_cluster(n_modes=2):
@@ -416,6 +484,34 @@ class TestArchive:
         assert a.points[0].genes == (3, 9)
 
 
+@st.composite
+def archive_stream(draw):
+    """Offers drawn with repeats from a few entries; lam, energy and genes come
+    from small pools, so objective ties and entries sharing genes are common."""
+    pool = draw(st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, 2, 10**19]),
+            st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        ),
+        min_size=1, max_size=10,
+    ))
+    stream = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return [nsga._Scored(genes, obj(lam, e), e, e) for lam, e, genes in stream]
+
+
+class TestArchiveFirstOffers:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=archive_stream())
+    def test_offering_each_entry_once_leaves_the_same_points(self, stream):
+        every, first = _Archive(), _Archive()
+        for entry in stream:
+            every.offer(entry)
+        for entry in dict.fromkeys(stream):  # first occurrences, in stream order
+            first.offer(entry)
+        assert first.points == every.points
+
+
 class TestSmallInstanceOptimality:
     def test_front_matches_exhaustive_enumeration(self):
         cluster = two_host_cluster(n_modes=2)
@@ -479,19 +575,23 @@ class TestEvolveBasics:
 
     @staticmethod
     def count_decodes_and_evaluations(monkeypatch):
-        """Record decoded gene vectors and the allocations passed to
-        ``evaluate_objectives`` (one call may score many)."""
-        seen = {"decoded": [], "evaluated": 0}
+        """Record the gene rows repaired (for scoring, and through ``decode``)
+        and the allocations passed to ``evaluate_objectives`` (one call may
+        score many)."""
+        seen = {"decoded": [], "evaluated": 0, "allocations": []}
+        repair = nsga._repair
 
-        def decode_wrapper(genes, *args, **kwargs):
-            seen["decoded"].extend(map(tuple, np.atleast_2d(genes).tolist()))
-            return decode(genes, *args, **kwargs)
+        def repair_wrapper(rows, *args):
+            seen["decoded"].extend(map(tuple, rows.tolist()))
+            return repair(rows, *args)
 
         def evaluate_wrapper(cluster, profiles, trace, allocs, **kwargs):
-            seen["evaluated"] += 1 if isinstance(allocs, Allocation) else len(allocs)
+            allocs = [allocs] if isinstance(allocs, Allocation) else list(allocs)
+            seen["evaluated"] += len(allocs)
+            seen["allocations"].extend(allocs)
             return evaluate_objectives(cluster, profiles, trace, allocs, **kwargs)
 
-        monkeypatch.setattr(nsga, "decode", decode_wrapper)
+        monkeypatch.setattr(nsga, "_repair", repair_wrapper)
         monkeypatch.setattr(sim, "evaluate_objectives", evaluate_wrapper)
         return seen
 
@@ -511,7 +611,12 @@ class TestEvolveBasics:
         cluster, profiles, trace = self.two_task_instance()
         cfg = EvolveConfig(population=8, generations=10, seed=3, share_step=100)
         result = evolve(cluster, profiles, trace, cfg)
-        assert len(seen["decoded"]) == seen["evaluated"] + len(result.front)
+        scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
+        assert len(scored) == len(set(scored))  # no gene row repaired twice
+        allocs = seen["allocations"]
+        assert len(allocs) == len(set(allocs))
+        assert set(allocs) == {decode(genes, profiles, cluster) for genes in scored}
+        assert len(allocs) < len(scored)  # some rows repair to one allocation
         for p in result.front:
             assert p.allocation == decode(p.genes, profiles, cluster)
 
@@ -534,6 +639,27 @@ class TestEvolveBasics:
         result = evolve(cluster, profiles, trace, cfg)
         scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
         assert len(scored) == len(set(scored)) == seen["evaluated"]
+
+    def test_rows_that_repair_to_one_allocation_are_scored_once(self, monkeypatch):
+        # With share_step 100, a REAL row (1, 1) beside (1, 0) and a SOFT row
+        # (0, 0) beside (1, 0) all put the task on host 0.
+        crafted = np.array([[2, 2, 1, 1, 1, 0], [2, 2, 1, 0, 1, 0],
+                            [2, 2, 1, 0, 0, 0], [2, 2, 0, 0, 0, 0]])
+        monkeypatch.setattr(nsga, "integer_flip_mutation", lambda genes, *args: crafted.copy())
+        seen = self.count_decodes_and_evaluations(monkeypatch)
+        cluster = two_host_cluster()
+        profiles = [TaskProfile(0, "REAL", 10**8, 1.0, 1.0, 4),
+                    TaskProfile(1, "SOFT", 10**8, 1.0, 1.0, 4)]
+        jobs = [Job(p.task_id, j, j * 1.0, j * 1.0 + p.deadline_s, p.n_instructions)
+                for p in profiles for j in range(p.n_jobs)]
+        cfg = EvolveConfig(population=4, generations=2, seed=5, share_step=100)
+        evolve(cluster, profiles, JobTrace(tuple(jobs), 0, 6.0), cfg)
+        on_host_0 = Allocation(dvfs=(2, 2), shares=((100, 0), (100, 0)))
+        assert decode(crafted, profiles, cluster) == [on_host_0] * 4
+        # Only the second row is one-hot, so only it can be in the first population.
+        scaled = (crafted * [1, 1, 100, 100, 100, 100]).tolist()
+        assert sum(tuple(row) in set(seen["decoded"]) for row in scaled) >= 3
+        assert seen["allocations"].count(on_host_0) == 1
 
     @pytest.mark.parametrize("name, n_cells", [("intel", 36), ("amd", 9)])
     def test_mode_tables_are_built_once_per_run(self, monkeypatch, name, n_cells):
@@ -574,3 +700,39 @@ class TestEvolveBasics:
         result = evolve(cluster, profiles, trace, cfg)
         assert result.generations_run == 6
         assert sizes == {"offspring": [5] * 6, "candidates": [10] * 6, "survivors": [5] * 6}
+
+
+def front_digest(result) -> str:
+    """sha256 of a run's front and convergence, in the benchmark's form."""
+    h = hashlib.sha256()
+    for p in result.front:
+        h.update(f"{p.objectives.lam},{p.energy_j!r},{p.energy_units!r},"
+                 f"{p.allocation.dvfs},{p.allocation.shares}\n".encode())
+    for gen, lam, energy in result.convergence:
+        h.update(f"{gen},{lam},{energy!r}\n".encode())
+    return h.hexdigest()
+
+
+# Recorded before the fitness cache was keyed by gene bytes and scores were
+# memoized per repaired allocation, so that they guard that change.
+EVOLVE_DIGESTS = {
+    ("intel", "MIN", 2): "083ef4cf727f877fedc4b6e8a0d8d729189d3e02a59f3ba153d3a52f242b1206",
+    ("intel", "MIN", 3): "a77309cbd4f6d3ccb0fa89ba65b7609969f8167e9d950c6da6b61970b5f65b7f",
+    ("intel", "VAR", 2): "8c25530568c4c9eccc9673f2ae821612148650c5e4e193f4953d83fc17ae1237",
+    ("intel", "VAR", 3): "56c41f64c1cd6caf0aeeda8c1138b56f9fab7c652a7e0ade89e72e1c14efe542",
+    ("amd", "MIN", 2): "a60a785218f016b9bd6220c8eaac9b9a8e03135989e509aed67cf604ec5610e7",
+    ("amd", "MIN", 3): "dc1666ff4b172664049d1fd4fb73ec8be5cf553f5414fe0df546573ffc3a6a9e",
+    ("amd", "VAR", 2): "a694e6563c7f49aaf04ba2858017d3b27c10a9b096a7e5568164abbb766c8734",
+    ("amd", "VAR", 3): "3da276aea4fe3c32455f54b32dc9951ef646635c021346bfec870e3052d294b7",
+}
+
+
+@pytest.mark.parametrize("fixture, policy, seed", sorted(EVOLVE_DIGESTS))
+def test_evolve_matches_golden_digests(fixture, policy, seed):
+    s = load_scenario(str(FIXTURES / f"scenario_{fixture}.json"), seed=seed)
+    trace = generate_jobs(s.profiles, seed, s.phase_policy)
+    cfg = dataclasses.replace(s.optimizer, seed=seed, policy=policy, population=30,
+                              generations=20)
+    result = evolve(list(s.cluster), list(s.profiles), trace, cfg,
+                    soft_constraints=s.soft_constraints)
+    assert front_digest(result) == EVOLVE_DIGESTS[fixture, policy, seed]

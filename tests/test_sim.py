@@ -79,6 +79,56 @@ class TestValidateAllocation:
         validate_allocation(ok, self.profiles, self.cluster)
 
 
+ONE_HOST = ((100, 0, 0),) * 9  # every amd task on host 0
+
+
+@functools.lru_cache(maxsize=None)
+def amd_inputs():
+    s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+    return list(s.cluster), list(s.profiles), generate_jobs(s.profiles, 1, s.phase_policy)
+
+
+class TestAllocationTypes:
+    """Modes and shares must be Python or numpy integers, never bools or
+    fractions, whichever evaluator reads the allocation."""
+
+    EVALUATORS = [evaluate_objectives, evaluate_allocation]
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS)
+    @pytest.mark.parametrize("dvfs, shares, message", [
+        pytest.param((1.5, 1, 1), ONE_HOST, r"server 0: mode index 1\.5 is not an integer",
+                     id="fractional-mode"),
+        pytest.param((True, 1, 1), ONE_HOST, r"server 0: mode index True is not an integer",
+                     id="bool-mode"),
+        pytest.param((1, np.float64(1.0), 1), ONE_HOST,
+                     r"server 1: mode index np\.float64\(1\.0\) is not an integer",
+                     id="numpy-float-mode"),
+        pytest.param((1, 1, 1), ONE_HOST[:5] + ((50.5, 49.5, 0),) + ONE_HOST[6:],
+                     r"task 5: shares must be integers", id="fractional-shares"),
+        pytest.param((1, 1, 1), ((True, 0, 99),) + ONE_HOST[1:],
+                     r"task 0: shares must be integers", id="bool-share"),
+        pytest.param((1, 1, 1), ONE_HOST[:8] + ((np.float64(100), 0, 0),),
+                     r"task 8: shares must be integers", id="numpy-float-share"),
+    ])
+    def test_non_integers_rejected(self, evaluate, dvfs, shares, message):
+        cluster, profiles, trace = amd_inputs()
+        with pytest.raises(InvalidAllocationError, match=message):
+            evaluate(cluster, profiles, trace, Allocation(dvfs=dvfs, shares=shares))
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS)
+    def test_numpy_integers_score_as_python_ints(self, evaluate):
+        cluster, profiles, trace = amd_inputs()
+        plain = Allocation(dvfs=(1, 2, 1), shares=ONE_HOST[:5] + ((50, 25, 25),) + ONE_HOST[6:])
+        numpy_ints = Allocation(
+            dvfs=tuple(np.int64(k) for k in plain.dvfs),
+            shares=tuple(tuple(np.int32(v) for v in row) for row in plain.shares),
+        )
+        got, want = (evaluate(cluster, profiles, trace, a) for a in (numpy_ints, plain))
+        if evaluate is evaluate_allocation:
+            got, want = (got.lam, got.energy_j), (want.lam, want.energy_j)
+        assert got == want
+
+
 class TestSingleTaskClosedForm:
     def test_solo_task_runs_at_full_rate(self):
         # 1 GHz, CPI 1, alone on the host: 2e9 instructions take 2 s
