@@ -15,9 +15,10 @@ Each piece of work is done once per distinct input.  Scores are cached by the
 bytes of each scaled gene row.  The rows a generation brings that were never
 seen are repaired together, and their scores are memoized by the bytes of the
 repaired row, since many gene rows repair to one allocation: only allocations
-never scored become ``Allocation`` objects, evaluated together in one call
-per generation.  The archive is offered only the entries first seen in a
-round, and ranking sweeps the distinct objective vectors.
+never scored are evaluated, as one block of mode and share arrays per
+generation; only the returned front becomes ``Allocation`` objects.  The
+archive is offered only the entries first seen in a round, and ranking sweeps
+the distinct objective vectors.
 """
 
 from __future__ import annotations
@@ -167,10 +168,11 @@ def decode(
     ordered = sorted(profiles, key=lambda p: p.task_id)
     block = np.asarray(genes, dtype=np.int64)
     rows = np.atleast_2d(block)
-    m = len(cluster)
-    allocs = _allocations(
-        rows[:, :m], _repair(rows, m, np.array([p.kind == "REAL" for p in ordered]))
-    )
+    shares = _repair(rows, len(cluster), np.array([p.kind == "REAL" for p in ordered]))
+    allocs = [
+        sim.Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
+        for d, s in zip(rows[:, : len(cluster)].tolist(), shares.tolist())
+    ]
     return allocs if block.ndim == 2 else allocs[0]
 
 
@@ -190,14 +192,6 @@ def _repair(rows: np.ndarray, n_servers: int, is_real: np.ndarray) -> np.ndarray
 
     largest = 100 * (server == np.argmax(shares, axis=2)[..., None])
     return np.where(is_real[:, None], largest, rounded).astype(np.int64)
-
-
-def _allocations(modes: np.ndarray, shares: np.ndarray) -> list[sim.Allocation]:
-    """One allocation of Python ints per row of ``[U, M]`` modes and ``[U, N, M]`` shares."""
-    return [
-        sim.Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
-        for d, s in zip(modes.tolist(), shares.tolist())
-    ]
 
 
 def _row_bytes(block: np.ndarray) -> list[bytes]:
@@ -227,24 +221,18 @@ def gene_bounds(
     cluster: Sequence[sim.ClusterHost],
     config: EvolveConfig,
 ) -> GeneBounds:
-    n, m = len(profiles), len(cluster)
-    low = np.zeros(m + n * m, dtype=np.int64)
-    high = np.zeros(m + n * m, dtype=np.int64)
-    frozen = np.zeros(m + n * m, dtype=bool)
-    for j, host in enumerate(cluster):
-        k = len(host.spec.modes)
-        if config.max_mode_index is not None:
-            k = min(k, config.max_mode_index)
-        if config.policy == "MIN":
-            low[j] = high[j] = 1
-            frozen[j] = True
-        elif config.policy == "MAX":
-            low[j] = high[j] = k
-            frozen[j] = True
-        else:
-            low[j], high[j] = 1, k
-    high[m:] = 100 // config.share_step
-    return GeneBounds(low, high, frozen)
+    """Mode genes in ``1..k`` (k: the host's modes, at most ``max_mode_index``),
+    frozen at 1 (MIN) or k (MAX); share genes in ``0..100 // share_step``."""
+    k = np.array([len(h.spec.modes) for h in cluster], dtype=np.int64)
+    if config.max_mode_index is not None:
+        k = np.minimum(k, config.max_mode_index)
+    one, shares = np.ones_like(k), np.zeros(len(profiles) * len(k), dtype=np.int64)
+    return GeneBounds(
+        low=np.concatenate([k if config.policy == "MAX" else one, shares]),
+        high=np.concatenate([one if config.policy == "MIN" else k,
+                             shares + 100 // config.share_step]),
+        frozen=np.arange(len(k) + len(shares)) < len(k) * (config.policy != "VAR"),
+    )
 
 
 def single_point_crossover(
@@ -346,7 +334,6 @@ def evolve(
     ordered = context.arr.profiles
     bounds = gene_bounds(ordered, cluster, config)
     n_vars = bounds.low.shape[0]
-    mut_prob = 1.0 / n_vars
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n_servers = len(cluster)
     scale = np.where(np.arange(n_vars) < n_servers, 1, config.share_step)
@@ -361,7 +348,7 @@ def evolve(
         """Score a ``[P, G]`` population: every row's entry, and the entries of
         rows never seen before in first-seen order.  Those rows are repaired
         together; the allocations among them never scored are evaluated
-        together in one call."""
+        together, as one block of mode and share arrays."""
         genes = population * scale
         keys = _row_bytes(genes.astype(key_type))
         fresh = _first_seen(keys, cache)
@@ -376,8 +363,7 @@ def evolve(
             if unscored:
                 idx = list(unscored.values())
                 results = sim.evaluate_objectives(
-                    cluster, ordered, trace, _allocations(dvfs[idx], repaired[idx]),
-                    _context=context,
+                    cluster, ordered, trace, (dvfs[idx], repaired[idx]), _context=context
                 )
                 for key, (lam, energy_j, energy_u) in zip(unscored, results):
                     scores[key] = ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u
@@ -393,9 +379,7 @@ def evolve(
     modes = rng.integers(bounds.low[:n_servers], bounds.high[:n_servers] + 1,
                          size=(n_pop, n_servers))
     picked = rng.integers(n_servers, size=(n_pop, n_tasks, 1)) == np.arange(n_servers)
-    share_low = bounds.low[n_servers:].reshape(n_tasks, n_servers)
-    share_high = bounds.high[n_servers:].reshape(n_tasks, n_servers)
-    shares = np.where(picked, share_high, share_low).reshape(n_pop, -1)
+    shares = (picked * bounds.high[n_servers:].reshape(n_tasks, n_servers)).reshape(n_pop, -1)
     pop = np.concatenate([modes, shares], axis=1)
     evals, fresh = fitness(pop)
     ranks = nondominated_sort([e.objectives for e in evals])
@@ -418,7 +402,7 @@ def evolve(
         parents = pop[tournament_select(rng, ranks, crowd, 2 * n_pairs)]
         c1, c2 = single_point_crossover(parents[0::2], parents[1::2], rng, CROSSOVER_PROB)
         children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, n_vars)[:n_pop]
-        offspring = integer_flip_mutation(children, bounds, rng, mut_prob)
+        offspring = integer_flip_mutation(children, bounds, rng, 1.0 / n_vars)
         off_evals, fresh = fitness(offspring)
         for entry in fresh:
             archive.offer(entry)
@@ -453,12 +437,18 @@ def _front_point(p: _Scored, ordered, cluster) -> FrontPoint:
     return FrontPoint(allocation=decode(p.genes, ordered, cluster), **p._asdict())
 
 
+def _fronts(ranks: Sequence[int]) -> list[list[int]]:
+    """The indices of each rank, in index order; fronts in rank order."""
+    by_rank: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        by_rank.setdefault(r, []).append(i)
+    return [by_rank[r] for r in sorted(by_rank)]
+
+
 def _crowding_by_rank(objs: Sequence[ObjectiveVector], ranks: Sequence[int]) -> list[float]:
     crowd = [0.0] * len(objs)
-    for r in set(ranks):
-        idx = [i for i, rr in enumerate(ranks) if rr == r]
-        dist = crowding_distance([objs[i] for i in idx])
-        for i, d in zip(idx, dist):
+    for members in _fronts(ranks):
+        for i, d in zip(members, crowding_distance([objs[i] for i in members])):
             crowd[i] = d
     return crowd
 
@@ -473,12 +463,8 @@ def _environmental_selection(
     an earlier front, and earlier fronts are admitted whole.
     """
     ranks = nondominated_sort(objs)
-    by_rank: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        by_rank.setdefault(r, []).append(i)
     chosen: list[int] = []
-    for r in sorted(by_rank):
-        members = by_rank[r]
+    for members in _fronts(ranks):
         if len(chosen) + len(members) <= k:
             chosen.extend(members)
         else:

@@ -21,6 +21,8 @@ arrays with the tasks in id order and their REAL/CTRL masks, the ``[host,
 mode]`` energy tables, each host's ``cpi``, every task's soft constraints and
 the scoring arguments.  ``evaluate_objectives(..., _context=)`` takes one in
 place of its cluster, profiles, trace and keyword arguments.
+``evaluate_objectives`` also scores a block of ``[U, M]`` mode and ``[U, N, M]``
+share arrays; the mode range, share sum and REAL rules are one array check.
 """
 
 from __future__ import annotations
@@ -102,53 +104,77 @@ def validate_allocation(
     alloc: Allocation,
     profiles: Sequence[TaskProfile],
     cluster: Sequence[ClusterHost],
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
+    """``alloc`` as a one-row block (``[1, M]`` modes, ``[1, N, M]`` shares) once
+    it passes what a block cannot hold (lengths, ragged rows, values that are
+    not Python or numpy integers, a bool included) and :func:`_check_rules`."""
     n, m = len(profiles), len(cluster)
     if len(alloc.dvfs) != m:
         raise InvalidAllocationError(f"expected {m} mode genes, got {len(alloc.dvfs)}")
     if len(alloc.shares) != n:
         raise InvalidAllocationError(f"expected {n} share rows, got {len(alloc.shares)}")
+    if any(len(row) != m for row in alloc.shares):
+        raise InvalidAllocationError("share row length mismatch")
     ordered = sorted(profiles, key=lambda p: p.task_id)
-    # Plain ints are the common case; only otherwise look for the culprit.
-    if not {type(v) for row in (alloc.dvfs, *alloc.shares) for v in row} <= {int}:
-        _check_integers(alloc, ordered, cluster)
     for k, host in zip(alloc.dvfs, cluster):
-        if not 1 <= k <= len(host.spec.modes):
-            raise InvalidAllocationError(
-                f"mode index {k} out of range for server {host.spec.server_id}"
-            )
-    for p, row in zip(ordered, alloc.shares):
-        if len(row) != m:
-            raise InvalidAllocationError("share row length mismatch")
-        if sum(row) != 100 or min(row) < 0:
-            raise InvalidAllocationError(
-                f"task {p.task_id}: shares must be >= 0 and sum to 100, got {list(row)}"
-            )
-        if p.kind == "REAL" and sum(1 for s in row if s > 0) != 1:
-            raise InvalidAllocationError(
-                f"task {p.task_id}: REAL tasks must run on a single host"
-            )
-
-
-def _check_integers(
-    alloc: Allocation, ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost]
-) -> None:
-    """Name the first mode or share that is not a Python or numpy integer (a
-    bool is not one)."""
-
-    def integral(value) -> bool:
-        return type(value) is int or isinstance(value, np.integer)
-
-    for k, host in zip(alloc.dvfs, cluster):
-        if not integral(k):
+        if not (type(k) is int or isinstance(k, np.integer)):
             raise InvalidAllocationError(
                 f"server {host.spec.server_id}: mode index {k!r} is not an integer"
             )
     for p, row in zip(ordered, alloc.shares):
-        if not all(map(integral, row)):
+        if not all(type(v) is int or isinstance(v, np.integer) for v in row):
             raise InvalidAllocationError(
                 f"task {p.task_id}: shares must be integers, got {list(row)}"
             )
+    # Python ints, so that a value past int64 is checked and named as written.
+    modes, shares = np.array([alloc.dvfs], object), np.array(alloc.shares, object).reshape(1, n, m)
+    _check_rules(ordered, cluster, modes, shares)
+    return modes.astype(np.int64), shares.astype(np.int64)
+
+
+def _check_block(ctx: _Context, block) -> tuple[np.ndarray, np.ndarray]:
+    """``block`` as ``(modes, shares)`` arrays once they have integer dtypes, the
+    shapes ``[U, M]`` and ``[U, N, M]``, and pass :func:`_check_rules`."""
+    if len(block) != 2:
+        raise InvalidAllocationError(
+            f"expected an Allocation or a (modes, shares) pair, got {len(block)} items"
+        )
+    modes, shares = (np.asarray(a) for a in block)
+    ordered, cluster = ctx.arr.profiles, ctx.cluster
+    n, m = len(ordered), len(cluster)
+    if modes.ndim != 2 or modes.shape[1] != m or shares.shape != (len(modes), n, m):
+        raise InvalidAllocationError(f"expected [U, {m}] modes and [U, {n}, {m}] shares, "
+                                     f"got {modes.shape} and {shares.shape}")
+    if not {modes.dtype.kind, shares.dtype.kind} <= {"i", "u"}:  # name the first bad value
+        first = (f"server {cluster[0].spec.server_id}: mode indices"
+                 if modes.dtype.kind not in "iu" else f"task {ordered[0].task_id}: shares")
+        raise InvalidAllocationError(f"{first} must be integers, got {modes.dtype}/{shares.dtype}")
+    _check_rules(ordered, cluster, modes, shares)
+    return modes, shares
+
+
+def _check_rules(ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost],
+                 modes: np.ndarray, shares: np.ndarray) -> None:
+    """Each mode in ``1..len(modes)`` of its host, each share row >= 0 summing
+    to 100, each REAL row on one host; else name the first bad server, then
+    task, of the first bad row (the row's index only in a longer block)."""
+    # A share > 100 is flagged too, so that no int64 row sum can wrap to 100.
+    bad_sum = (shares.sum(axis=2) != 100) | ((shares < 0) | (shares > 100)).any(axis=2)
+    split = np.array([p.kind == "REAL" for p in ordered]) & ((shares > 0).sum(axis=2) != 1)
+    bad_mode = (modes < 1) | (modes > [len(h.spec.modes) for h in cluster])
+    bad = np.concatenate([bad_mode, bad_sum | split], axis=1)
+    if bad.any():
+        u, j = divmod(int(bad.argmax()), bad.shape[1])
+        t, where = j - len(cluster), f"row {u}: " if len(bad) > 1 else ""
+        if t < 0:
+            raise InvalidAllocationError(f"{where}mode index {modes[u].tolist()[j]} out of range "
+                                         f"for server {cluster[j].spec.server_id}")
+        where += f"task {ordered[t].task_id}: "
+        if bad_sum[u, t]:
+            raise InvalidAllocationError(
+                f"{where}shares must be >= 0 and sum to 100, got {shares[u, t].tolist()}"
+            )
+        raise InvalidAllocationError(f"{where}REAL tasks must run on a single host")
 
 
 def _task_counts(
@@ -420,7 +446,7 @@ def evaluate_objectives(
     cluster: Sequence[ClusterHost],
     profiles: Sequence[TaskProfile],
     trace: JobTrace,
-    alloc: Allocation | Sequence[Allocation],
+    alloc: Allocation | tuple[np.ndarray, np.ndarray],
     *,
     soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None = None,
     hard_miss_weight: int = HARD_MISS_WEIGHT,
@@ -428,34 +454,32 @@ def evaluate_objectives(
     energy_unit_j: float = ENERGY_UNIT_J,
     _context: _Context | None = None,
 ) -> tuple[int, float, float] | list[tuple[int, float, float]]:
-    """``(lambda, energy_J, energy_units)`` of an allocation, or a list of them.
+    """``(lambda, energy_J, energy_units)`` of an allocation, or of each row of a block.
 
     Same numbers as :func:`evaluate_allocation` without materializing per-job
-    outcome records or the constraint report.  Given a sequence of
-    allocations, returns a list with one triple per allocation, each equal to
-    evaluating that allocation alone; the whole batch shares one FIFO scan.
+    outcome records or the constraint report.  A block, ``[U, M]`` mode and
+    ``[U, N, M]`` share arrays (tasks in id order), gives a list with one
+    triple per row, each equal to scoring that row alone; they share one scan.
     """
     ctx = _context or _prepare(cluster, profiles, trace, soft_constraints,
                                hard_miss_weight, dyn_energy_form, energy_unit_j)
-    allocs = [alloc] if isinstance(alloc, Allocation) else list(alloc)
-    for a in allocs:
-        validate_allocation(a, ctx.arr.profiles, ctx.cluster)
-    if not allocs:
+    single = isinstance(alloc, Allocation)
+    modes, shares = (validate_allocation(alloc, ctx.arr.profiles, ctx.cluster) if single
+                     else _check_block(ctx, alloc))
+    if not len(modes):
         return []
-    completion, dynamic_j, leakage_j, *_ = _run(
-        ctx, np.array([a.dvfs for a in allocs]), np.array([a.shares for a in allocs])
-    )
+    completion, dynamic_j, leakage_j, *_ = _run(ctx, modes, shares)
     # Padded slots have deadline +inf, so they are never late.  The scan
     # aborts a control job exactly when it overran.
     overrun = np.subtract(completion.transpose(0, 2, 1), ctx.arr.pad_deadlines.T, order="C")
     counts = _task_counts(ctx, overrun, (overrun > 0) & ctx.arr.is_ctrl[:, None])
-    energy = np.zeros(len(allocs))
+    energy = np.zeros(len(modes))
     for m in range(len(ctx.cluster)):  # host by host: dynamic, then leakage
         energy += dynamic_j[:, m]
         energy += leakage_j[:, m]
-    lam = [penalty[0] for penalty in _fold_lam(ctx, counts)]
-    out = list(zip(lam, energy.tolist(), (energy / ctx.energy_unit_j).tolist()))
-    return out[0] if isinstance(alloc, Allocation) else out
+    out = [(penalty[0], e, e / ctx.energy_unit_j)
+           for penalty, e in zip(_fold_lam(ctx, counts), energy.tolist())]
+    return out[0] if single else out
 
 
 def evaluate_allocation(
@@ -472,18 +496,17 @@ def evaluate_allocation(
     """Evaluate one allocation against a trace; pure function of its inputs."""
     ctx = _prepare(cluster, profiles, trace, soft_constraints, hard_miss_weight,
                    dyn_energy_form, energy_unit_j)
-    validate_allocation(alloc, ctx.arr.profiles, ctx.cluster)
+    modes, shares = validate_allocation(alloc, ctx.arr.profiles, ctx.cluster)
     arr = ctx.arr
-    padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(
-        ctx, np.array([alloc.dvfs]), np.array([alloc.shares])
-    )
+    padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(ctx, modes, shares)
     completion = padded[0, arr.slot, arr.task_of_job]
 
+    mode_of = modes[0].tolist()  # Python ints, as the JSON writers need
     servers = [
         ServerOutcome(
             server_id=host.spec.server_id,
-            mode_index=alloc.dvfs[mi],
-            busy_time_s=n_exec * host.spec.cpi / ctx.tables[0, mi, alloc.dvfs[mi] - 1].item(),
+            mode_index=mode_of[mi],
+            busy_time_s=n_exec * host.spec.cpi / ctx.tables[0, mi, mode_of[mi] - 1].item(),
             utilization_sum=float(u[0, :, mi].sum()),
             executed_instructions=n_exec,
             dynamic_energy_j=dyn_j,
@@ -500,7 +523,7 @@ def evaluate_allocation(
     aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
     task_servers = tuple(
         (p.task_id, tuple(mi for mi, share in enumerate(row) if share > 0))
-        for p, row in zip(arr.profiles, alloc.shares)
+        for p, row in zip(arr.profiles, shares[0].tolist())
     )
     return _assemble_result(ctx, start, completion, aborted, servers, task_servers)
 
@@ -577,8 +600,7 @@ def edf_schedule(
             arrivals, deadlines, works, rate, start, completion, aborted,
         )
         util_sum = 0.0
-        for i in local:
-            p = arr.profiles[i]
+        for p in (arr.profiles[i] for i in local):
             util_sum += (spec.cpi * p.n_instructions / freq) / p.period_s
         servers.append(
             ServerOutcome(
@@ -661,19 +683,3 @@ def _edf_host(
             remaining[k] = left
         t = max(t, event)
     return executed
-
-
-__all__ = [
-    "Allocation",
-    "ClusterHost",
-    "EvaluationResult",
-    "JobOutcome",
-    "ServerOutcome",
-    "HARD_MISS_WEIGHT",
-    "ENERGY_UNIT_J",
-    "evaluate_allocation",
-    "evaluate_objectives",
-    "edf_schedule",
-    "validate_allocation",
-    "trace_arrays",
-]

@@ -153,6 +153,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(alloc) in err and field in err
 
+    @pytest.mark.parametrize(
+        "dvfs, row, message",
+        [
+            ([1, 1, 1], [10**30, 100 - 10**30, 0],
+             "task 0: shares must be >= 0 and sum to 100, got "
+             "[1000000000000000000000000000000, -999999999999999999999999999900, 0]"),
+            ([2**63, 1, 1], [100, 0, 0],
+             "mode index 9223372036854775808 out of range for server 0"),
+        ],
+        ids=["share-past-int64", "mode-past-int64"],
+    )
+    def test_integer_past_int64_is_named(self, tmp_path, capsys, dvfs, row, message):
+        # Such values do not fit an int64 block; the message quotes the file's ints.
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"dvfs": dvfs, "shares": [row] + [[100, 0, 0]] * 8}))
+        rc = main(["simulate", "--scenario", str(FIXTURES / "scenario_amd.json"),
+                   "--allocation", str(alloc), "--out", str(tmp_path / "x")])
+        assert rc == 4
+        assert f"error: {message}\n" == capsys.readouterr().err
+
     def test_jobs_csv_columns(self, scenario, tmp_path):
         alloc = tmp_path / "alloc.json"
         alloc.write_text(

@@ -576,8 +576,8 @@ class TestEvolveBasics:
     @staticmethod
     def count_decodes_and_evaluations(monkeypatch):
         """Record the gene rows repaired (for scoring, and through ``decode``)
-        and the allocations passed to ``evaluate_objectives`` (one call may
-        score many)."""
+        and, as ``Allocation``s, the rows of the blocks passed to
+        ``evaluate_objectives`` (one call may score many)."""
         seen = {"decoded": [], "evaluated": 0, "allocations": []}
         repair = nsga._repair
 
@@ -585,11 +585,14 @@ class TestEvolveBasics:
             seen["decoded"].extend(map(tuple, rows.tolist()))
             return repair(rows, *args)
 
-        def evaluate_wrapper(cluster, profiles, trace, allocs, **kwargs):
-            allocs = [allocs] if isinstance(allocs, Allocation) else list(allocs)
-            seen["evaluated"] += len(allocs)
-            seen["allocations"].extend(allocs)
-            return evaluate_objectives(cluster, profiles, trace, allocs, **kwargs)
+        def evaluate_wrapper(cluster, profiles, trace, block, **kwargs):
+            modes, shares = block
+            seen["evaluated"] += len(modes)
+            seen["allocations"].extend(
+                Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
+                for d, s in zip(modes.tolist(), shares.tolist())
+            )
+            return evaluate_objectives(cluster, profiles, trace, block, **kwargs)
 
         monkeypatch.setattr(nsga, "_repair", repair_wrapper)
         monkeypatch.setattr(sim, "evaluate_objectives", evaluate_wrapper)
@@ -619,6 +622,24 @@ class TestEvolveBasics:
         assert len(allocs) < len(scored)  # some rows repair to one allocation
         for p in result.front:
             assert p.allocation == decode(p.genes, profiles, cluster)
+
+    def test_allocations_are_built_only_for_the_front(self, monkeypatch):
+        # The search scores mode and share arrays; only decode, for the
+        # returned front, builds Allocation objects.
+        built = []
+
+        class CountedAllocation(Allocation):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "Allocation", CountedAllocation)
+        s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        trace = generate_jobs(s.profiles, 1, s.phase_policy)
+        cfg = dataclasses.replace(s.optimizer, seed=1, population=20, generations=10)
+        result = evolve(list(s.cluster), list(s.profiles), trace, cfg,
+                        soft_constraints=s.soft_constraints)
+        assert len(built) == len(result.front) >= 1
 
     def test_identical_offspring_in_one_generation_are_scored_once(self, monkeypatch):
         # Every pair of children leaves mutation as the same chromosome,

@@ -1,6 +1,8 @@
 """Cluster simulator: closed-form cases, conservation laws, EDF baseline."""
 
+import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_spec
 from greensched._kernels import scan_jobs, scan_population
 from greensched.errors import InvalidAllocationError, InvalidArgumentError
-from greensched.nsga import EvolveConfig, decode, evolve
+from greensched.nsga import EvolveConfig, _repair, decode, evolve
 from greensched.power import (
     DYN_ENERGY_FORMS,
     DvfsMode,
@@ -44,6 +46,18 @@ def host(f_hz=1e9, cpi=1.0, n_modes=1):
 def trace_of(jobs):
     horizon = max(j.deadline_s for j in jobs) + 1.0
     return JobTrace(tuple(jobs), rng_seed=0, horizon_s=horizon)
+
+
+def stack(allocs, profiles, cluster):
+    """``allocs`` as one block: ``[U, M]`` mode and ``[U, N, M]`` share arrays."""
+    u, n, m = len(allocs), len(profiles), len(cluster)
+    return (np.array([a.dvfs for a in allocs], dtype=np.int64).reshape(u, m),
+            np.array([a.shares for a in allocs], dtype=np.int64).reshape(u, n, m))
+
+
+def row_allocation(modes, shares, u):
+    """Row ``u`` of a block as an ``Allocation`` of the block's values."""
+    return Allocation(dvfs=tuple(modes[u].tolist()), shares=tuple(map(tuple, shares[u].tolist())))
 
 
 class TestValidateAllocation:
@@ -125,6 +139,8 @@ class TestAllocationTypes:
         )
         got, want = (evaluate(cluster, profiles, trace, a) for a in (numpy_ints, plain))
         if evaluate is evaluate_allocation:
+            # repr tells np.int64(2), which json.dumps rejects, from 2.
+            assert repr(got.per_server) == repr(want.per_server)
             got, want = (got.lam, got.energy_j), (want.lam, want.energy_j)
         assert got == want
 
@@ -336,12 +352,13 @@ class TestPopulationBatch:
     def test_batch_equals_one_by_one_on_random_traces(self, instance, form):
         cluster, profiles, trace, soft, allocs = instance
         kw = {"soft_constraints": soft, "dyn_energy_form": form}
-        batch = evaluate_objectives(cluster, profiles, trace, allocs, **kw)
+        block = stack(allocs, profiles, cluster)
+        batch = evaluate_objectives(cluster, profiles, trace, block, **kw)
         assert batch == [
             evaluate_objectives(cluster, profiles, trace, a, **kw) for a in allocs
         ]
         prepared = _prepare(cluster, profiles, trace, **kw)
-        assert evaluate_objectives(cluster, profiles, trace, allocs, _context=prepared) == batch
+        assert evaluate_objectives(cluster, profiles, trace, block, _context=prepared) == batch
 
     @settings(max_examples=100, deadline=None)
     @given(instance=random_instance(), seed=st.integers(0, 2**32 - 1))
@@ -364,12 +381,101 @@ class TestPopulationBatch:
             )
             assert np.array_equal(executed[p], want_executed)
 
-    def test_one_allocation_in_a_list_returns_a_list(self):
+    def test_block_of_one_returns_a_list(self):
         s, trace, arr = bundled("amd")
         alloc = decode([1, 1, 1] + [100, 0, 0] * len(s.profiles), s.profiles, s.cluster)
         single = evaluate_objectives(s.cluster, s.profiles, trace, alloc)
-        assert evaluate_objectives(s.cluster, s.profiles, trace, [alloc]) == [single]
-        assert evaluate_objectives(s.cluster, s.profiles, trace, []) == []
+        one, empty = (stack(allocs, s.profiles, s.cluster) for allocs in ([alloc], []))
+        assert evaluate_objectives(s.cluster, s.profiles, trace, one) == [single]
+        assert evaluate_objectives(s.cluster, s.profiles, trace, empty) == []
+
+
+@st.composite
+def repaired_block(draw):
+    """A ``random_instance`` with distinct server ids and a valid block: random
+    in-range modes and shares that ``nsga._repair`` made of random share genes."""
+    cluster, profiles, trace, soft, _ = draw(random_instance())
+    cluster = [dataclasses.replace(h, spec=dataclasses.replace(h.spec, server_id=10 + i))
+               for i, h in enumerate(cluster)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, n, m = draw(st.integers(1, 8)), len(profiles), len(cluster)
+    modes = np.column_stack([rng.integers(1, len(h.spec.modes) + 1, u) for h in cluster])
+    genes = rng.integers(0, draw(st.sampled_from([2, 4, 101])), (u, m + n * m))
+    shares = _repair(genes, m, np.array([p.kind == "REAL" for p in profiles]))
+    return cluster, profiles, trace, soft, modes, shares
+
+
+def named(message):
+    """The servers and tasks an error message names."""
+    return re.findall(r"\b(?:server|task) -?\d+", message)
+
+
+class TestBlockCheck:
+    @settings(max_examples=100, deadline=None)
+    @given(instance=repaired_block())
+    def test_repaired_block_scores_equal_one_by_one(self, instance):
+        cluster, profiles, trace, soft, modes, shares = instance
+        batch = evaluate_objectives(cluster, profiles, trace, (modes, shares),
+                                    soft_constraints=soft)
+        assert batch == [
+            evaluate_objectives(cluster, profiles, trace, row_allocation(modes, shares, u),
+                                soft_constraints=soft)
+            for u in range(len(modes))
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=repaired_block(), data=st.data())
+    def test_invalid_block_names_what_validate_allocation_names(self, instance, data):
+        cluster, profiles, trace, soft, modes, shares = instance
+        n, m = len(profiles), len(cluster)
+        u = data.draw(st.integers(0, len(modes) - 1), label="row")
+        t = data.draw(st.integers(0, n - 1), label="task")
+        real = [i for i, p in enumerate(profiles) if p.kind == "REAL"]
+        cases = ["mode", "negative-share", "sum", "float-modes", "float-shares",
+                 "shape"] + ["real-split"] * bool(real and m >= 2)
+        case = data.draw(st.sampled_from(cases), label="case")
+        k = data.draw(st.integers(1, 50), label="delta")
+        if case == "mode":
+            j = data.draw(st.integers(0, m - 1), label="server")
+            modes[u, j] = data.draw(st.sampled_from([0, -k, len(cluster[j].spec.modes) + k]))
+        elif case == "negative-share":
+            shares[u, t] = 0
+            shares[u, t, -1] = 100 + k
+            shares[u, t, 0] = -k  # with one host, the row is just [-k]
+        elif case == "sum":
+            shares[u, t, data.draw(st.integers(0, m - 1), label="server")] += k
+        elif case == "real-split":
+            t = data.draw(st.sampled_from(real), label="real task")
+            shares[u, t] = 0
+            shares[u, t, :2] = (k, 100 - k)
+        elif case == "float-modes":
+            modes = modes.astype(float)
+        elif case == "float-shares":
+            shares = shares.astype(float)
+        else:
+            modes, shares = data.draw(st.sampled_from([  # a server, a task, a share column short
+                (modes[:, :-1], shares), (modes, shares[:, :-1]), (modes, shares[:, :, :-1]),
+            ]), label="shapes")
+        if case in ("mode", "negative-share", "sum", "real-split") and data.draw(st.booleans()):
+            modes[u + 1:, 0] = 0  # later rows are bad too; the block names row u
+        with pytest.raises(InvalidAllocationError) as block_error:
+            evaluate_objectives(cluster, profiles, trace, (modes, shares), soft_constraints=soft)
+        with pytest.raises(InvalidAllocationError) as row_error:
+            validate_allocation(row_allocation(modes, shares, u), profiles, cluster)
+        block_message, row_message = str(block_error.value), str(row_error.value)
+        assert named(block_message) == named(row_message)
+        if case in ("mode", "negative-share", "sum", "real-split"):
+            assert block_message == (f"row {u}: " if len(modes) > 1 else "") + row_message
+
+    def test_row_sum_that_wraps_in_int64_is_rejected(self):
+        # 2 * (2**63 - 1) + 102 wraps to 100 in int64, though every share is >= 0.
+        s, trace, _ = bundled("amd")
+        modes, shares = stack([decode([1, 1, 1] + [100, 0, 0] * 9, s.profiles, s.cluster)] * 2,
+                              s.profiles, s.cluster)
+        shares[1, 4] = (2**63 - 1, 2**63 - 1, 102)
+        assert shares[1, 4].sum() == 100
+        with pytest.raises(InvalidAllocationError, match=r"^row 1: task 4: shares must be >= 0"):
+            evaluate_objectives(s.cluster, s.profiles, trace, (modes, shares))
 
 
 def assert_scan_population_matches_scan_jobs(arr, dur_coef):
@@ -674,7 +780,8 @@ class TestHardMissPenalty:
         alloc = Allocation(dvfs=(1,), shares=((100,),))
         args = (cluster, profiles, trace_of(jobs))
         lam, _, _ = evaluate_objectives(*args, alloc, hard_miss_weight=10**18)
-        [batched] = evaluate_objectives(*args, [alloc], hard_miss_weight=10**18)
+        [batched] = evaluate_objectives(*args, stack([alloc], profiles, cluster),
+                                        hard_miss_weight=10**18)
         full = evaluate_allocation(*args, alloc, hard_miss_weight=10**18)
         assert lam == batched[0] == full.lam == 10 * 10**18
 
@@ -704,9 +811,11 @@ def _evolve_with(cluster, profiles, trace, soft_constraints=None, **config_field
 
 
 EVALUATORS = {
-    "objectives-empty-list": lambda *args, alloc, **kw: evaluate_objectives(*args, [], **kw),
+    "objectives-empty-block": lambda cluster, profiles, trace, alloc, **kw: evaluate_objectives(
+        cluster, profiles, trace, stack([], profiles, cluster), **kw),
     "objectives-one": lambda *args, alloc, **kw: evaluate_objectives(*args, alloc, **kw),
-    "objectives-list-of-one": lambda *args, alloc, **kw: evaluate_objectives(*args, [alloc], **kw),
+    "objectives-block-of-one": lambda cluster, profiles, trace, alloc, **kw: evaluate_objectives(
+        cluster, profiles, trace, stack([alloc], profiles, cluster), **kw),
     "allocation": lambda *args, alloc, **kw: evaluate_allocation(*args, alloc, **kw),
     "edf": lambda *args, alloc, **kw: edf_schedule(*args, **kw),
     "evolve": lambda *args, alloc, **kw: _evolve_with(*args, **kw),
