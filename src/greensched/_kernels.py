@@ -12,7 +12,10 @@ only the jobs that wait, in waves along each task's queue, and falls back to
 stepping over the job slots when the waves grow past one job per (member,
 task) column.  A job's end is its completion capped at its deadline for
 control tasks; which control jobs aborted, and the instructions every task
-executed, are derived from the completions afterwards.  Both scans are plain
+executed, are derived from the completions afterwards: a column without an
+aborted job executed the per-trace sum of its works, so the executed
+fractions are computed only for the (member, control column) pairs gathered
+where a job would have completed past its deadline.  Both scans are plain
 Python over numpy arrays.
 """
 
@@ -107,6 +110,13 @@ def scan_population(
        the slot loop of the recursion finishes the scan from the earliest
        slot still holding a queued job.  No later wave would touch a slot
        before it, so those slots are final.
+
+    Executed counts: each column starts from the per-trace sum of its works,
+    which is exact for every column whose jobs all ran in full.  Only the
+    (member, control column) pairs holding a job that would complete past
+    its deadline are gathered into a ``[K, pairs]`` block, where each job's
+    start and executed fraction follow ``scan_jobs``; when no pair is late,
+    this tail is skipped.
     """
     # Sweep: each job's duration, plus its arrival.
     np.multiply(works, dur_coef[:, None, :], out=completion_out)
@@ -154,19 +164,27 @@ def scan_population(
 
     # Sums over jobs by accumulate, which adds in job order at every shape;
     # a reduce pairs the additions when the other axes hold one element.
+    # Every job that ran in full adds its work times 1.0, which is its work,
+    # so a column with no aborted job executed this per-trace sum.
     executed_out[...] = np.add.accumulate(works, axis=0)[-1]
-    # Control columns: each job's start (its arrival, or its predecessor's
-    # capped end if later) and executed fraction, by scan_jobs' expressions.
+    # The (member, control column) pairs where a job aborted: it would have
+    # completed past its deadline.
     ctrl = np.flatnonzero(is_ctrl)
-    completion = completion_out[:, :, ctrl].transpose(1, 0, 2)  # [K, P, C]
-    duration = works[:, None, ctrl] * dur_coef[:, ctrl]
-    deadline = deadlines[:, None, ctrl]
+    p, c = np.nonzero((completion_out[:, :, ctrl] > deadlines[:, ctrl]).any(axis=1))
+    if not p.size:
+        return
+    t = ctrl[c]
+    # Their jobs' starts (each arrival, or the predecessor's capped end if
+    # later) and executed fractions, by scan_jobs' expressions, over [K, pairs].
+    completion = completion_out[p, :, t].T
+    duration = works[:, t] * dur_coef[p, t]
+    deadline = deadlines[:, t]
     start = np.empty_like(completion)
     start[0] = -np.inf
     np.minimum(completion[:-1], deadline[:-1], out=start[1:])
-    np.maximum(start, arrivals[:, None, ctrl], out=start)
+    np.maximum(start, arrivals[:, t], out=start)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (deadline - start) / duration
     frac = np.where(frac < 0.0, 0.0, frac)
     frac = np.where(completion > deadline, np.where(duration > 0.0, frac, 1.0), 1.0)
-    executed_out[:, ctrl] = np.add.accumulate(works[:, None, ctrl] * frac, axis=0)[-1]
+    executed_out[p, t] = np.add.accumulate(works[:, t] * frac, axis=0)[-1]

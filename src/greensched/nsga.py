@@ -23,6 +23,7 @@ the distinct objective vectors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -75,6 +76,8 @@ class EvolveConfig:
             raise ConfigurationError("generations must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.stop_window < 1:
+            raise ConfigurationError(f"stop_window must be >= 1, got {self.stop_window}")
         if self.max_mode_index is not None and self.max_mode_index < 1:
             raise ConfigurationError("max_mode_index must be >= 1")
         if self.dyn_energy_form not in DYN_ENERGY_FORMS:
@@ -105,31 +108,24 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
     """Rank per point: 0 = non-dominated, r = non-dominated after removing < r.
 
-    Two objectives allow one sweep (Jensen 2003): visit points in (lam,
-    scaled energy) order and put each in the first front whose latest member
-    does not dominate it.  Every dominator of a point is visited before it,
-    the latest member of a front has that front's smallest energy so far, and
-    the fronts that dominate a point form a prefix of the front list.  Equal
-    points share a rank, so the sweep visits each distinct point once.
+    Two objectives allow one sweep (Jensen 2003): visit the distinct points in
+    (lam, scaled energy) order and put each in the first front whose latest
+    member does not dominate it; equal points share a rank.  Every dominator
+    of a point is visited before it, so each front's latest member precedes
+    the point in that order and dominates it exactly when its energy is not
+    larger.  The latest energies never decrease from front to front, so a
+    binary search (``bisect_right``) finds the first front that does not.
     """
     keys = [(p.lam, p.scaled_energy_j) for p in points]  # ObjectiveVector's order
     rank_of: dict[tuple[int, float], int] = {}
-    latest: list[tuple[int, float]] = []  # latest member of each front
+    latest: list[float] = []  # energy of each front's latest member
     for key in sorted(set(keys)):
-        lam, energy = key
-        r = 0
-        for front_lam, front_energy in latest:  # inlined ``dominates``
-            if not (
-                front_lam <= lam
-                and front_energy <= energy
-                and (front_lam < lam or front_energy < energy)
-            ):
-                break
-            r += 1
+        energy = key[1]
+        r = bisect_right(latest, energy)
         if r == len(latest):
-            latest.append(key)
+            latest.append(energy)
         else:
-            latest[r] = key
+            latest[r] = energy
         rank_of[key] = r
     return [rank_of[key] for key in keys]
 

@@ -154,6 +154,9 @@ def load_scenario(
         generations = opt.get("generations", 25_000).integer()
     if policy is None:
         policy = opt.get("policy", doc.get("policy", "VAR")).string()
+    stop_window = opt.get("stop_window", 500)
+    if stop_window.integer() < 1:
+        raise stop_window.error(f"must be >= 1, got {stop_window.value}")
     phase = doc.get("phase_policy", "zero")
     if phase.string() not in PHASE_POLICIES:
         raise phase.error(f"{phase.value!r} is not one of {PHASE_POLICIES}")
@@ -162,7 +165,7 @@ def load_scenario(
         generations=generations,
         seed=seed,
         policy=policy.upper(),
-        stop_window=opt.get("stop_window", 500).integer(),
+        stop_window=stop_window.value,
         share_step=opt.get("share_step", 1).integer(),
         max_mode_index=max_mode_index,
         dyn_energy_form=doc.get("dyn_energy_form", "as-written").string(),

@@ -18,9 +18,10 @@ executed instruction counts only.
 Each evaluator call (and each ``evolve`` run) checks its arguments once in
 :func:`_prepare`, which builds the context all evaluation reads: the trace
 arrays with the tasks in id order and their REAL/CTRL masks, the ``[host,
-mode]`` energy tables, each host's ``cpi``, every task's soft constraints and
-the scoring arguments.  ``evaluate_objectives(..., _context=)`` takes one in
-place of its cluster, profiles, trace and keyword arguments.
+mode]`` energy tables, each host's ``cpi``, every task's soft constraints (and
+every bound's task, ``x`` and ``beta`` as arrays) and the scoring arguments.
+``evaluate_objectives(..., _context=)`` takes one in place of its cluster,
+profiles, trace and keyword arguments.
 ``evaluate_objectives`` also scores a block of ``[U, M]`` mode and ``[U, N, M]``
 share arrays; the mode range, share sum and REAL rules are one array check.
 """
@@ -178,21 +179,30 @@ def _check_rules(ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost],
 
 
 def _task_counts(
-    ctx: _Context, overrun: np.ndarray, aborted: np.ndarray
+    ctx: _Context, completion: np.ndarray, aborted: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-task hard misses, control aborts and soft violations, three ``[P, T]`` arrays.
 
-    ``overrun`` and ``aborted`` are ``[P, task, slot]``, the scan's layout
-    transposed so that sums over jobs run along a contiguous axis.  A padded
-    slot must hold overrun -inf (or NaN) and no abort.  Aborts are an input,
-    not derived from overruns: an EDF abort can round to overrun 0.
+    ``completion`` holds the would-be completions in the scan's ``[P, slot,
+    task]`` layout; a padded slot's deadline is +inf, so it is never late.
+    ``aborted`` (same layout, no abort in a padded slot) flags the aborted
+    control jobs; without it a control job aborted exactly when it was late,
+    as in the scan.  An EDF abort can round to overrun 0, so it is passed.
     """
-    hard = np.where(ctx.arr.is_real, (overrun > 0).sum(axis=2), 0)
-    soft = np.zeros_like(hard)
-    for ti, bounds in enumerate(ctx.soft):
-        for c in bounds:
-            soft[:, ti] += (overrun[:, ti] > c.x_s).sum(axis=1) / ctx.arr.n_jobs[ti] > c.beta
-    return hard, aborted.sum(axis=2), soft
+    arr = ctx.arr
+    # Counts of bools are exact in any order; a sum along the contiguous axis
+    # of a transposed copy is faster than one along the slot axis.
+    late = np.ascontiguousarray((completion > arr.pad_deadlines).transpose(0, 2, 1))
+    n_late = late.sum(axis=2)
+    aborts = np.where(arr.is_ctrl, n_late, 0) if aborted is None else aborted.sum(axis=1)
+    # Every soft bound at once: its task's jobs late by more than x_s, as a
+    # fraction of the task's jobs, against beta; then summed per task.
+    over = completion[:, :, ctx.soft_task] - arr.pad_deadlines[:, ctx.soft_task] > ctx.soft_x
+    n_over = np.ascontiguousarray(over.transpose(0, 2, 1)).sum(axis=2)
+    soft = np.zeros_like(n_late)
+    np.add.at(soft, (slice(None), ctx.soft_task),
+              n_over / arr.n_jobs[ctx.soft_task] > ctx.soft_beta)
+    return np.where(arr.is_real, n_late, 0), aborts, soft
 
 
 def _fold_lam(ctx: _Context, counts: tuple[np.ndarray, ...]) -> list[tuple[int, int, int, int]]:
@@ -218,9 +228,9 @@ def _assemble_result(
     overran its deadline or was aborted.
     """
     arr = ctx.arr
-    overrun = completion - arr.deadlines
-    counts = _task_counts(ctx, arr.pad(overrun, -np.inf).T[None], arr.pad(aborted, False).T[None])
+    counts = _task_counts(ctx, arr.pad(completion, -np.inf)[None], arr.pad(aborted, False)[None])
     [(lam, hard_misses, control_aborts, soft_violations)] = _fold_lam(ctx, counts)
+    overrun = completion - arr.deadlines
     overruns, missed = overrun.tolist(), ((overrun > 0) | aborted).tolist()
     columns = (  # in JobOutcome field order
         [arr.task_ids[ti] for ti in arr.task_of_job.tolist()],
@@ -353,6 +363,10 @@ class _Context:
     tables: np.ndarray  # [3, M, K], K the most modes of any host
     cpi: np.ndarray  # per host
     soft: tuple[tuple[tk.LatenessConstraint, ...], ...]  # per task; () unless SOFT
+    # Every soft bound, task by task: its task's index, x_s and beta.
+    soft_task: np.ndarray
+    soft_x: np.ndarray
+    soft_beta: np.ndarray
     hard_miss_weight: int
     dyn_energy_form: str
     energy_unit_j: float
@@ -390,10 +404,14 @@ def _prepare(
              pw.leakage_power(spec, mode, host.thermal) * spec.cpi / mode.frequency_hz)
             for mode in spec.modes
         ])
+    soft = tuple(tuple(soft_constraints.get(p.task_id, DEFAULT_SOFT_CONSTRAINTS))
+                 if p.kind == "SOFT" else () for p in arr.profiles)
+    bounds = [(ti, c) for ti, task_bounds in enumerate(soft) for c in task_bounds]
     return _Context(
-        tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]),
-        tuple(tuple(soft_constraints.get(p.task_id, DEFAULT_SOFT_CONSTRAINTS))
-              if p.kind == "SOFT" else () for p in arr.profiles),
+        tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]), soft,
+        np.array([ti for ti, _ in bounds], dtype=np.int64),
+        np.array([c.x_s for _, c in bounds], dtype=float),
+        np.array([c.beta for _, c in bounds], dtype=float),
         hard_miss_weight, dyn_energy_form, energy_unit_j,
     )
 
@@ -469,10 +487,7 @@ def evaluate_objectives(
     if not len(modes):
         return []
     completion, dynamic_j, leakage_j, *_ = _run(ctx, modes, shares)
-    # Padded slots have deadline +inf, so they are never late.  The scan
-    # aborts a control job exactly when it overran.
-    overrun = np.subtract(completion.transpose(0, 2, 1), ctx.arr.pad_deadlines.T, order="C")
-    counts = _task_counts(ctx, overrun, (overrun > 0) & ctx.arr.is_ctrl[:, None])
+    counts = _task_counts(ctx, completion)
     energy = np.zeros(len(modes))
     for m in range(len(ctx.cluster)):  # host by host: dynamic, then leakage
         energy += dynamic_j[:, m]

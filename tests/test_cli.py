@@ -467,6 +467,8 @@ class TestErrors:
             (("optimizer", "generations"), True, "optimizer.generations: expected an integer"),
             (("optimizer", "share_step"), 0, "share_step must be in 1..100"),
             (("optimizer", "share_step"), -5, "share_step must be in 1..100"),
+            (("optimizer", "stop_window"), 0, "optimizer.stop_window: must be >= 1, got 0"),
+            (("optimizer", "stop_window"), -5, "optimizer.stop_window: must be >= 1, got -5"),
             (("energy_unit_j",), 0, "energy_unit_j must be > 0"),
             (("energy_unit_j",), -1, "energy_unit_j must be > 0"),
             (("soft_constraints", "50"), [[0.0, 0.2]],
@@ -503,6 +505,8 @@ class TestErrors:
             "bool-generations",
             "zero-share-step",
             "negative-share-step",
+            "zero-stop-window",
+            "negative-stop-window",
             "zero-energy-unit",
             "negative-energy-unit",
             "soft-constraint-of-unknown-task",

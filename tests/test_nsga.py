@@ -188,6 +188,30 @@ class TestRankingEqualsReference:
             points = self.random_points(rng)
             assert crowding_distance(points) == reference_crowding_distance(points)
 
+    def chained_points(self, rng):
+        """Up to 200 distinct points in 3-6 chains, each point of a chain
+        dominating the next, drawn with replacement.  Energies repeat across
+        lambdas and include +-inf; lambda reaches 10**19 + 7."""
+        lams = list(range(40)) + [10**6, 10**18, 10**19 - 1, 10**19, 10**19 + 7]
+        energies = [-np.inf, 0.0, 1.0, 2.5, np.inf] + (rng.random(60) * 1e3).tolist()
+        distinct: dict[tuple[int, float], None] = {}
+        for _ in range(int(rng.integers(3, 7))):
+            n = int(rng.integers(30, 60))
+            chain = zip(np.sort(rng.integers(len(lams), size=n)).tolist(),
+                        sorted(rng.choice(energies, size=n).tolist()))
+            distinct.update(dict.fromkeys((lams[i], e) for i, e in chain))
+        distinct = [obj(lam, e) for lam, e in list(distinct)[:200]]
+        return [distinct[i] for i in rng.integers(len(distinct), size=int(rng.integers(1, 401)))]
+
+    def test_nondominated_sort_equals_reference_over_many_fronts(self, rng):
+        n_fronts = []
+        for _ in range(200):
+            points = self.chained_points(rng)
+            ranks = nondominated_sort(points)
+            assert ranks == reference_nondominated_sort(points)
+            n_fronts.append(max(ranks) + 1)
+        assert np.median(n_fronts) >= 30
+
 
 def two_host_cluster(n_modes=2):
     modes = tuple(DvfsMode(i + 1, 1e9 * (1 + i), 0.85 + 0.25 * i) for i in range(n_modes))
@@ -357,6 +381,9 @@ class TestGeneBounds:
         for weight in (0, -1, 10.0, True, np.int64(10)):
             with pytest.raises(ConfigurationError, match="hard_miss_weight"):
                 EvolveConfig(hard_miss_weight=weight)
+        for window in (0, -5):
+            with pytest.raises(ConfigurationError, match=f"stop_window must be >= 1, got {window}"):
+                EvolveConfig(stop_window=window)
 
     def test_zero_generations_rejected(self):
         with pytest.raises(ConfigurationError, match="generations"):

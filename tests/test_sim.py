@@ -633,6 +633,38 @@ class TestScanPopulationLongTraces:
         assert executed[0].tolist() == [2e9, 2e9]
 
 
+class TestScanTailWhereLate:
+    """Only (member, control column) pairs holding a late job get fractions;
+    every other column executes the per-trace sum of its works."""
+
+    @staticmethod
+    def on_time_coef(arr, rng, n_rows):
+        """Seconds per instruction putting every job's duration under half its
+        relative deadline, so no job of any task is late."""
+        slack = (arr.deadlines - arr.arrivals) / np.maximum(arr.works, 1.0)
+        fastest = np.array([slack[jobs].min() for jobs in arr.task_jobs])
+        return fastest * rng.uniform(0.1, 0.5, (n_rows, len(arr.task_ids)))
+
+    @pytest.mark.parametrize("n_rows", [1, 100])
+    def test_members_late_on_one_control_column_and_members_on_time(self, n_rows):
+        _, _, arr = bundled("intel")
+        ctrl = np.flatnonzero(arr.is_ctrl)
+        assert len(ctrl) >= 2
+        rng = np.random.default_rng(3)
+        on_time = self.on_time_coef(arr, rng, n_rows)
+        mixed = on_time.copy()
+        late_rows = np.arange(n_rows) % 3 == 0  # row 0 and every third row
+        # A mean job of the first control task takes 2-3 relative deadlines.
+        task = arr.profiles[ctrl[0]]
+        mixed[late_rows, ctrl[0]] = (task.deadline_s / task.n_instructions
+                                     * rng.uniform(2.0, 3.0, late_rows.sum()))
+        for dur_coef, want_late in ((mixed, late_rows), (on_time, np.zeros(n_rows, bool))):
+            completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
+            late = (completion > arr.pad_deadlines).any(axis=1)  # [P, T]
+            assert late[:, ctrl[0]].tolist() == want_late.tolist()
+            assert not late[:, ctrl[1:]].any() and not late[:, ~arr.is_ctrl].any()
+
+
 def task_instructions(cluster, profiles, trace, alloc):
     """Instructions each task executed under ``alloc`` and its utilization
     ``[task, server]``: the reference per-job scan at each task's seconds per
@@ -897,6 +929,34 @@ class TestCountsMatchRecords:
             self.assert_counts_match_records(res, profiles, 10**6)
             assert res.lam == 0
         assert evaluate_objectives(*args, alloc, soft_constraints=soft)[0] == 0
+
+
+class TestTwoBoundsOfOneSoftTask:
+    """Bounds of one task are counted one by one, whichever of them fails."""
+
+    @pytest.mark.parametrize("bounds", [((0.0, 0.25), (0.1, 0.25)), ((0.1, 0.25), (0.0, 0.25))],
+                             ids=["failing-first", "failing-second"])
+    def test_only_the_failing_bound_counts(self, bounds):
+        # Task 1 alone on a 1 GHz host: jobs 1 and 3 end 0.05 s late, so
+        # alpha(0) = 0.5 > 0.25 fails and alpha(0.1) = 0 passes.  Task 0 is on time.
+        profiles = [TaskProfile(0, "SOFT", 10**9, 2.0, 1.0, 4),
+                    TaskProfile(1, "SOFT", 10**9, 2.0, 1.0, 4)]
+        jobs = [Job(t, j, 2.0 * j, 2.0 * j + 1.0, 10**9 if t == 0 or j % 2 == 0 else 105 * 10**7)
+                for t in range(2) for j in range(4)]
+        cluster = [host(), host()]
+        alloc = Allocation(dvfs=(1, 1), shares=((100, 0), (0, 100)))
+        soft = {0: (LatenessConstraint(0.0, 0.0),),
+                1: tuple(LatenessConstraint(x, beta) for x, beta in bounds)}
+        args = (cluster, profiles, trace_of(jobs))
+        for res in (evaluate_allocation(*args, alloc, soft_constraints=soft),
+                    edf_schedule(*args, soft_constraints=soft)):
+            TestCountsMatchRecords.assert_counts_match_records(res, profiles, 10**6)
+            assert (res.lam, res.soft_violations) == (1, 1)
+            rows = [c.passed for c in res.constraint_report if c.task_id == 1]
+            assert sorted(rows) == [False, True]
+        assert evaluate_objectives(*args, alloc, soft_constraints=soft)[0] == 1
+        block = stack([alloc] * 3, profiles, cluster)
+        assert [lam for lam, *_ in evaluate_objectives(*args, block, soft_constraints=soft)] == [1] * 3
 
 
 class TestEdfBaseline:
