@@ -59,12 +59,13 @@ def _write_evaluation(
         server_set_of = {
             tid: "|".join(str(s) for s in srvs) for tid, srvs in res.task_servers
         }
-        for o in sorted(res.per_job, key=lambda o: (o.task_id, o.job_index)):
-            fh.write(
-                f"{o.task_id},{o.job_index},{server_set_of.get(o.task_id, '')},"
-                f"{o.start_s!r},{o.completion_s!r},{o.overrun_s!r},"
-                f"{int(o.missed)},{int(o.aborted)}\n"
+        fh.writelines(
+            f"{t},{j},{server_set_of.get(t, '')},{s!r},{c!r},{o!r},{int(miss)},{int(ab)}\n"
+            for t, j, s, c, o, miss, ab in zip(
+                res.task_id, res.job_index, res.start_s, res.completion_s, res.overrun_s,
+                res.missed, res.aborted,
             )
+        )
     summary = {
         "lambda": res.lam,
         "energy_J": res.energy_j,
@@ -134,7 +135,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize_trace(trace, out / "trace.csv")
-    print(f"wrote {len(trace.jobs)} jobs to {out / 'trace.csv'}")
+    print(f"wrote {len(trace.task_id)} jobs to {out / 'trace.csv'}")
     return 0
 
 

@@ -15,6 +15,14 @@ class InvalidArgumentError(GreenschedError, ValueError):
     """A structurally invalid argument (e.g. a mode not belonging to a server)."""
 
 
+class InvalidTraceError(InvalidArgumentError):
+    """A job trace row breaks a rule: ``row`` is its 0-based position as given."""
+
+    def __init__(self, row: int, problem: str):
+        super().__init__(f"job row {row}: {problem}")
+        self.row, self.problem = row, problem
+
+
 class InfeasibleTermError(GreenschedError, ValueError):
     """A per-task energy term that cannot be realized (zero utilization, nonzero work)."""
 

@@ -92,6 +92,14 @@ def read_json(path: str | Path) -> Field:
     return top
 
 
+def int64(text: str) -> int:
+    """A CSV integer cell that fits the int64 column it is stored in."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
 def read_table(
     path: str | Path, columns: dict[str, Callable[[str], Any]]
 ) -> list[tuple[int, tuple]]:

@@ -64,18 +64,6 @@ class Allocation:
 
 
 @dataclass(frozen=True)
-class JobOutcome:
-    task_id: int
-    job_index: int
-    start_s: float
-    completion_s: float  # would-be completion (pre-abort)
-    response_s: float
-    overrun_s: float
-    missed: bool
-    aborted: bool
-
-
-@dataclass(frozen=True)
 class ServerOutcome:
     server_id: int
     mode_index: int
@@ -88,10 +76,19 @@ class ServerOutcome:
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """Totals, per-server outcomes, the constraint report and seven per-job
+    columns, ``task_id`` to ``aborted``, one entry per trace job in (task, job) order."""
+
     lam: int
     energy_j: float
     energy_units: float
-    per_job: tuple[JobOutcome, ...]
+    task_id: tuple[int, ...]
+    job_index: tuple[int, ...]
+    start_s: tuple[float, ...]  # first run
+    completion_s: tuple[float, ...]  # would-be completion, also of an aborted job
+    overrun_s: tuple[float, ...]  # completion - deadline
+    missed: tuple[bool, ...]  # overran or aborted
+    aborted: tuple[bool, ...]
     per_server: tuple[ServerOutcome, ...]
     constraint_report: tuple[tk.ConstraintCheck, ...]
     hard_misses: int
@@ -137,9 +134,8 @@ def _check_block(ctx: _Context, block) -> tuple[np.ndarray, np.ndarray]:
     """``block`` as ``(modes, shares)`` arrays once they have integer dtypes, the
     shapes ``[U, M]`` and ``[U, N, M]``, and pass :func:`_check_rules`."""
     if len(block) != 2:
-        raise InvalidAllocationError(
-            f"expected an Allocation or a (modes, shares) pair, got {len(block)} items"
-        )
+        raise InvalidAllocationError(f"expected an Allocation or a (modes, shares) pair, "
+                                     f"got {len(block)} items")
     modes, shares = (np.asarray(a) for a in block)
     ordered, cluster = ctx.arr.profiles, ctx.cluster
     n, m = len(ordered), len(cluster)
@@ -172,9 +168,8 @@ def _check_rules(ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost],
                                          f"for server {cluster[j].spec.server_id}")
         where += f"task {ordered[t].task_id}: "
         if bad_sum[u, t]:
-            raise InvalidAllocationError(
-                f"{where}shares must be >= 0 and sum to 100, got {shares[u, t].tolist()}"
-            )
+            raise InvalidAllocationError(f"{where}shares must be >= 0 and sum to 100, "
+                                         f"got {shares[u, t].tolist()}")
         raise InvalidAllocationError(f"{where}REAL tasks must run on a single host")
 
 
@@ -196,9 +191,13 @@ def _task_counts(
     n_late = late.sum(axis=2)
     aborts = np.where(arr.is_ctrl, n_late, 0) if aborted is None else aborted.sum(axis=1)
     # Every soft bound at once: its task's jobs late by more than x_s, as a
-    # fraction of the task's jobs, against beta; then summed per task.
-    over = completion[:, :, ctx.soft_task] - arr.pad_deadlines[:, ctx.soft_task] > ctx.soft_x
-    n_over = np.ascontiguousarray(over.transpose(0, 2, 1)).sum(axis=2)
+    # fraction of the task's jobs, against beta; then summed per task.  Late
+    # by more than 0 is late (also at +-inf and in padded slots), so a bound
+    # with x = 0 reads its task's late count.
+    n_over, rest = n_late[:, ctx.soft_task], ctx.soft_task[ctx.n_x0:]
+    if len(rest):
+        over = completion[:, :, rest] - arr.pad_deadlines[:, rest] > ctx.soft_x[ctx.n_x0:]
+        n_over[:, ctx.n_x0:] = np.ascontiguousarray(over.transpose(0, 2, 1)).sum(axis=2)
     soft = np.zeros_like(n_late)
     np.add.at(soft, (slice(None), ctx.soft_task),
               n_over / arr.n_jobs[ctx.soft_task] > ctx.soft_beta)
@@ -220,28 +219,14 @@ def _assemble_result(
     servers: list[ServerOutcome],
     task_servers: tuple[tuple[int, tuple[int, ...]], ...],
 ) -> EvaluationResult:
-    """Per-job records, report and totals from per-job arrays in (task, job) order.
-
-    ``start`` is each job's first run, which is never before its release (its
-    arrival, or its predecessor's end if later), and ``completion`` its
-    would-be completion, also for an aborted job.  A job is missed when it
-    overran its deadline or was aborted.
-    """
+    """The result of per-job arrays in (task, job) order: ``start`` (each job's
+    first run, never before its release: its arrival, or its predecessor's end
+    if later), ``completion`` (would-be, also of an aborted job) and ``aborted``."""
     arr = ctx.arr
     counts = _task_counts(ctx, arr.pad(completion, -np.inf)[None], arr.pad(aborted, False)[None])
     [(lam, hard_misses, control_aborts, soft_violations)] = _fold_lam(ctx, counts)
     overrun = completion - arr.deadlines
     overruns, missed = overrun.tolist(), ((overrun > 0) | aborted).tolist()
-    columns = (  # in JobOutcome field order
-        [arr.task_ids[ti] for ti in arr.task_of_job.tolist()],
-        arr.job_index.tolist(),
-        start.tolist(),
-        completion.tolist(),
-        (completion - arr.arrivals).tolist(),
-        overruns,
-        missed,
-        aborted.tolist(),
-    )
     stats = {
         p.task_id: tk.TaskMissStats(
             task_id=p.task_id,
@@ -264,7 +249,13 @@ def _assemble_result(
         lam=lam,
         energy_j=energy,
         energy_units=energy / ctx.energy_unit_j,
-        per_job=tuple(JobOutcome(*row) for row in zip(*columns)),
+        task_id=tuple(arr.trace.task_id.tolist()),
+        job_index=tuple(arr.trace.job_index.tolist()),
+        start_s=tuple(start.tolist()),
+        completion_s=tuple(completion.tolist()),
+        overrun_s=tuple(overruns),
+        missed=tuple(missed),
+        aborted=tuple(aborted.tolist()),
         per_server=tuple(servers),
         constraint_report=tuple(report),
         hard_misses=hard_misses,
@@ -276,18 +267,18 @@ def _assemble_result(
 
 @dataclass
 class _TraceArrays:
-    """Trace flattened to numpy arrays, reusable across many evaluations.
+    """A trace's columns as evaluation reads them, reusable across many evaluations.
 
     The ``pad_*`` arrays hold the same jobs as ``[slot, task]`` (slot = the
     job's position within its task) for the population scan; missing slots
     are padded with arrival -inf, deadline +inf and work 0.
     """
 
+    trace: JobTrace
     arrivals: np.ndarray
     deadlines: np.ndarray
     works: np.ndarray
     task_of_job: np.ndarray
-    job_index: np.ndarray
     profiles: tuple[TaskProfile, ...]  # in task-id order
     is_ctrl: np.ndarray  # per task
     is_real: np.ndarray  # per task
@@ -313,37 +304,35 @@ class _TraceArrays:
 
 
 def trace_arrays(profiles: Sequence[TaskProfile], trace: JobTrace) -> _TraceArrays:
-    """Flatten ``trace``; every job must belong to a profile, every profile have a job."""
+    """``trace``'s columns; every job must belong to a profile, every profile have a job."""
     ordered = sorted(profiles, key=lambda p: p.task_id)
-    task_ids = [p.task_id for p in ordered]
-    row_of = {tid: i for i, tid in enumerate(task_ids)}
-    jobs = sorted(trace.jobs, key=lambda j: (j.task_id, j.job_index))
-    unknown = sorted({j.task_id for j in jobs} - row_of.keys())
+    ids = np.array([p.task_id for p in ordered], dtype=np.int64)
+    unknown = np.setdiff1d(trace.task_id, ids).tolist()
     if unknown:
         raise InvalidArgumentError(f"trace has jobs of unknown task(s) {unknown}")
-    task_of_job = np.array([row_of[j.task_id] for j in jobs], dtype=np.int64)
-    n_jobs_of = np.bincount(task_of_job, minlength=len(task_ids))
-    idle = [tid for tid, n_jobs in zip(task_ids, n_jobs_of) if n_jobs == 0]
+    task_of_job = np.searchsorted(ids, trace.task_id)
+    n_jobs_of = np.bincount(task_of_job, minlength=len(ids))
+    idle = ids[n_jobs_of == 0].tolist()
     if idle:
         raise InvalidArgumentError(f"trace has no jobs of task(s) {idle}")
     first_of_task = np.cumsum(n_jobs_of) - n_jobs_of
     return _TraceArrays(
-        arrivals=np.array([j.arrival_s for j in jobs]),
-        deadlines=np.array([j.deadline_s for j in jobs]),
-        works=np.array([float(j.work_instructions) for j in jobs]),
+        trace=trace,
+        arrivals=trace.arrival_s,
+        deadlines=trace.deadline_s,
+        works=trace.work_instructions.astype(float),
         task_of_job=task_of_job,
-        job_index=np.array([j.job_index for j in jobs], dtype=np.int64),
         profiles=tuple(ordered),
         is_ctrl=np.array([p.kind == "CTRL" for p in ordered]),
         is_real=np.array([p.kind == "REAL" for p in ordered]),
-        task_ids=task_ids,
+        task_ids=ids.tolist(),
         task_jobs=[
             slice(first, first + n_jobs)
             for first, n_jobs in zip(first_of_task.tolist(), n_jobs_of.tolist())
         ],
         n_jobs=n_jobs_of,
         n_mean=np.array([float(p.n_instructions) for p in ordered]),
-        slot=np.arange(len(jobs)) - first_of_task[task_of_job],
+        slot=np.arange(len(task_of_job)) - first_of_task[task_of_job],
     )
 
 
@@ -363,10 +352,11 @@ class _Context:
     tables: np.ndarray  # [3, M, K], K the most modes of any host
     cpi: np.ndarray  # per host
     soft: tuple[tuple[tk.LatenessConstraint, ...], ...]  # per task; () unless SOFT
-    # Every soft bound, task by task: its task's index, x_s and beta.
+    # Every soft bound, the n_x0 with x_s = 0 first: its task's index, x_s and beta.
     soft_task: np.ndarray
     soft_x: np.ndarray
     soft_beta: np.ndarray
+    n_x0: int
     hard_miss_weight: int
     dyn_energy_form: str
     energy_unit_j: float
@@ -406,13 +396,14 @@ def _prepare(
         ])
     soft = tuple(tuple(soft_constraints.get(p.task_id, DEFAULT_SOFT_CONSTRAINTS))
                  if p.kind == "SOFT" else () for p in arr.profiles)
-    bounds = [(ti, c) for ti, task_bounds in enumerate(soft) for c in task_bounds]
+    bounds = sorted(((ti, c) for ti, task_bounds in enumerate(soft) for c in task_bounds),
+                    key=lambda bound: bound[1].x_s != 0)
     return _Context(
         tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]), soft,
         np.array([ti for ti, _ in bounds], dtype=np.int64),
         np.array([c.x_s for _, c in bounds], dtype=float),
         np.array([c.beta for _, c in bounds], dtype=float),
-        hard_miss_weight, dyn_energy_form, energy_unit_j,
+        sum(c.x_s == 0 for _, c in bounds), hard_miss_weight, dyn_energy_form, energy_unit_j,
     )
 
 
@@ -516,21 +507,11 @@ def evaluate_allocation(
     padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(ctx, modes, shares)
     completion = padded[0, arr.slot, arr.task_of_job]
 
-    mode_of = modes[0].tolist()  # Python ints, as the JSON writers need
-    servers = [
-        ServerOutcome(
-            server_id=host.spec.server_id,
-            mode_index=mode_of[mi],
-            busy_time_s=n_exec * host.spec.cpi / ctx.tables[0, mi, mode_of[mi] - 1].item(),
-            utilization_sum=float(u[0, :, mi].sum()),
-            executed_instructions=n_exec,
-            dynamic_energy_j=dyn_j,
-            leakage_energy_j=leak_j,
-        )
-        for mi, (host, n_exec, dyn_j, leak_j) in enumerate(zip(
-            ctx.cluster,
-            executed[0].tolist(),
-            dynamic_j[0].tolist(),
+    servers = [  # in ServerOutcome field order, of Python numbers as the JSON writers need
+        ServerOutcome(host.spec.server_id, k, n * host.spec.cpi / ctx.tables[0, mi, k - 1].item(),
+                      float(u[0, :, mi].sum()), n, dyn_j, leak_j)
+        for mi, (host, k, n, dyn_j, leak_j) in enumerate(zip(
+            ctx.cluster, modes[0].tolist(), executed[0].tolist(), dynamic_j[0].tolist(),
             leakage_j[0].tolist(),
         ))
     ]
@@ -596,14 +577,11 @@ def edf_schedule(
                    energy_unit_j=energy_unit_j)
     arr = ctx.arr
     mode_of = [len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]
-    freqs, dyn_coefs, leak_coefs = ctx.tables[
-        :, np.arange(len(cluster)), np.array(mode_of) - 1
-    ].tolist()
+    freqs, dyn_coefs, leak_coefs = ctx.tables[:, np.arange(len(cluster)),
+                                              np.array(mode_of) - 1].tolist()
     host_of = _wfd_partition(arr.profiles, cluster, freqs)
 
-    arrivals, deadlines, works = (
-        arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
-    )
+    arrivals, deadlines, works = arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
     start, completion, aborted = [None] * len(works), [0.0] * len(works), [False] * len(works)
     servers: list[ServerOutcome] = []
     for h, (host, freq) in enumerate(zip(cluster, freqs)):
@@ -617,23 +595,13 @@ def edf_schedule(
         util_sum = 0.0
         for p in (arr.profiles[i] for i in local):
             util_sum += (spec.cpi * p.n_instructions / freq) / p.period_s
-        servers.append(
-            ServerOutcome(
-                server_id=spec.server_id,
-                mode_index=mode_of[h],
-                busy_time_s=executed / rate,
-                utilization_sum=util_sum,
-                executed_instructions=executed,
-                dynamic_energy_j=(dyn_coefs[h] * executed) / pw.FREQ_NORM_HZ,
-                leakage_energy_j=leak_coefs[h] * executed,
-            )
-        )
-    task_servers = tuple(
-        (p.task_id, (host_of[i],)) for i, p in enumerate(arr.profiles)
-    )
-    return _assemble_result(
-        ctx, np.array(start), np.array(completion), np.array(aborted), servers, task_servers
-    )
+        servers.append(ServerOutcome(  # in field order
+            spec.server_id, mode_of[h], executed / rate, util_sum, executed,
+            (dyn_coefs[h] * executed) / pw.FREQ_NORM_HZ, leak_coefs[h] * executed,
+        ))
+    task_servers = tuple((p.task_id, (host_of[i],)) for i, p in enumerate(arr.profiles))
+    return _assemble_result(ctx, np.array(start), np.array(completion), np.array(aborted),
+                            servers, task_servers)
 
 
 def _edf_host(

@@ -248,7 +248,7 @@ class TestSmallInstanceOptimality:
             for j in range(p.n_jobs):
                 t = j * p.period_s
                 jobs.append(Job(p.task_id, j, t, t + p.deadline_s, p.n_instructions))
-        trace = JobTrace(tuple(jobs), 0, max(j.deadline_s for j in jobs) + 1)
+        trace = JobTrace.from_jobs(jobs, 0, max(j.deadline_s for j in jobs) + 1)
 
         rows = [(100, 0), (0, 100), (50, 50)]
         seen = []

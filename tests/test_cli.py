@@ -231,9 +231,11 @@ class TestSimulate:
             ("0,0,nan,1.0,5", "arrival_s must be finite, got nan"),
             ("0,0,0.0,nan,5", "deadline_s must be finite, got nan"),
             ("0,0,1.0,0.5,5", "deadline_s 0.5 is before arrival_s 1.0"),
+            ("0,-1,0.0,1.0,5", "job_index must be >= 0, got -1"),
+            ("0,1,1.0,2.0,5", "job 1 of task 0 is listed twice"),
         ],
         ids=["negative-work", "infinite-arrival", "nan-arrival", "nan-deadline",
-             "deadline-before-arrival"],
+             "deadline-before-arrival", "negative-job-index", "repeated-job"],
     )
     def test_out_of_range_trace_row_is_parse_error(self, scenario, tmp_path, capsys, row, message):
         alloc = tmp_path / "alloc.json"
@@ -259,6 +261,34 @@ class TestSimulate:
         assert rc == 2
         assert f"{trace}: row 4: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_first_of_two_bad_trace_rows_is_named(self, scenario, tmp_path, capsys):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]})
+        )
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "# seed=1 horizon_s=10.0\n"
+            "task_id,job_index,arrival_s,deadline_s,work_instructions\n"
+            "0,1,1.0,2.0,5\n"
+            "0,0,0.0,1.0,5\n"
+            "0,1,1.0,2.0,5\n"
+            "0,-2,0.0,1.0,5\n"
+        )
+        rc = main(
+            [
+                "simulate",
+                "--scenario", str(scenario),
+                "--allocation", str(alloc),
+                "--trace", str(trace),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {trace}: row 5: job 1 of task 0 is listed twice\n"
+        )
 
 class TestBaseline:
     def test_runs_and_is_deterministic(self, scenario, tmp_path):

@@ -84,3 +84,30 @@ def test_overloaded_host_matches_golden_digests(fixture, tmp_path):
     assert f'"lambda": {lam},' in (out / "simulate_summary.json").read_text()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())} == digests
+
+
+# ``generate``'s trace.csv per (fixture, phase policy, seed), recorded from the
+# per-job scalar draws before each task's jobs were drawn in one block.  Both
+# fixtures read the bundled mixed_workload.csv, so their traces are the same.
+TRACES = {
+    ("amd", "uniform-random", 1): "a2fe777be84f52356b98dae446c283b318c70e2189c7b9edfdc0da08863c3938",
+    ("amd", "uniform-random", 2): "e36de73cdc8c2bafa8ea9671a97de9a6ad3b33127758aef07cd371e6072b61eb",
+    ("amd", "zero", 1): "61398bb7fb1fb5c509d755bd19d750276c027b6537a1a24c2d3ea5e6d48ca008",
+    ("amd", "zero", 2): "7522251d7e09d0778d68d8161e99864372a234fd3a93cb17dfa886ed978c1df5",
+    ("intel", "uniform-random", 1): "a2fe777be84f52356b98dae446c283b318c70e2189c7b9edfdc0da08863c3938",
+    ("intel", "uniform-random", 2): "e36de73cdc8c2bafa8ea9671a97de9a6ad3b33127758aef07cd371e6072b61eb",
+    ("intel", "zero", 1): "61398bb7fb1fb5c509d755bd19d750276c027b6537a1a24c2d3ea5e6d48ca008",
+    ("intel", "zero", 2): "7522251d7e09d0778d68d8161e99864372a234fd3a93cb17dfa886ed978c1df5",
+}
+
+
+@pytest.mark.parametrize("fixture,phase,seed", sorted(TRACES))
+def test_generated_trace_matches_golden_digest(fixture, phase, seed, tmp_path):
+    doc = json.loads((FIXTURES / f"scenario_{fixture}.json").read_text())
+    doc["phase_policy"] = phase  # its server and workload files resolve to the fixtures
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "generate"
+    assert main(["generate", "--scenario", str(scenario), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == TRACES[fixture, phase, seed]

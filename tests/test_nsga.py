@@ -551,7 +551,7 @@ class TestSmallInstanceOptimality:
             for j in range(p.n_jobs):
                 t = j * p.period_s
                 jobs.append(Job(p.task_id, j, t, t + p.deadline_s, p.n_instructions))
-        trace = JobTrace(tuple(jobs), 0, max(j.deadline_s for j in jobs) + 1)
+        trace = JobTrace.from_jobs(jobs, 0, max(j.deadline_s for j in jobs) + 1)
 
         # exhaustive enumeration over the share_step=100 discretization
         rows = [(100, 0), (0, 100), (50, 50)]
@@ -583,15 +583,16 @@ class TestEvolveBasics:
     def test_empty_inputs_rejected(self):
         cfg = EvolveConfig(population=4, generations=1)
         with pytest.raises(ConfigurationError):
-            evolve([], [TaskProfile(0, "SOFT", 1, 1.0, 1.0, 1)], JobTrace((), 0, 1.0), cfg)
+            evolve([], [TaskProfile(0, "SOFT", 1, 1.0, 1.0, 1)],
+                   JobTrace.from_jobs((), 0, 1.0), cfg)
         with pytest.raises(ConfigurationError):
-            evolve(two_host_cluster(), [], JobTrace((), 0, 1.0), cfg)
+            evolve(two_host_cluster(), [], JobTrace.from_jobs((), 0, 1.0), cfg)
 
     def test_deterministic_given_seed(self):
         cluster = two_host_cluster()
         profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 4)]
         jobs = [Job(0, j, j * 1.0, j * 1.0 + 1.0, 10**8) for j in range(4)]
-        trace = JobTrace(tuple(jobs), 0, 6.0)
+        trace = JobTrace.from_jobs(jobs, 0, 6.0)
         cfg = EvolveConfig(population=8, generations=20, seed=9, stop_window=20)
         r1 = evolve(cluster, profiles, trace, cfg)
         r2 = evolve(cluster, profiles, trace, cfg)
@@ -634,7 +635,7 @@ class TestEvolveBasics:
         ]
         jobs = [Job(p.task_id, j, j * 1.0, j * 1.0 + p.deadline_s, p.n_instructions)
                 for p in profiles for j in range(p.n_jobs)]
-        return cluster, profiles, JobTrace(tuple(jobs), 0, 6.0)
+        return cluster, profiles, JobTrace.from_jobs(jobs, 0, 6.0)
 
     def test_decodes_only_cache_misses_and_the_returned_front(self, monkeypatch):
         seen = self.count_decodes_and_evaluations(monkeypatch)
@@ -701,7 +702,7 @@ class TestEvolveBasics:
         jobs = [Job(p.task_id, j, j * 1.0, j * 1.0 + p.deadline_s, p.n_instructions)
                 for p in profiles for j in range(p.n_jobs)]
         cfg = EvolveConfig(population=4, generations=2, seed=5, share_step=100)
-        evolve(cluster, profiles, JobTrace(tuple(jobs), 0, 6.0), cfg)
+        evolve(cluster, profiles, JobTrace.from_jobs(jobs, 0, 6.0), cfg)
         on_host_0 = Allocation(dvfs=(2, 2), shares=((100, 0), (100, 0)))
         assert decode(crafted, profiles, cluster) == [on_host_0] * 4
         # Only the second row is one-hot, so only it can be in the first population.

@@ -31,6 +31,7 @@ from greensched.sim import (
     trace_arrays,
     validate_allocation,
     _prepare,
+    _task_counts,
 )
 from greensched.workload import Job, JobTrace, TaskProfile, generate_jobs
 
@@ -45,7 +46,7 @@ def host(f_hz=1e9, cpi=1.0, n_modes=1):
 
 def trace_of(jobs):
     horizon = max(j.deadline_s for j in jobs) + 1.0
-    return JobTrace(tuple(jobs), rng_seed=0, horizon_s=horizon)
+    return JobTrace.from_jobs(jobs, rng_seed=0, horizon_s=horizon)
 
 
 def stack(allocs, profiles, cluster):
@@ -153,10 +154,9 @@ class TestSingleTaskClosedForm:
         jobs = [Job(0, 0, 0.0, 10.0, 2 * 10**9)]
         alloc = Allocation(dvfs=(1,), shares=((100,),))
         res = evaluate_allocation(cluster, profiles, trace_of(jobs), alloc)
-        [o] = res.per_job
-        assert o.start_s == pytest.approx(0.0)
-        assert o.completion_s == pytest.approx(2.0)
-        assert not o.missed
+        assert res.start_s == pytest.approx((0.0,))
+        assert res.completion_s == pytest.approx((2.0,))
+        assert res.missed == (False,)
         assert res.lam == 0
 
     def test_fifo_queueing_within_task(self):
@@ -168,12 +168,12 @@ class TestSingleTaskClosedForm:
         ]
         alloc = Allocation(dvfs=(1,), shares=((100,),))
         res = evaluate_allocation(cluster, profiles, trace_of(jobs), alloc)
-        by_ix = {o.job_index: o for o in res.per_job}
-        assert by_ix[0].completion_s == pytest.approx(2.0)
+        assert res.job_index == (0, 1)
+        assert res.completion_s[0] == pytest.approx(2.0)
         # job 1 waits for its predecessor, then runs 2 s: 2 + 2 = 4
-        assert by_ix[1].start_s == pytest.approx(2.0)
-        assert by_ix[1].completion_s == pytest.approx(4.0)
-        assert not by_ix[1].missed
+        assert res.start_s[1] == pytest.approx(2.0)
+        assert res.completion_s[1] == pytest.approx(4.0)
+        assert not res.missed[1]
 
     def test_shared_server_proportional_slowdown(self):
         # two equal tasks sharing one host get u = 0.5 each: half rate
@@ -185,8 +185,7 @@ class TestSingleTaskClosedForm:
         jobs = [Job(0, 0, 0.0, 10.0, 10**9), Job(1, 0, 0.0, 10.0, 10**9)]
         alloc = Allocation(dvfs=(1,), shares=((100,), (100,)))
         res = evaluate_allocation(cluster, profiles, trace_of(jobs), alloc)
-        for o in res.per_job:
-            assert o.completion_s == pytest.approx(2.0)  # 1 s of work at half rate
+        assert res.completion_s == pytest.approx((2.0, 2.0))  # 1 s of work at half rate
 
     def test_fork_join_completion_is_slowest_subtask(self):
         # split 50/50 over a 1 GHz and a 2 GHz host, alone on both:
@@ -196,8 +195,7 @@ class TestSingleTaskClosedForm:
         jobs = [Job(0, 0, 0.0, 10.0, 2 * 10**9)]
         alloc = Allocation(dvfs=(1, 1), shares=((50, 50),))
         res = evaluate_allocation(cluster, profiles, trace_of(jobs), alloc)
-        [o] = res.per_job
-        assert o.completion_s == pytest.approx(1.0)
+        assert res.completion_s == pytest.approx((1.0,))
 
     def test_control_abort_truncates_executed_work(self):
         cluster = [host()]
@@ -205,9 +203,8 @@ class TestSingleTaskClosedForm:
         jobs = [Job(0, 0, 0.0, 1.0, 2 * 10**9)]  # needs 2 s, deadline at 1 s
         alloc = Allocation(dvfs=(1,), shares=((100,),))
         res = evaluate_allocation(cluster, profiles, trace_of(jobs), alloc)
-        [o] = res.per_job
-        assert o.aborted and o.missed
-        assert o.completion_s == pytest.approx(2.0)  # would-be completion
+        assert res.aborted == res.missed == (True,)
+        assert res.completion_s == pytest.approx((2.0,))  # would-be completion
         # only the half executed before the deadline counts
         [server] = res.per_server
         assert server.executed_instructions == pytest.approx(1e9)
@@ -890,8 +887,8 @@ class TestCountsMatchRecords:
     @staticmethod
     def assert_counts_match_records(res, profiles, weight):
         kind_of = {p.task_id: p.kind for p in profiles}
-        hard = sum(o.missed for o in res.per_job if kind_of[o.task_id] == "REAL")
-        aborts = sum(o.aborted for o in res.per_job)
+        hard = sum(m for t, m in zip(res.task_id, res.missed) if kind_of[t] == "REAL")
+        aborts = sum(res.aborted)
         soft_failed = sum(
             not c.passed for c in res.constraint_report if kind_of[c.task_id] == "SOFT"
         )
@@ -914,6 +911,49 @@ class TestCountsMatchRecords:
         for res in results:
             self.assert_counts_match_records(res, profiles, weight)
 
+    @settings(max_examples=50, deadline=None)
+    @given(instance=random_instance(), beta=st.sampled_from([0.0, 0.2, 0.5]))
+    def test_bounds_at_and_past_zero_on_one_task_in_every_evaluator(self, instance, beta):
+        cluster, profiles, trace, _, allocs = instance
+        soft = {p.task_id: (LatenessConstraint(0.1, beta), LatenessConstraint(0.0, beta))
+                for p in profiles if p.kind == "SOFT"}
+        for a in allocs:
+            res = evaluate_allocation(cluster, profiles, trace, a, soft_constraints=soft)
+            self.assert_counts_match_records(res, profiles, 10**6)
+            assert evaluate_objectives(cluster, profiles, trace, a, soft_constraints=soft)[0] == res.lam
+        block = stack(allocs, profiles, cluster)
+        assert evaluate_objectives(cluster, profiles, trace, block, soft_constraints=soft) == [
+            evaluate_objectives(cluster, profiles, trace, a, soft_constraints=soft) for a in allocs
+        ]
+        res = edf_schedule(cluster, profiles, trace, soft_constraints=soft)
+        self.assert_counts_match_records(res, profiles, 10**6)
+
+    def test_soft_counts_equal_the_overrun_compare_at_infinities_and_padding(self):
+        # A bound with x = 0 reads its task's late count, a bound with x > 0
+        # compares ``completion - deadline > x``: both against that compare job
+        # by job, with +-inf and NaN completions and any value in padded slots.
+        profiles = [TaskProfile(t, "SOFT", 10**8, 1.0, 1.0, n) for t, n in enumerate([3, 5, 4])]
+        jobs = [Job(p.task_id, j, float(j), j + 1.0, 10**8) for p in profiles for j in range(p.n_jobs)]
+        lc = LatenessConstraint
+        soft = {0: (lc(0.0, 0.2), lc(0.5, 0.2)), 1: (lc(0.0, 0.0),), 2: (lc(0.25, 0.0), lc(0.0, 0.5))}
+        ctx = _prepare([host()], profiles, trace_of(jobs), soft)
+        deadlines = ctx.arr.pad_deadlines
+        rng = np.random.default_rng(3)
+        overrun = rng.choice([-np.inf, -1.0, -0.25, 0.0, 5e-324, 0.25, 0.5, 1.0, np.inf, np.nan],
+                             (40,) + deadlines.shape)
+        with np.errstate(invalid="ignore"):  # inf - inf, here and in the counts
+            completion = np.where(np.isinf(deadlines), overrun, deadlines + overrun)
+            want = np.zeros((40, len(profiles)), dtype=np.int64)
+            for t, bounds in soft.items():
+                n = profiles[t].n_jobs
+                for c in bounds:
+                    late = (completion[:, :n, t] - deadlines[:n, t] > c.x_s).sum(axis=1)
+                    want[:, t] += late / n > c.beta
+            got = _task_counts(ctx, completion)[2]
+        assert np.isinf(completion).any() and np.isnan(completion).any()
+        assert 0 < want.sum() < 40 * 5
+        assert got.tolist() == want.tolist()
+
     def test_job_ending_at_its_deadline_is_on_time(self):
         # Each task alone on a 1 GHz host: every job ends exactly at its deadline.
         profiles = [TaskProfile(t, kind, 10**9, 2.0, 1.0, 2)
@@ -925,7 +965,7 @@ class TestCountsMatchRecords:
         args = (cluster, profiles, trace_of(jobs))
         for res in (evaluate_allocation(*args, alloc, soft_constraints=soft),
                     edf_schedule(*args, soft_constraints=soft)):
-            assert [o.overrun_s for o in res.per_job] == [0.0] * 6
+            assert res.overrun_s == (0.0,) * 6
             self.assert_counts_match_records(res, profiles, 10**6)
             assert res.lam == 0
         assert evaluate_objectives(*args, alloc, soft_constraints=soft)[0] == 0
@@ -1005,11 +1045,10 @@ class TestEdfBaseline:
         ]
         jobs = [Job(0, 0, 0.0, 10.0, 3 * 10**9), Job(1, 0, 1.0, 3.0, 10**9)]
         res = edf_schedule(cluster, profiles, trace_of(jobs))
-        by_task = {o.task_id: o for o in res.per_job}
-        assert by_task[1].completion_s == pytest.approx(2.0)
-        assert by_task[0].completion_s == pytest.approx(4.0)
+        assert res.task_id == (0, 1)
+        assert res.completion_s == pytest.approx((4.0, 2.0))
         # T0's start is its first run, not its resume after the preemption.
-        assert (by_task[0].start_s, by_task[1].start_s) == (0.0, 1.0)
+        assert res.start_s == (0.0, 1.0)
         assert res.lam == 0
 
     def test_nested_deadlines_schedule_inner_first(self):
@@ -1021,17 +1060,15 @@ class TestEdfBaseline:
         # same arrival, nested deadlines: the tighter job runs first
         jobs = [Job(0, 0, 0.0, 10.0, 10**9), Job(1, 0, 0.0, 5.0, 10**9)]
         res = edf_schedule(cluster, profiles, trace_of(jobs))
-        by_task = {o.task_id: o for o in res.per_job}
-        assert by_task[1].completion_s == pytest.approx(1.0)
-        assert by_task[0].completion_s == pytest.approx(2.0)
+        assert res.task_id == (0, 1)
+        assert res.completion_s == pytest.approx((2.0, 1.0))
 
     def test_control_abort_at_deadline(self):
         cluster = [host()]
         profiles = [TaskProfile(0, "CTRL", 2 * 10**9, 1.0, 1.0, 1, skip=2)]
         jobs = [Job(0, 0, 0.0, 1.0, 2 * 10**9)]
         res = edf_schedule(cluster, profiles, trace_of(jobs))
-        [o] = res.per_job
-        assert o.aborted
+        assert res.aborted == (True,)
         [server] = res.per_server
         assert server.executed_instructions == pytest.approx(1e9)
 
@@ -1042,10 +1079,9 @@ class TestEdfBaseline:
         profiles = [TaskProfile(0, "CTRL", 10**9, 1.0, 1.0, 2, skip=2)]
         jobs = [Job(0, 0, 0.0, 10.0, 3 * 10**9), Job(0, 1, 1.0, 2.0, 10**9)]
         res = edf_schedule(cluster, profiles, trace_of(jobs))
-        first, late = res.per_job
-        assert not first.aborted and first.completion_s == 3.0
-        assert late.aborted and late.missed and late.start_s == 3.0
-        assert late.completion_s == 3.0  # would-be: deadline + unrun work
+        assert res.aborted == res.missed == (False, True)
+        assert res.start_s[1] == 3.0
+        assert res.completion_s == (3.0, 3.0)  # job 1's would-be: deadline + unrun work
         assert res.per_server[0].executed_instructions == 3e9
         assert res.control_aborts == 1
 
@@ -1065,7 +1101,7 @@ class TestEdfBaseline:
         shuffled = [jobs[i] for i in rng.permutation(len(jobs))]
         res = edf_schedule(cluster, profiles, trace_of(shuffled))
         assert res.control_aborts > 0
-        assert [(o.task_id, o.job_index) for o in res.per_job] == sorted(
+        assert list(zip(res.task_id, res.job_index)) == sorted(
             (j.task_id, j.job_index) for j in jobs
         )
 
@@ -1098,7 +1134,5 @@ class TestEdfBaseline:
         jobs = [Job(0, 0, 0.0, 50.0, 10**9)]
         res_min = edf_schedule(cluster, profiles, trace_of(jobs), dvfs_policy="min")
         res_max = edf_schedule(cluster, profiles, trace_of(jobs), dvfs_policy="max")
-        [o_min] = res_min.per_job
-        [o_max] = res_max.per_job
-        assert o_min.completion_s == pytest.approx(1.0)
-        assert o_max.completion_s == pytest.approx(1.0 / 1.5)
+        assert res_min.completion_s == pytest.approx((1.0,))
+        assert res_max.completion_s == pytest.approx((1.0 / 1.5,))

@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from greensched.errors import InvalidArgumentError, ParseError
+from greensched.errors import InvalidArgumentError, InvalidTraceError, ParseError
 from greensched.scenario import FIXTURES
 from greensched.workload import (
+    PHASE_POLICIES,
     Job,
     JobTrace,
     TaskProfile,
@@ -21,6 +22,24 @@ from greensched.workload import (
 )
 
 WORKLOAD_CSV = str(FIXTURES / "mixed_workload.csv")
+
+
+def scalar_draw_rows(profiles, seed, phase_policy):
+    """The trace ``generate_jobs`` must give, drawn one job at a time: each
+    task's phase, then per SOFT job its gap and then its work, as scalars."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    for p in sorted(profiles, key=lambda q: q.task_id):
+        phase = 0.0 if phase_policy == "zero" else float(rng.uniform(0.0, p.period_s))
+        arrival = phase
+        for j in range(p.n_jobs):
+            if p.kind == "SOFT":
+                arrival += float(rng.exponential(p.period_s))
+                work = max(1, math.ceil(rng.exponential(p.n_instructions)))
+            else:
+                arrival, work = phase + j * p.period_s, p.n_instructions
+            rows.append((p.task_id, j, arrival, arrival + p.deadline_s, work))
+    return rows
 
 
 class TestParseWorkload:
@@ -62,6 +81,12 @@ class TestParseWorkload:
             parse_workload(f)
         assert "duplicate" in str(e.value)
 
+    def test_task_id_past_int64_rejected(self, tmp_path):
+        f = tmp_path / "w.csv"
+        f.write_text(f"task_id,type,n_ins,period_s,deadline_s,n_jobs\n{2**63},REAL,1000,1.0,1.0,5\n")
+        with pytest.raises(ParseError, match="row 2: task_id: .* does not fit in 64 bits"):
+            parse_workload(f)
+
     def test_comment_lines_skipped(self, tmp_path):
         f = tmp_path / "w.csv"
         f.write_text(
@@ -99,10 +124,9 @@ class TestGenerateJobs:
     def test_periodic_tasks_are_strictly_periodic(self):
         profiles = [TaskProfile(0, "CTRL", 100, 2.5, 2.5, 4)]
         trace = generate_jobs(profiles, seed=7)
-        arrivals = [j.arrival_s for j in trace.jobs]
-        assert arrivals == pytest.approx([0.0, 2.5, 5.0, 7.5])
-        assert all(j.deadline_s == pytest.approx(j.arrival_s + 2.5) for j in trace.jobs)
-        assert all(j.work_instructions == 100 for j in trace.jobs)
+        assert trace.arrival_s.tolist() == pytest.approx([0.0, 2.5, 5.0, 7.5])
+        assert trace.deadline_s == pytest.approx(trace.arrival_s + 2.5)
+        assert (trace.work_instructions == 100).all()
 
     def test_deterministic_given_seed(self):
         profiles = parse_workload(WORKLOAD_CSV)
@@ -120,27 +144,78 @@ class TestGenerateJobs:
         # law of large numbers: mean inter-arrival within 2% at 20k jobs
         profiles = [TaskProfile(0, "SOFT", 1000, 3.0, 2.0, 20_000)]
         trace = generate_jobs(profiles, seed=11)
-        arrivals = np.array([j.arrival_s for j in trace.jobs])
-        gaps = np.diff(arrivals)
+        gaps = np.diff(trace.arrival_s)
         assert np.mean(gaps) == pytest.approx(3.0, rel=0.02)
 
     def test_soft_work_mean_matches_profile(self):
         profiles = [TaskProfile(0, "SOFT", 10_000, 1.0, 1.0, 20_000)]
         trace = generate_jobs(profiles, seed=13)
-        works = np.array([j.work_instructions for j in trace.jobs])
+        works = trace.work_instructions
         assert np.mean(works) == pytest.approx(10_000, rel=0.02)
         assert works.min() >= 1
 
     def test_uniform_random_phases_stay_in_period(self):
         profiles = [TaskProfile(0, "REAL", 100, 5.0, 5.0, 3)]
         trace = generate_jobs(profiles, seed=2, phase_policy="uniform-random")
-        first = trace.jobs[0].arrival_s
+        first = trace.arrival_s[0]
         assert 0.0 <= first < 5.0
+
+    @pytest.mark.parametrize("phase_policy", PHASE_POLICIES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_draws_equal_scalar_draws(self, phase_policy, seed):
+        # A 20 000-job SOFT task after the bundled mix: every column bit for bit.
+        profiles = parse_workload(WORKLOAD_CSV) + [TaskProfile(99, "SOFT", 10**8, 0.2, 0.5, 20_000)]
+        trace = generate_jobs(profiles, seed, phase_policy)
+        rows = list(zip(*(column.tolist() for column in trace.columns)))
+        assert rows == scalar_draw_rows(profiles, seed, phase_policy)
 
     def test_unknown_policies_rejected(self):
         profiles = [TaskProfile(0, "REAL", 100, 5.0, 5.0, 3)]
         with pytest.raises(InvalidArgumentError):
             generate_jobs(profiles, seed=1, phase_policy="nope")
+
+
+class TestJobTraceCheck:
+    ROWS = [Job(0, 0, 0.0, 1.0, 5), Job(0, 1, 1.0, 2.0, 5), Job(1, 0, 0.5, 2.0, 7)]
+
+    def test_rows_in_any_order_give_one_trace(self):
+        trace = JobTrace.from_jobs(self.ROWS, 0, 3.0)
+        assert JobTrace.from_jobs(self.ROWS[::-1], 0, 3.0) == trace
+        assert trace.task_id.tolist() == [0, 0, 1] and trace.job_index.tolist() == [0, 1, 0]
+        assert trace.arrival_s.dtype == float and trace.work_instructions.dtype == np.int64
+        with pytest.raises(ValueError):
+            trace.arrival_s[0] = 1.0  # columns are read-only
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (Job(0, 2, 0.0, 1.0, 2.5), "task_id, job_index and work_instructions must be integers"),
+            (Job(0, -1, 0.0, 1.0, 5), "job_index must be >= 0, got -1"),
+            (Job(1, 0, 0.5, 2.0, 7), "job 0 of task 1 is listed twice"),
+            (Job(0, 1, 9.0, 9.0, 5), "job 1 of task 0 is listed twice"),
+            (Job(0, 2, 0.0, 1.0, -5), "work_instructions must be >= 0, got -5"),
+            (Job(0, 2, float("nan"), 1.0, 5), "arrival_s must be finite, got nan"),
+            (Job(0, 2, 0.0, float("inf"), 5), "deadline_s must be finite, got inf"),
+            (Job(0, 2, 1.0, 0.5, 5), "deadline_s 0.5 is before arrival_s 1.0"),
+        ],
+    )
+    def test_bad_row_is_named(self, bad, message):
+        with pytest.raises(InvalidTraceError, match=f"^job row 3: {re.escape(message)}$") as e:
+            JobTrace.from_jobs(self.ROWS + [bad], 0, 3.0)
+        assert (e.value.row, e.value.problem) == (3, message)
+
+    def test_first_of_two_bad_rows_is_named_in_the_order_given(self):
+        rows = [Job(1, 0, 0.5, 2.0, 7), Job(0, 1, 1.0, 2.0, -1), Job(0, 1, 1.0, 2.0, 5),
+                Job(0, 0, 0.0, 1.0, 5)]
+        with pytest.raises(InvalidTraceError, match="^job row 1: work_instructions"):
+            JobTrace.from_jobs(rows, 0, 3.0)
+        rows[1], rows[3] = rows[2], Job(0, 0, 0.0, 1.0, -1)
+        with pytest.raises(InvalidTraceError, match="^job row 2: job 1 of task 0 is listed twice"):
+            JobTrace.from_jobs(rows, 0, 3.0)
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="differ in length"):
+            JobTrace([0, 0], [0, 1], [0.0], [1.0], [5], 0, 1.0)
 
 
 class TestTraceRoundTrip:
@@ -151,6 +226,23 @@ class TestTraceRoundTrip:
         serialize_trace(trace, path)
         back = parse_trace(path)
         assert back == trace
+
+    def test_rows_out_of_order_are_sorted_and_named_by_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        header = "# seed=1 horizon_s=10.0\ntask_id,job_index,arrival_s,deadline_s,work_instructions\n"
+        path.write_text(header + "1,0,0.5,2.0,7\n0,1,1.0,2.0,5\n0,0,0.0,1.0,5\n")
+        assert parse_trace(path) == JobTrace.from_jobs(TestJobTraceCheck.ROWS, 1, 10.0)
+        path.write_text(header + "1,0,0.5,2.0,7\n0,1,1.0,2.0,5\n0,1,0.0,1.0,5\n0,0,0.0,1.0,-5\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: row 5: job 1 of task 0"):
+            parse_trace(path)
+
+    def test_value_past_int64_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("# seed=1 horizon_s=10.0\n"
+                        "task_id,job_index,arrival_s,deadline_s,work_instructions\n"
+                        f"0,0,0.0,1.0,{2**63}\n")
+        with pytest.raises(ParseError, match="row 3: work_instructions: .* does not fit in 64 bits"):
+            parse_trace(path)
 
     def test_header_carries_seed_and_generator(self, tmp_path):
         profiles = [TaskProfile(0, "REAL", 100, 1.0, 1.0, 2)]
