@@ -19,6 +19,7 @@ the message names the file and the field or row), 3 model domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from .errors import (
 from .inputs import read_json, read_table
 from .nsga import evolve
 from .scenario import Scenario, load_scenario, load_server_spec, save_server_spec
-from .workload import generate_jobs, parse_trace, serialize_trace
+from .workload import JobTrace, generate_jobs, parse_trace, serialize_trace
 
 
 TELEMETRY_COLUMNS = dict(
@@ -219,11 +220,24 @@ def _load_allocation(path: str) -> sim.Allocation:
     )
 
 
+def _parse_trace_of(path: str, scenario: Scenario) -> JobTrace:
+    """The trace at ``path``, whose jobs must cover exactly the scenario's tasks."""
+    trace = parse_trace(path)
+    declared = {p.task_id for p in scenario.profiles}
+    listed = set(trace.task_id.tolist())
+    if listed - declared:
+        raise ParseError(path, f"jobs of task(s) {sorted(listed - declared)} "
+                               "that the scenario does not declare")
+    if declared - listed:
+        raise ParseError(path, f"no jobs of task(s) {sorted(declared - listed)}")
+    return trace
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
     alloc = _load_allocation(args.allocation)
     trace = (
-        parse_trace(args.trace) if args.trace else _trace_for(scenario)
+        _parse_trace_of(args.trace, scenario) if args.trace else _trace_for(scenario)
     )
     res = sim.evaluate_allocation(
         list(scenario.cluster),
@@ -304,8 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on first use, and ``parse_args`` keeps no state."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, ParseError, OSError) as exc:

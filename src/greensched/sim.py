@@ -618,11 +618,12 @@ def _edf_host(
 
     ``tasks`` gives each hosted task's jobs in the flat trace columns and
     whether it is a control task, in task-id order.  Each task has one current
-    job, released at the later of its arrival and its predecessor's end.  At
-    the top of the loop a current job is ready exactly when its release is not
-    after ``t``; every other one is released later, so the next release is
-    the next preemption point.  With at most one ready job per task, the job
-    to run is the minimum of (deadline, arrival, task) over the ready ones.
+    job, released at the later of its arrival and its predecessor's end, and
+    an EDF key ``(deadline, arrival, k)`` that changes only when the task
+    moves on to its next job.  At each event one pass over the active tasks
+    finds the smallest key among the ready ones (release not after ``t``) and
+    the earliest release among the others, the next preemption point.  The
+    keys end in the task index, so they are distinct and the pick is unique.
     Writes each job's first run, would-be completion and abort flag into
     ``start``, ``completion`` and ``aborted``; returns the instructions run.
     """
@@ -630,16 +631,23 @@ def _edf_host(
     job = [span.start for span, _ in tasks]  # flat index of each task's current job
     release = [arrivals[j] for j in job]
     remaining = [works[j] / rate for j in job]  # seconds
+    key = [(deadlines[j], arrivals[j], k) for k, j in enumerate(job)]
+    none_ready = (inf, inf, len(tasks))  # above every key: trace times are finite
     active = list(range(len(tasks)))  # tasks with a current job
     executed = 0.0
     t = 0.0
     while active:
-        ready = [k for k in active if release[k] <= t]
-        next_release = min((release[k] for k in active if release[k] > t), default=inf)
-        if not ready:
+        best, next_release = none_ready, inf
+        for k in active:
+            if release[k] <= t:
+                if key[k] < best:
+                    best = key[k]
+            elif release[k] < next_release:
+                next_release = release[k]
+        if best is none_ready:
             t = next_release
             continue
-        k = min(ready, key=lambda k: (deadlines[job[k]], arrivals[job[k]], k))
+        k = best[2]
         j = job[k]
         if start[j] is None:
             start[j] = t
@@ -659,6 +667,7 @@ def _edf_host(
             if j + 1 < tasks[k][0].stop:
                 job[k] = j + 1
                 release[k] = max(arrivals[j + 1], event)
+                key[k] = (deadlines[j + 1], arrivals[j + 1], k)
                 remaining[k] = works[j + 1] / rate
             else:
                 active.remove(k)

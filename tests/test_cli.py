@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from greensched.cli import main
+from greensched import cli
+from greensched.cli import build_parser, main
 from greensched.errors import ConfigurationError
 from greensched.power import ThermalState, total_power
 from greensched.scenario import FIXTURES, load_scenario, load_server_spec
@@ -290,6 +291,39 @@ class TestSimulate:
             f"error: {trace}: row 5: job 1 of task 0 is listed twice\n"
         )
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: ["99" + rows[0][1:]] + rows[1:],
+             "jobs of task(s) [99] that the scenario does not declare"),
+            (lambda rows: [r for r in rows if not r.startswith("0,")], "no jobs of task(s) [0]"),
+        ],
+        ids=["undeclared-task", "jobless-task"],
+    )
+    def test_trace_of_other_tasks_is_parse_error(self, scenario, tmp_path, capsys, edit, message):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]})
+        )
+        main(["generate", "--scenario", str(scenario), "--out", str(tmp_path / "g")])
+        comment, columns, *rows = (tmp_path / "g" / "trace.csv").read_text().splitlines()
+        assert rows[0].startswith("0,")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join([comment, columns, *edit(rows)]) + "\n")
+        rc = main(
+            [
+                "simulate",
+                "--scenario", str(scenario),
+                "--allocation", str(alloc),
+                "--trace", str(trace),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+
 class TestBaseline:
     def test_runs_and_is_deterministic(self, scenario, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -300,6 +334,45 @@ class TestBaseline:
         assert read_all(out1) == read_all(out2)
         summary = json.loads((out1 / "baseline_summary.json").read_text())
         assert summary["lambda"] == 0
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state(self, scenario, tmp_path):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]})
+        )
+        calls = [
+            ["baseline", "--scenario", str(scenario), "--seed", "7"],
+            ["simulate", "--scenario", str(scenario), "--allocation", str(alloc)],
+            ["baseline", "--scenario", str(scenario)],
+        ]
+        outputs = []
+        for n, argv in enumerate(calls):
+            reused, fresh = tmp_path / f"reused{n}", tmp_path / f"fresh{n}"
+            assert main(argv + ["--out", str(reused)]) == 0
+            args = build_parser().parse_args(argv + ["--out", str(fresh)])
+            assert args.func(args) == 0
+            outputs.append(read_all(reused))
+            assert outputs[-1] == read_all(fresh)
+        assert outputs[0] != outputs[2]  # the seed reaches the output
+        assert build_parser() is not build_parser()
+
+    def test_main_builds_its_parser_once(self, scenario, tmp_path, monkeypatch):
+        built, real_build = [], cli.build_parser
+
+        def counting_build():
+            built.append(real_build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for n in range(3):
+                main(["generate", "--scenario", str(scenario), "--out", str(tmp_path / f"g{n}")])
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestFit:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_spec
+from greensched import sim
 from greensched._kernels import scan_jobs, scan_population
 from greensched.errors import InvalidAllocationError, InvalidArgumentError
 from greensched.nsga import EvolveConfig, _repair, decode, evolve
@@ -1136,3 +1137,160 @@ class TestEdfBaseline:
         res_max = edf_schedule(cluster, profiles, trace_of(jobs), dvfs_policy="max")
         assert res_min.completion_s == pytest.approx((1.0,))
         assert res_max.completion_s == pytest.approx((1.0 / 1.5,))
+
+
+def reference_edf_host(tasks, arrivals, deadlines, works, rate, start, completion, aborted):
+    """The EDF host loop that rebuilt its ready list at each event, kept as
+    the reference for ``sim._edf_host``."""
+    inf = float("inf")
+    job = [span.start for span, _ in tasks]  # flat index of each task's current job
+    release = [arrivals[j] for j in job]
+    remaining = [works[j] / rate for j in job]  # seconds
+    active = list(range(len(tasks)))  # tasks with a current job
+    executed = 0.0
+    t = 0.0
+    while active:
+        ready = [k for k in active if release[k] <= t]
+        next_release = min((release[k] for k in active if release[k] > t), default=inf)
+        if not ready:
+            t = next_release
+            continue
+        k = min(ready, key=lambda k: (deadlines[job[k]], arrivals[job[k]], k))
+        j = job[k]
+        if start[j] is None:
+            start[j] = t
+        left = remaining[k]
+        horizon = t + left
+        cutoff = deadlines[j] if tasks[k][1] and deadlines[j] < horizon else inf
+        event = min(horizon, next_release, cutoff)
+        if event > t:
+            ran_s = min(event - t, left)
+            left -= ran_s
+            executed += ran_s * rate
+        if event == horizon or event == cutoff:
+            # The job completes, or a control job aborts at its deadline and
+            # its remaining work is discarded.
+            completion[j] = event if event == horizon else event + left
+            aborted[j] = event != horizon
+            if j + 1 < tasks[k][0].stop:
+                job[k] = j + 1
+                release[k] = max(arrivals[j + 1], event)
+                remaining[k] = works[j + 1] / rate
+            else:
+                active.remove(k)
+        else:
+            remaining[k] = left
+        t = max(t, event)
+    return executed
+
+
+def host_case(task_jobs, rate=1e9):
+    """``_edf_host`` arguments for one host: ``task_jobs`` holds each task's
+    control flag and its ``(arrival, deadline, work)`` jobs."""
+    tasks, arrivals, deadlines, works = [], [], [], []
+    for ctrl, jobs in task_jobs:
+        tasks.append((slice(len(works), len(works) + len(jobs)), ctrl))
+        for arrival, deadline, work in jobs:
+            arrivals.append(float(arrival))
+            deadlines.append(float(deadline))
+            works.append(float(work))
+    return tasks, arrivals, deadlines, works, rate
+
+
+def run_host(edf_host, tasks, arrivals, deadlines, works, rate):
+    """``(start, completion, aborted, executed)`` of ``edf_host`` on one host."""
+    n = len(works)
+    start, completion, aborted = [None] * n, [0.0] * n, [False] * n
+    executed = edf_host(tasks, arrivals, deadlines, works, rate, start, completion, aborted)
+    return start, completion, aborted, executed
+
+
+def random_host_case(rng, on_grid):
+    """5-7 tasks on one host.  ``on_grid`` puts every time on a 0.25 s grid and
+    every run time at a multiple of it, so deadlines and arrivals tie and
+    releases fall exactly on completions; otherwise times are arbitrary."""
+    rate = 1e9
+    task_jobs = []
+    for _ in range(int(rng.integers(5, 8))):
+        arrival, jobs = 0.0, []
+        for _ in range(int(rng.integers(1, 7))):
+            if on_grid:
+                arrival += 0.25 * float(rng.choice([0, 1, 2, 4]))
+                deadline = arrival + 0.25 * float(rng.choice([1, 2, 4, 8]))
+                work = rate * 0.25 * float(rng.choice([0, 1, 2, 3, 6]))
+            else:
+                arrival += float(rng.uniform(0.0, 1.0))
+                deadline = arrival + float(rng.uniform(0.1, 2.0))
+                work = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 1.5)) * rate
+            jobs.append((arrival, deadline, work))
+        task_jobs.append((bool(rng.random() < 0.5), jobs))
+    return host_case(task_jobs, rate)
+
+
+class TestEdfHostMatchesReference:
+    """``sim._edf_host`` against the kept reference loop, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(case):
+        got = run_host(sim._edf_host, *case)
+        want = run_host(reference_edf_host, *case)
+        assert repr(got) == repr(want)
+        return got
+
+    @pytest.mark.parametrize(
+        "task_jobs,starts",
+        [
+            # T2 holds the host until t=1; T0 and T1 then share deadline 3 and
+            # T1, the earlier arrival, runs first.
+            ([(False, [(0.5, 3.0, 1e9)]), (False, [(0.25, 3.0, 1e9)]), (False, [(0.0, 1.0, 1e9)])],
+             [2.0, 1.0, 0.0]),
+            # T0 and T1 share deadline and arrival: the task index decides.
+            ([(False, [(0.0, 2.0, 1e9)]), (False, [(0.0, 2.0, 1e9)]), (False, [(0.0, 0.5, 2.5e8)])],
+             [0.25, 1.25, 0.0]),
+            # A control job aborts at its deadline.
+            ([(True, [(0.0, 1.0, 2e9)])], [0.0]),
+            # T1's control job is first picked at t=2, after its deadline 1.5.
+            ([(False, [(0.0, 1.0, 2e9)]), (True, [(0.0, 1.5, 1e9)])], [0.0, 2.0]),
+            # Zero-work jobs; T1 holds the host until t=1, so T2's first, a
+            # control job, is picked after its deadline and aborts.
+            ([(False, [(0.0, 1.0, 0.0), (0.5, 1.5, 0.0)]), (False, [(0.0, 0.25, 1e9)]),
+              (True, [(0.0, 0.5, 0.0), (0.75, 2.0, 0.0)])],
+             [1.0, 1.0, 0.0, 1.0, 1.0]),
+            # T0's first job completes at t=1, exactly when T1 arrives and
+            # T0's second job is released.
+            ([(False, [(0.0, 1.0, 1e9), (0.5, 3.0, 5e8)]), (False, [(1.0, 2.0, 5e8)])],
+             [0.0, 1.5, 1.0]),
+        ],
+        ids=["equal-deadlines", "equal-deadlines-and-arrivals", "ctrl-abort",
+             "ctrl-picked-after-deadline", "zero-work", "release-at-completion"],
+    )
+    def test_hand_cases(self, task_jobs, starts):
+        start, *_ = self.assert_matches_reference(host_case(task_jobs))
+        assert start == starts
+
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "arbitrary"])
+    def test_random_single_host_cases(self, on_grid):
+        rng = np.random.default_rng(17)
+        seen = dict(aborts=0, late_picks=0, zero_work=0)
+        for _ in range(150):
+            case = random_host_case(rng, on_grid)
+            start, _, aborted, _ = self.assert_matches_reference(case)
+            _, _, deadlines, works, _ = case
+            seen["aborts"] += sum(aborted)
+            seen["late_picks"] += sum(a and s > d for a, s, d in zip(aborted, start, deadlines))
+            seen["zero_work"] += works.count(0.0)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("name", ["intel", "amd"])
+    @pytest.mark.parametrize("policy", ["max", "min"])
+    def test_edf_schedule_on_bundled_scenarios(self, name, policy, monkeypatch):
+        for seed in range(1, 11):
+            s = load_scenario(str(FIXTURES / f"scenario_{name}.json"), seed=seed)
+            args = (list(s.cluster), list(s.profiles), generate_jobs(s.profiles, seed, s.phase_policy))
+            kw = dict(dvfs_policy=policy, soft_constraints=s.soft_constraints,
+                      energy_unit_j=s.energy_unit_j)
+            got = edf_schedule(*args, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_edf_host", reference_edf_host)
+                want = edf_schedule(*args, **kw)
+            assert repr(got) == repr(want)
