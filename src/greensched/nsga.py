@@ -17,14 +17,19 @@ seen are repaired together, and their scores are memoized by the bytes of the
 repaired row, since many gene rows repair to one allocation: only allocations
 never scored are evaluated, as one block of mode and share arrays per
 generation; only the returned front becomes ``Allocation`` objects.  The
-archive is offered only the entries first seen in a round, and ranking sweeps
-the distinct objective vectors.
+archive is offered only the entries first seen in a round.
+
+Each distinct objective vector gets an integer key id when it is first
+scored, and the population carries one id per member.  Selection and
+crowding group the members by id, rank each distinct vector once and
+compute crowding per vector (see :func:`_chain_crowding`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +48,10 @@ CROSSOVER_PROB = 0.9
 class ObjectiveVector:
     lam: int
     scaled_energy_j: float  # (1 + lam) * total energy
+
+
+Key = tuple[int, float]  # (lam, scaled energy), ObjectiveVector's order
+Run = tuple[Key, list[int]]  # a distinct key and its members' positions, in index order
 
 
 @dataclass(frozen=True)
@@ -108,26 +117,12 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
     """Rank per point: 0 = non-dominated, r = non-dominated after removing < r.
 
-    Two objectives allow one sweep (Jensen 2003): visit the distinct points in
-    (lam, scaled energy) order and put each in the first front whose latest
-    member does not dominate it; equal points share a rank.  Every dominator
-    of a point is visited before it, so each front's latest member precedes
-    the point in that order and dominates it exactly when its energy is not
-    larger.  The latest energies never decrease from front to front, so a
-    binary search (``bisect_right``) finds the first front that does not.
+    Equal points share a rank; each distinct point is ranked once, by the
+    sweep of :func:`_ranked_fronts`.
     """
-    keys = [(p.lam, p.scaled_energy_j) for p in points]  # ObjectiveVector's order
-    rank_of: dict[tuple[int, float], int] = {}
-    latest: list[float] = []  # energy of each front's latest member
-    for key in sorted(set(keys)):
-        energy = key[1]
-        r = bisect_right(latest, energy)
-        if r == len(latest):
-            latest.append(energy)
-        else:
-            latest[r] = energy
-        rank_of[key] = r
-    return [rank_of[key] for key in keys]
+    key_ids: dict[Key, int] = {}
+    ids = [key_ids.setdefault((p.lam, p.scaled_energy_j), len(key_ids)) for p in points]
+    return _ranks(ids, list(key_ids))
 
 
 def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
@@ -153,17 +148,25 @@ def decode(
     profiles: Sequence[TaskProfile],
     cluster: Sequence[sim.ClusterHost],
 ) -> sim.Allocation | list[sim.Allocation]:
-    """Repairing decode of a gene vector into a valid allocation.
+    """Repairing decode of a gene vector into an allocation with valid shares.
 
-    Given a ``[U, G]`` block of gene vectors, returns a list with one
-    allocation per row, each equal to decoding that row alone.  A share row
-    not summing to 100 is scaled to 100 and rounded by largest remainder,
-    ties to the lower server index; ``r * 100 / total`` in float64 is the
-    correctly rounded quotient, as Python's ``int / int`` is.
+    A gene vector holds ``M + N*M`` genes for M servers and N tasks.  Given a
+    ``[U, G]`` block of gene vectors, returns a list with one allocation per
+    row, each equal to decoding that row alone.  A share row not summing to
+    100 is scaled to 100 and rounded by largest remainder, ties to the lower
+    server index; ``r * 100 / total`` in float64 is the correctly rounded
+    quotient, as Python's ``int / int`` is.  Mode genes pass through
+    unchecked: a mode index the host lacks is kept, and
+    :func:`sim.validate_allocation` rejects it.
     """
     ordered = sorted(profiles, key=lambda p: p.task_id)
     block = np.asarray(genes, dtype=np.int64)
     rows = np.atleast_2d(block)
+    m, n = len(cluster), len(ordered)
+    if rows.shape[1] != m + n * m:
+        raise InvalidArgumentError(
+            f"expected M + N*M = {m} + {n}*{m} = {m + n * m} genes, got {rows.shape[1]}"
+        )
     shares = _repair(rows, len(cluster), np.array([p.kind == "REAL" for p in ordered]))
     allocs = [
         sim.Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
@@ -272,8 +275,8 @@ def tournament_select(
 class _Scored(NamedTuple):
     """A ``FrontPoint`` without its allocation (genes already times ``share_step``).
 
-    ``evolve`` makes one per distinct gene row, cached by the row's bytes;
-    rows that repair to one allocation share its memoized scores."""
+    ``evolve`` makes one per distinct gene row, for the archive; rows that
+    repair to one allocation share its memoized scores."""
 
     genes: tuple[int, ...]
     objectives: ObjectiveVector
@@ -337,17 +340,20 @@ def evolve(
     # Gene rows and repaired rows are keyed by their bytes in the narrowest
     # dtype that holds every scaled gene, a mode index or a share (0..100).
     key_type = np.min_scalar_type(int((bounds.high * scale).max()))
-    cache: dict[bytes, _Scored] = {}  # by scaled gene row
-    scores: dict[bytes, tuple[ObjectiveVector, float, float]] = {}  # by repaired row
+    cache: dict[bytes, int] = {}  # key id, by scaled gene row
+    scores: dict[bytes, tuple[int, ObjectiveVector, float, float]] = {}  # by repaired row
+    key_ids: dict[Key, int] = {}
+    keys: list[Key] = []  # by key id
 
-    def fitness(population: np.ndarray) -> tuple[list[_Scored], list[_Scored]]:
-        """Score a ``[P, G]`` population: every row's entry, and the entries of
+    def fitness(population: np.ndarray) -> tuple[list[int], list[_Scored]]:
+        """Score a ``[P, G]`` population: every row's key id, and the entries of
         rows never seen before in first-seen order.  Those rows are repaired
         together; the allocations among them never scored are evaluated
         together, as one block of mode and share arrays."""
         genes = population * scale
-        keys = _row_bytes(genes.astype(key_type))
-        fresh = _first_seen(keys, cache)
+        row_keys = _row_bytes(genes.astype(key_type))
+        fresh = _first_seen(row_keys, cache)
+        entries = []
         if fresh:
             rows = genes[list(fresh.values())]
             dvfs = rows[:, :n_servers]
@@ -361,11 +367,17 @@ def evolve(
                 results = sim.evaluate_objectives(
                     cluster, ordered, trace, (dvfs[idx], repaired[idx]), _context=context
                 )
-                for key, (lam, energy_j, energy_u) in zip(unscored, results):
-                    scores[key] = ObjectiveVector(lam, (1 + lam) * energy_j), energy_j, energy_u
-            for key, row, alloc_key in zip(fresh, rows.tolist(), alloc_keys):
-                cache[key] = _Scored(tuple(row), *scores[alloc_key])
-        return [cache[key] for key in keys], [cache[key] for key in fresh]
+                for alloc_key, (lam, energy_j, energy_u) in zip(unscored, results):
+                    key = (lam, (1 + lam) * energy_j)
+                    key_id = key_ids.setdefault(key, len(keys))
+                    if key_id == len(keys):
+                        keys.append(key)
+                    scores[alloc_key] = key_id, ObjectiveVector(*key), energy_j, energy_u
+            for row_key, row, alloc_key in zip(fresh, rows.tolist(), alloc_keys):
+                key_id, *scored = scores[alloc_key]
+                cache[row_key] = key_id
+                entries.append(_Scored(tuple(row), *scored))
+        return list(map(cache.__getitem__, row_keys)), entries
 
     # Uniform mode genes; each share row one-hot on a random server (share
     # genes are never fixed: they span 0..100 // share_step), so the initial
@@ -377,8 +389,8 @@ def evolve(
     picked = rng.integers(n_servers, size=(n_pop, n_tasks, 1)) == np.arange(n_servers)
     shares = (picked * bounds.high[n_servers:].reshape(n_tasks, n_servers)).reshape(n_pop, -1)
     pop = np.concatenate([modes, shares], axis=1)
-    evals, fresh = fitness(pop)
-    ranks = nondominated_sort([e.objectives for e in evals])
+    ids, fresh = fitness(pop)
+    ranks = _ranks(ids, keys)
 
     # Only entries never offered before: an archive that was offered an entry
     # stays unchanged when offered it again.
@@ -391,7 +403,7 @@ def evolve(
     gen = 0
     n_pairs = (n_pop + 1) // 2
     for gen in range(1, config.generations + 1):
-        crowd = _crowding_by_rank([e.objectives for e in evals], ranks)
+        crowd = _crowding(ids, keys, ranks)
 
         # Parents pair up in draw order; children c1, c2 of each pair stay
         # adjacent, and an odd population drops the last pair's c2.
@@ -399,15 +411,14 @@ def evolve(
         c1, c2 = single_point_crossover(parents[0::2], parents[1::2], rng, CROSSOVER_PROB)
         children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, n_vars)[:n_pop]
         offspring = integer_flip_mutation(children, bounds, rng, 1.0 / n_vars)
-        off_evals, fresh = fitness(offspring)
+        off_ids, fresh = fitness(offspring)
         for entry in fresh:
             archive.offer(entry)
 
-        combined = np.concatenate([pop, offspring])
-        combined_evals = evals + off_evals
-        sel, ranks = _environmental_selection([e.objectives for e in combined_evals], n_pop)
-        pop = combined[sel]
-        evals = [combined_evals[i] for i in sel]
+        combined_ids = ids + off_ids
+        sel, ranks = _environmental_selection(combined_ids, keys, n_pop)
+        pop = np.concatenate([pop, offspring])[sel]
+        ids = list(map(combined_ids.__getitem__, sel))
 
         best = min(archive.points, key=lambda p: (p.objectives.lam, p.energy_j))
         convergence.append((gen, best.objectives.lam, best.energy_j))
@@ -433,41 +444,130 @@ def _front_point(p: _Scored, ordered, cluster) -> FrontPoint:
     return FrontPoint(allocation=decode(p.genes, ordered, cluster), **p._asdict())
 
 
-def _fronts(ranks: Sequence[int]) -> list[list[int]]:
-    """The indices of each rank, in index order; fronts in rank order."""
-    by_rank: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        by_rank.setdefault(r, []).append(i)
-    return [by_rank[r] for r in sorted(by_rank)]
+def _key_runs(ids: Sequence[int], keys: Sequence[Key]) -> list[Run]:
+    """The run of each distinct key among the members, in key order.
+    ``ids`` holds each member's key id and ``keys[id]`` its key."""
+    runs: dict[int, list[int]] = {}
+    for i, key_id in enumerate(ids):
+        run = runs.get(key_id)
+        if run is None:
+            runs[key_id] = [i]
+        else:
+            run.append(i)
+    return [(keys[key_id], runs[key_id]) for key_id in sorted(runs, key=keys.__getitem__)]
 
 
-def _crowding_by_rank(objs: Sequence[ObjectiveVector], ranks: Sequence[int]) -> list[float]:
-    crowd = [0.0] * len(objs)
-    for members in _fronts(ranks):
-        for i, d in zip(members, crowding_distance([objs[i] for i in members])):
+def _ranked_fronts(ids: Sequence[int], keys: Sequence[Key]) -> list[list[Run]]:
+    """The members' runs (see :func:`_key_runs`) as fronts in rank order, each
+    in ``lam`` order.
+
+    Two objectives allow one sweep (Jensen 2003): visit the distinct keys in
+    (lam, scaled energy) order and put each in the first front whose latest
+    key does not dominate it.  Every dominator of a key is visited before it,
+    so each front's latest key precedes it in that order and dominates it
+    exactly when its energy is not larger.  The latest energies never
+    decrease from front to front, so a binary search (``bisect_right``)
+    finds the first front that does not.
+    """
+    latest: list[float] = []  # energy of each front's latest key
+    fronts: list[list[Run]] = []
+    for run in _key_runs(ids, keys):
+        energy = run[0][1]
+        r = bisect_right(latest, energy)
+        if r == len(latest):
+            latest.append(energy)
+            fronts.append([])
+        else:
+            latest[r] = energy
+        fronts[r].append(run)
+    return fronts
+
+
+def _ranks(ids: Sequence[int], keys: Sequence[Key]) -> list[int]:
+    """Each member's rank; ``ids`` and ``keys`` as in :func:`_key_runs`."""
+    ranks = [0] * len(ids)
+    for rank, front in enumerate(_ranked_fronts(ids, keys)):
+        for _, run in front:
+            for i in run:
+                ranks[i] = rank
+    return ranks
+
+
+def _chain_crowding(front: Sequence[Run]) -> list[tuple[int, float]]:
+    """:func:`crowding_distance` of one front's members, given as its runs in
+    ``lam`` order: the ``(position, distance)`` of each run's first and last
+    member.  Every other member has distance 0.0.
+
+    Inside a front the keys form a chain, ``lam`` strictly up and energy
+    strictly down, so in each objective's sorted order a key's members lie
+    side by side in index order (the sort is stable).  A member between two
+    copies of its own key adds ``(v - v) / span == 0.0`` in both objectives.
+    The other terms are Deb's, from the same values in the same order, so
+    each distance is bit-identical for finite objectives.
+    """
+    inf = float("inf")
+    last = len(front) - 1
+    if last > 0:
+        lam_span = front[-1][0][0] - front[0][0][0]
+        energy_span = front[0][0][1] - front[-1][0][1]
+    out: list[tuple[int, float]] = []
+    for i, (_, run) in enumerate(front):
+        if i == 0 or i == last:  # a boundary of both objectives' orders
+            out.append((run[0], inf))
+            if len(run) > 1:
+                out.append((run[-1], inf))
+            continue
+        (lo_lam, hi_e), (lam, e), (hi_lam, lo_e) = (key for key, _ in front[i - 1 : i + 2])
+        if len(run) == 1:
+            out.append((run[0], (hi_lam - lo_lam) / lam_span + (hi_e - lo_e) / energy_span))
+        else:
+            out.append((run[0], (lam - lo_lam) / lam_span + (e - lo_e) / energy_span))
+            out.append((run[-1], (hi_lam - lam) / lam_span + (hi_e - e) / energy_span))
+    return out
+
+
+def _crowding(ids: Sequence[int], keys: Sequence[Key], ranks: Sequence[int]) -> list[float]:
+    """Each member's :func:`crowding_distance` within its rank, computed per
+    distinct key by :func:`_chain_crowding`."""
+    fronts: dict[int, list[Run]] = {}
+    for run in _key_runs(ids, keys):
+        fronts.setdefault(ranks[run[1][0]], []).append(run)
+    crowd = [0.0] * len(ids)
+    for front in fronts.values():
+        for i, d in _chain_crowding(front):
             crowd[i] = d
     return crowd
 
 
 def _environmental_selection(
-    objs: Sequence[ObjectiveVector], k: int
+    ids: Sequence[int], keys: Sequence[Key], k: int
 ) -> tuple[list[int], list[int]]:
     """NSGA-II survivor selection: fill by rank, break the last front by crowding.
 
-    Returns the chosen indices and their ranks, which are also their ranks
-    among the survivors alone: every point that dominates a survivor lies in
-    an earlier front, and earlier fronts are admitted whole.
+    ``ids`` and ``keys`` are as in :func:`_key_runs`.  Whole fronts are
+    admitted in index order; the front that overflows gives its members with
+    nonzero crowding distance by ``(-distance, index)``, then its members at
+    distance 0 by index.  Returns the chosen indices and their ranks, which
+    are also their ranks among the survivors alone: every point that
+    dominates a survivor lies in an earlier front, and earlier fronts are
+    admitted whole.
     """
-    ranks = nondominated_sort(objs)
     chosen: list[int] = []
-    for members in _fronts(ranks):
-        if len(chosen) + len(members) <= k:
-            chosen.extend(members)
+    ranks: list[int] = []
+    for rank, front in enumerate(_ranked_fronts(ids, keys)):
+        room = k - len(chosen)
+        runs = [run for _, run in front]
+        if sum(map(len, runs)) <= room:
+            chosen.extend(sorted(chain.from_iterable(runs)))
         else:
-            dist = crowding_distance([objs[i] for i in members])
-            order = sorted(
-                range(len(members)), key=lambda j: (-dist[j], members[j])
-            )
-            chosen.extend(members[j] for j in order[: k - len(chosen)])
+            ends = _chain_crowding(front)
+            spaced = sorted((-d, i) for i, d in ends if d)
+            chosen.extend(i for _, i in spaced[:room])
+            if len(spaced) < room:  # interior copies, and ends at distance 0
+                idle = chain((i for i, d in ends if not d),
+                             chain.from_iterable(run[1:-1] for run in runs))
+                chosen.extend(sorted(idle)[: room - len(spaced)])
+        ranks.extend([rank] * (len(chosen) - len(ranks)))
+        if len(chosen) == k:
             break
-    return chosen, [ranks[i] for i in chosen]
+    return chosen, ranks

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from greensched import cli
+from greensched import cli, sim
 from greensched.cli import build_parser, main
 from greensched.errors import ConfigurationError
 from greensched.power import ThermalState, total_power
@@ -334,6 +334,58 @@ class TestBaseline:
         assert read_all(out1) == read_all(out2)
         summary = json.loads((out1 / "baseline_summary.json").read_text())
         assert summary["lambda"] == 0
+
+
+def reference_job_rows(res):
+    """The per-job CSV rows as one f-string per row (the writer before it
+    built each column in one pass)."""
+    server_set_of = {
+        tid: "|".join(str(s) for s in srvs) for tid, srvs in res.task_servers
+    }
+    return "".join(
+        f"{t},{j},{server_set_of.get(t, '')},{s!r},{c!r},{o!r},{int(miss)},{int(ab)}\n"
+        for t, j, s, c, o, miss, ab in zip(
+            res.task_id, res.job_index, res.start_s, res.completion_s, res.overrun_s,
+            res.missed, res.aborted,
+        )
+    )
+
+
+class TestJobsCsvWriter:
+    FLOATS = [-0.0, 0.0, 5e-324, 1e-05, 0.1, 1e16, 123456.789, float("inf"), float("-inf")]
+
+    def result(self, n, rng):
+        """``n`` jobs of tasks 0-4; task 3 on no server, task 4 on three."""
+        floats = [tuple(rng.choice(self.FLOATS, size=n).tolist()) for _ in range(3)]
+        flags = [tuple(rng.integers(2, size=n).astype(bool).tolist()) for _ in range(2)]
+        return sim.EvaluationResult(
+            lam=0, energy_j=1.0, energy_units=1.0,
+            task_id=tuple(rng.integers(5, size=n).tolist()),
+            job_index=tuple(range(n)),
+            start_s=floats[0], completion_s=floats[1], overrun_s=floats[2],
+            missed=flags[0], aborted=flags[1],
+            per_server=(), constraint_report=(),
+            hard_misses=0, control_aborts=0, soft_violations=0,
+            task_servers=((0, (0,)), (1, (1,)), (2, (0, 1)), (4, (0, 2, 5))),
+        )
+
+    BLOCK = cli._ROWS_PER_WRITE
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 1000])
+    def test_rows_equal_the_per_row_reference(self, tmp_path, n):
+        scn = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        res = self.result(n, np.random.default_rng(n))
+        cli._write_evaluation(tmp_path, scn, res, "simulate")
+        text = (tmp_path / "simulate_jobs.csv").read_text()
+        head = (f"# scenario_digest={scn.digest} seed=1\n"
+                "task_id,job_index,server_set,start_s,completion_s,overrun_s,missed,aborted\n")
+        assert text == head + reference_job_rows(res)
+        if n == 1000:
+            for value in ("-0.0", "5e-324", "1e-05", "1e+16", "inf", "-inf"):
+                assert f",{value}," in text
+            assert ",0|2|5," in text and ",0|1," in text
+            assert re.search(r"^3,\d+,,", text, re.MULTILINE)  # a task on no server
+            assert {line[-3:] for line in text.splitlines()[2:]} == {"0,0", "0,1", "1,0", "1,1"}
 
 
 class TestParserReuse:

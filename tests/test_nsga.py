@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_spec
 from greensched import nsga, power, sim
-from greensched.errors import ConfigurationError, InvalidArgumentError
+from greensched.errors import ConfigurationError, InvalidAllocationError, InvalidArgumentError
 from greensched.nsga import (
     EvolveConfig,
     GeneBounds,
@@ -36,6 +36,13 @@ from greensched.workload import Job, JobTrace, TaskProfile, generate_jobs
 
 def obj(lam, e):
     return ObjectiveVector(lam, e)
+
+
+def key_ids(points):
+    """The key id of each point and the ``(lam, scaled energy)`` of each id,
+    as ``evolve`` carries them."""
+    ids: dict[tuple[int, float], int] = {}
+    return [ids.setdefault((p.lam, p.scaled_energy_j), len(ids)) for p in points], list(ids)
 
 
 class TestDominates:
@@ -80,7 +87,7 @@ class TestNondominatedSort:
                 for _ in range(n)
             ]
             k = int(rng.integers(1, n + 1))
-            chosen, ranks = nsga._environmental_selection(points, k)
+            chosen, ranks = nsga._environmental_selection(*key_ids(points), k)
             assert len(chosen) == k
             assert ranks == nondominated_sort([points[i] for i in chosen])
 
@@ -213,6 +220,100 @@ class TestRankingEqualsReference:
         assert np.median(n_fronts) >= 30
 
 
+def reference_fronts(ranks):
+    """``_fronts`` as it was before selection worked per key (verbatim)."""
+    by_rank: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        by_rank.setdefault(r, []).append(i)
+    return [by_rank[r] for r in sorted(by_rank)]
+
+
+def reference_crowding_by_rank(objs, ranks):
+    """``_crowding_by_rank`` as it was before selection worked per key (verbatim)."""
+    crowd = [0.0] * len(objs)
+    for members in reference_fronts(ranks):
+        for i, d in zip(members, crowding_distance([objs[i] for i in members])):
+            crowd[i] = d
+    return crowd
+
+
+def reference_environmental_selection(objs, k):
+    """``_environmental_selection`` as it was before it worked per key (verbatim)."""
+    ranks = nondominated_sort(objs)
+    chosen: list[int] = []
+    for members in reference_fronts(ranks):
+        if len(chosen) + len(members) <= k:
+            chosen.extend(members)
+        else:
+            dist = crowding_distance([objs[i] for i in members])
+            order = sorted(
+                range(len(members)), key=lambda j: (-dist[j], members[j])
+            )
+            chosen.extend(members[j] for j in order[: k - len(chosen)])
+            break
+    return chosen, [ranks[i] for i in chosen]
+
+
+class TestSelectionEqualsReference:
+    """Per-key selection and crowding against the per-entry reference: equal
+    chosen indices, ranks and crowding lists.  Objectives are finite, as
+    every evaluation's are: on an infinite span Deb's terms are NaN, and the
+    reference's order of NaN keys is an artifact of its sort."""
+
+    def assert_equal_to_reference(self, points, ks):
+        ids, keys = key_ids(points)
+        ranks = nondominated_sort(points)
+        assert nsga._crowding(ids, keys, ranks) == reference_crowding_by_rank(points, ranks)
+        for k in ks:
+            chosen, chosen_ranks = nsga._environmental_selection(ids, keys, k)
+            assert (chosen, chosen_ranks) == reference_environmental_selection(points, k)
+            survivors = [points[i] for i in chosen]
+            assert nsga._crowding([ids[i] for i in chosen], keys, chosen_ranks) == (
+                reference_crowding_by_rank(survivors, chosen_ranks))
+
+    def random_multiset(self, rng):
+        """1-400 entries of 1-12 distinct vectors; lambda up to 10**19 + 7."""
+        lams = TestRankingEqualsReference.LAMS
+        distinct = [
+            obj(lams[int(rng.integers(len(lams)))],
+                float(rng.choice([0.0, 1.0, 2.5, rng.random() * 1e3, rng.random() * 1e21])))
+            for _ in range(int(rng.integers(1, 13)))
+        ]
+        return [distinct[i] for i in rng.integers(len(distinct), size=int(rng.integers(1, 401)))]
+
+    def test_random_multisets_at_every_k(self, rng):
+        for _ in range(40):
+            points = self.random_multiset(rng)
+            self.assert_equal_to_reference(points, range(1, len(points) + 1))
+
+    def test_exact_fits_of_whole_fronts(self, rng):
+        for _ in range(200):
+            points = self.random_multiset(rng)
+            sizes = np.bincount(nondominated_sort(points))
+            fits = np.cumsum(sizes).tolist()
+            assert fits[-1] == len(points)
+            self.assert_equal_to_reference(points, sorted({*fits, max(1, fits[0] - 1)}))
+
+    def test_chained_many_front_sets(self, rng):
+        chains = TestRankingEqualsReference()
+        for _ in range(25):
+            points = [p for p in chains.chained_points(rng) if np.isfinite(p.scaled_energy_j)]
+            if points:
+                self.assert_equal_to_reference(points, range(1, len(points) + 1))
+
+    def test_copies_inside_a_front_have_distance_zero(self):
+        points = [obj(0, 3.0), obj(1, 2.0)] * 2 + [obj(1, 2.0), obj(2, 1.0)]
+        ids, keys = key_ids(points)
+        # Middle key (1, 2.0) at 1, 3, 4: only its first and last copy count.
+        assert nsga._crowding(ids, keys, [0] * 6) == [
+            float("inf"), (1 - 0) / 2 + (2.0 - 1.0) / 2.0,
+            float("inf"), 0.0,
+            (2 - 1) / 2 + (3.0 - 2.0) / 2.0, float("inf"),
+        ]
+        assert nsga._environmental_selection(ids, keys, 4) == ([0, 2, 5, 1], [0] * 4)
+        assert nsga._environmental_selection(ids, keys, 6) == (list(range(6)), [0] * 6)
+
+
 def two_host_cluster(n_modes=2):
     modes = tuple(DvfsMode(i + 1, 1e9 * (1 + i), 0.85 + 0.25 * i) for i in range(n_modes))
     th = ThermalState((300.0,), 300.0)
@@ -335,6 +436,21 @@ class TestBlockDecode:
         assert want[0].shares == ((100, 0, 0), (100, 0, 0))
         assert want[1].shares == ((34, 33, 33), (100, 0, 0))
         assert want[2].shares[1] == (0, 100, 0)
+
+    def test_wrong_gene_count_names_both_lengths(self):
+        s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        with pytest.raises(InvalidArgumentError, match=r"M \+ N\*M = 3 \+ 9\*3 = 30 genes, got 24"):
+            decode(np.ones(24, dtype=np.int64), s.profiles, s.cluster)
+        with pytest.raises(InvalidArgumentError, match="30 genes, got 31"):
+            decode(np.ones((2, 31), dtype=np.int64), s.profiles, s.cluster)
+
+    def test_mode_genes_pass_through_unchecked(self):
+        # The amd hosts have 3 modes; decode keeps mode 9, validation rejects it.
+        s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        alloc = decode([1, 1, 9] + [100, 0, 0] * 9, s.profiles, s.cluster)
+        assert alloc.dvfs == (1, 1, 9)
+        with pytest.raises(InvalidAllocationError):
+            sim.validate_allocation(alloc, s.profiles, s.cluster)
 
     def test_returned_values_are_python_ints(self):
         profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1)]
@@ -736,9 +852,9 @@ class TestEvolveBasics:
             sizes["offspring"].append(len(genes))
             return mutate(genes, *args)
 
-        def selection_wrapper(objs, k):
-            chosen, ranks = select(objs, k)
-            sizes["candidates"].append(len(objs))
+        def selection_wrapper(ids, keys, k):
+            chosen, ranks = select(ids, keys, k)
+            sizes["candidates"].append(len(ids))
             sizes["survivors"].append(len(chosen))
             return chosen, ranks
 
@@ -785,3 +901,25 @@ def test_evolve_matches_golden_digests(fixture, policy, seed):
     result = evolve(list(s.cluster), list(s.profiles), trace, cfg,
                     soft_constraints=s.soft_constraints)
     assert front_digest(result) == EVOLVE_DIGESTS[fixture, policy, seed]
+
+
+# MIN runs of 300 generations with the stop window off: the best point
+# settles early and most generations add nothing, so the last front is a few
+# objective vectors copied many times.  Recorded before selection and
+# crowding worked per distinct objective vector, so that they guard that change.
+LONG_RUN_DIGESTS = {
+    ("intel", "MIN", 1): "ab878ddd14a9f34aada08bb92c74acceb20dea5081d3a780f4faac87b1292ab3",
+    ("amd", "MIN", 1): "96164d6c4a46c4047180b22b53baccbcf543fc6df534a747b1a867f2299f65c4",
+}
+
+
+@pytest.mark.parametrize("fixture, policy, seed", sorted(LONG_RUN_DIGESTS))
+def test_long_stagnant_run_matches_golden_digest(fixture, policy, seed):
+    s = load_scenario(str(FIXTURES / f"scenario_{fixture}.json"), seed=seed)
+    trace = generate_jobs(s.profiles, seed, s.phase_policy)
+    cfg = dataclasses.replace(s.optimizer, seed=seed, policy=policy, population=100,
+                              generations=300, stop_window=300)
+    result = evolve(list(s.cluster), list(s.profiles), trace, cfg,
+                    soft_constraints=s.soft_constraints)
+    assert result.generations_run == 300
+    assert front_digest(result) == LONG_RUN_DIGESTS[fixture, policy, seed]
