@@ -5,7 +5,11 @@ ends (Lindley's recursion), so a scan walks each task's jobs in order.
 ``scan_jobs`` walks the jobs of one allocation one at a time; it is the
 reference form that the tests hold ``scan_population`` to.
 ``scan_population``, the one the evaluators run, applies the same recursion
-to P allocations at once (P = 1 included) over a ``[P, slot, task]`` block.
+to P allocations at once (P = 1 included) over a ``[member, task, slot]``
+block, so that every pass over whole columns runs along the contiguous slot
+axis.  What depends only on the trace (each job's latest end, the threshold
+past which its successor waits, each task's work sum and the control tasks'
+deadlines) is built once per trace by ``scan_constants``.
 Few jobs wait for their predecessor in the traces the search replays, so it
 first computes every job as if it started at its arrival, then recomputes
 only the jobs that wait, in waves along each task's queue, and falls back to
@@ -20,6 +24,8 @@ Python over numpy arrays.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,25 +76,55 @@ def scan_jobs(
         prev_end[t] = end
 
 
-def scan_population(
-    arrivals,
-    deadlines,
-    works,
-    dur_coef,
-    is_ctrl,
-    completion_out,
-    executed_out,
-):
+class ScanConstants(NamedTuple):
+    """A trace padded to ``[task, slot]`` as :func:`scan_population` reads it.
+
+    Row t holds the jobs of task t in order; a task with fewer than K jobs is
+    padded with arrival -inf, deadline +inf and work 0.  Built once per
+    trace by :func:`scan_constants`.
+    """
+
+    arrivals: np.ndarray  # [T, K]
+    deadlines: np.ndarray  # [T, K]
+    works: np.ndarray  # [T, K]
+    ends_at: np.ndarray  # [T, K]: the latest end of each job, its deadline if control
+    threshold: np.ndarray  # [T, K]: a job's successor waits when it completes past this
+    work_sums: np.ndarray  # [T]: each task's works added in job order
+    ctrl: np.ndarray  # the control tasks' indices
+    ctrl_deadlines: np.ndarray  # [C, K]: their deadlines
+
+
+def scan_constants(arrivals, deadlines, works, is_ctrl) -> ScanConstants:
+    """The :class:`ScanConstants` of ``[T, K]`` padded trace columns."""
+    # A control job that would finish past its deadline aborts there, so its
+    # successor may start at min(completion, deadline); other jobs never abort.
+    ends_at = np.where(is_ctrl[:, None], deadlines, np.inf)
+    # A job's successor waits when the job's end, min(completion, ends_at),
+    # is after the successor's arrival: when its completion is after this
+    # threshold.  Padding never waits, nor does a successor arriving at or
+    # after the job's latest end.
+    threshold = np.full(arrivals.shape, np.inf)
+    later = arrivals[:, 1:]
+    np.copyto(threshold[:, :-1], later,
+              where=(ends_at[:, :-1] > later) & ~np.isneginf(later))
+    # Sums over jobs by accumulate, which adds in job order at every shape;
+    # a reduce pairs the additions.
+    work_sums = np.add.accumulate(works, axis=1)[:, -1]
+    ctrl = np.flatnonzero(is_ctrl)
+    return ScanConstants(arrivals, deadlines, works, ends_at, threshold, work_sums, ctrl,
+                         deadlines[ctrl])
+
+
+def scan_population(scan: ScanConstants, dur_coef, completion_out, executed_out):
     """``scan_jobs`` for P allocations at once, over a trace padded to slots.
 
-    ``arrivals``, ``deadlines`` and ``works`` are ``[K, T]``: row k holds the
-    k-th job of every task.  A task with fewer than K jobs is padded with
-    arrival -inf, deadline +inf and work 0.  ``dur_coef`` is ``[P, T]``.
-    ``completion_out`` (``[P, K, T]``) receives each job's would-be completion
-    and ``executed_out`` (``[P, T]``) each task's executed instructions, added
-    job by job in order as ``np.bincount`` adds them.  Padded jobs execute
-    nothing and their completions are unspecified; their deadline is +inf,
-    so they are never late.
+    ``scan`` holds the padded ``[T, K]`` trace and its per-trace constants;
+    ``dur_coef`` is ``[P, T]``.  ``completion_out`` (C-contiguous ``[P, T,
+    K]``) receives each job's would-be completion and ``executed_out``
+    (``[P, T]``) each task's executed instructions, added job by job in order
+    as ``np.bincount`` adds them.  Padded jobs execute nothing and their
+    completions are unspecified; their deadline is +inf, so they are never
+    late.
 
     Every real job gets the operations of ``scan_jobs``' step,
     ``min(max(prev_end, arrival) + work * coef, end_at)``, from its
@@ -114,77 +150,67 @@ def scan_population(
     Executed counts: each column starts from the per-trace sum of its works,
     which is exact for every column whose jobs all ran in full.  Only the
     (member, control column) pairs holding a job that would complete past
-    its deadline are gathered into a ``[K, pairs]`` block, where each job's
+    its deadline are gathered into a ``[pairs, K]`` block, where each job's
     start and executed fraction follow ``scan_jobs``; when no pair is late,
     this tail is skipped.
     """
+    arrivals, works, ends_at, threshold = scan.arrivals, scan.works, scan.ends_at, scan.threshold
+    n_cells, n_slots = arrivals.size, arrivals.shape[1]
     # Sweep: each job's duration, plus its arrival.
-    np.multiply(works, dur_coef[:, None, :], out=completion_out)
+    np.multiply(works, dur_coef[:, :, None], out=completion_out)
     np.add(completion_out, arrivals, out=completion_out)
-    # A control job that would finish past its deadline aborts there, so its
-    # successor may start at min(completion, deadline); other jobs never abort.
-    ends_at = np.where(is_ctrl, deadlines, np.inf)
-    # A job's successor waits when the job's end, min(completion, ends_at),
-    # is after the successor's arrival: when its completion is after this
-    # threshold.  Padding never waits, nor does a successor arriving at or
-    # after the job's latest end.
-    threshold = np.full(arrivals.shape, np.inf)
-    later = arrivals[1:]
-    np.copyto(threshold[:-1], later, where=(ends_at[:-1] > later) & ~np.isneginf(later))
-    waits = completion_out > threshold  # [P, K, T]
-    # heads[:, k]: job k + 1 is a chain head, it waits and job k does not
-    # (slot 0 never waits).
+    # heads[p, t, k]: job k + 1 is a chain head, it waits and job k does not
+    # (job 0 never waits).  The last slot's threshold is +inf, so a head's
+    # flat index + 1 stays in its (member, task) row.
+    waits = completion_out > threshold
     heads = waits.copy()
-    np.greater(waits[:, 1:], waits[:, :-1], out=heads[:, 1:])
+    np.greater(waits[:, :, 1:], waits[:, :, :-1], out=heads[:, :, 1:])
 
-    # Waves over the queued jobs (p, k, t); past the budget, the slot loop
-    # from the earliest slot still queued.
-    p, k, t = np.unravel_index(np.flatnonzero(heads), heads.shape)
-    k += 1
+    # Waves over the queued jobs, as flat indices into completion_out: a
+    # job's predecessor is the index before it, its trace cell the index
+    # modulo T * K and its (member, task) column the index divided by K.
+    # Past the budget, the slot loop from the earliest slot still queued.
+    job = np.flatnonzero(heads) + 1
     budget = dur_coef.size
-    while 0 < k.size <= budget:
-        budget -= k.size
-        prev_end = np.minimum(completion_out[p, k - 1, t], ends_at[k - 1, t])
-        completion = np.maximum(prev_end, arrivals[k, t])
-        completion += works[k, t] * dur_coef[p, t]
-        completion_out[p, k, t] = completion
-        queued = completion > threshold[k, t]
-        p, k, t = p[queued], k[queued] + 1, t[queued]
-    if k.size:
-        first = int(k.min())
-        job_durations = completion_out[:, first:]
-        np.multiply(works[first:], dur_coef[:, None, :], out=job_durations)
-        prev_end = np.minimum(completion_out[:, first - 1], ends_at[first - 1])
-        for arrival, end_at, job in zip(
-            arrivals[first:], ends_at[first:], job_durations.transpose(1, 0, 2)
-        ):
-            np.maximum(prev_end, arrival, out=prev_end)
-            np.add(prev_end, job, out=job)
-            np.minimum(job, end_at, out=prev_end)
+    while 0 < job.size <= budget:
+        budget -= job.size
+        cell = job % n_cells
+        prev_end = np.minimum(completion_out.take(job - 1), ends_at.take(cell - 1))
+        completion = np.maximum(prev_end, arrivals.take(cell))
+        completion += works.take(cell) * dur_coef.take(job // n_slots)
+        completion_out.put(job, completion)
+        job = job[completion > threshold.take(cell)] + 1
+    if job.size:
+        first = int((job % n_slots).min())
+        job_durations = completion_out[:, :, first:]
+        np.multiply(works[:, first:], dur_coef[:, :, None], out=job_durations)
+        prev_end = np.minimum(completion_out[:, :, first - 1], ends_at[:, first - 1])
+        for k in range(first, n_slots):
+            job_end = completion_out[:, :, k]
+            np.maximum(prev_end, arrivals[:, k], out=prev_end)
+            np.add(prev_end, job_end, out=job_end)
+            np.minimum(job_end, ends_at[:, k], out=prev_end)
 
-    # Sums over jobs by accumulate, which adds in job order at every shape;
-    # a reduce pairs the additions when the other axes hold one element.
     # Every job that ran in full adds its work times 1.0, which is its work,
-    # so a column with no aborted job executed this per-trace sum.
-    executed_out[...] = np.add.accumulate(works, axis=0)[-1]
+    # so a column with no aborted job executed its task's work sum.
+    executed_out[...] = scan.work_sums
     # The (member, control column) pairs where a job aborted: it would have
     # completed past its deadline.
-    ctrl = np.flatnonzero(is_ctrl)
-    p, c = np.nonzero((completion_out[:, :, ctrl] > deadlines[:, ctrl]).any(axis=1))
+    p, c = np.nonzero((completion_out[:, scan.ctrl] > scan.ctrl_deadlines).any(axis=2))
     if not p.size:
         return
-    t = ctrl[c]
+    t = scan.ctrl[c]
     # Their jobs' starts (each arrival, or the predecessor's capped end if
-    # later) and executed fractions, by scan_jobs' expressions, over [K, pairs].
-    completion = completion_out[p, :, t].T
-    duration = works[:, t] * dur_coef[p, t]
-    deadline = deadlines[:, t]
+    # later) and executed fractions, by scan_jobs' expressions, over [pairs, K].
+    completion = completion_out[p, t]
+    duration = works[t] * dur_coef[p, t][:, None]
+    deadline = scan.ctrl_deadlines[c]
     start = np.empty_like(completion)
-    start[0] = -np.inf
-    np.minimum(completion[:-1], deadline[:-1], out=start[1:])
-    np.maximum(start, arrivals[:, t], out=start)
+    start[:, 0] = -np.inf
+    np.minimum(completion[:, :-1], deadline[:, :-1], out=start[:, 1:])
+    np.maximum(start, arrivals[t], out=start)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (deadline - start) / duration
     frac = np.where(frac < 0.0, 0.0, frac)
     frac = np.where(completion > deadline, np.where(duration > 0.0, frac, 1.0), 1.0)
-    executed_out[p, t] = np.add.accumulate(works[:, t] * frac, axis=0)[-1]
+    executed_out[p, t] = np.add.accumulate(works[t] * frac, axis=1)[:, -1]

@@ -16,8 +16,10 @@ bytes of each scaled gene row.  The rows a generation brings that were never
 seen are repaired together, and their scores are memoized by the bytes of the
 repaired row, since many gene rows repair to one allocation: only allocations
 never scored are evaluated, as one block of mode and share arrays per
-generation; only the returned front becomes ``Allocation`` objects.  The
-archive is offered only the entries first seen in a round.
+generation.  An archive entry carries its gene row as those key bytes,
+big-endian, so that bytes order like gene tuples; only the returned front
+decodes them into gene tuples and ``Allocation`` objects.  The archive is
+offered only the entries first seen in a round.
 
 Each distinct objective vector gets an integer key id when it is first
 scored, and the population carries one id per member.  Selection and
@@ -27,6 +29,7 @@ compute crowding per vector (see :func:`_chain_crowding`).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -118,18 +121,23 @@ def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
     """Rank per point: 0 = non-dominated, r = non-dominated after removing < r.
 
     Equal points share a rank; each distinct point is ranked once, by the
-    sweep of :func:`_ranked_fronts`.
+    sweep of :func:`_ranked_fronts`.  A NaN scaled energy has no rank.
     """
+    _check_energies(points, allow_inf=True)
     key_ids: dict[Key, int] = {}
     ids = [key_ids.setdefault((p.lam, p.scaled_energy_j), len(key_ids)) for p in points]
     return _ranks(ids, list(key_ids))
 
 
 def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
-    """Normalized cuboid-perimeter crowding; boundary points get +inf."""
+    """Normalized cuboid-perimeter crowding; boundary points get +inf.
+
+    Every scaled energy must be finite: on an infinite span the terms are NaN.
+    """
     n = len(front)
     if n == 0:
         raise InvalidArgumentError("crowding distance of an empty front")
+    _check_energies(front, allow_inf=False)
     dist = [0.0] * n
     for values in ([p.lam for p in front], [p.scaled_energy_j for p in front]):
         order = sorted(range(n), key=values.__getitem__)
@@ -141,6 +149,16 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
         for j in range(1, n - 1):
             dist[order[j]] += (ordered[j + 1] - ordered[j - 1]) / span
     return dist
+
+
+def _check_energies(points: Sequence[ObjectiveVector], allow_inf: bool) -> None:
+    """Name the first point whose scaled energy is NaN (or infinite, unless allowed)."""
+    for i, p in enumerate(points):
+        e = p.scaled_energy_j
+        if e != e or not (allow_inf or math.isfinite(e)):
+            raise InvalidArgumentError(
+                f"point {i} {p}: scaled energy must be {'a number' if allow_inf else 'finite'}"
+            )
 
 
 def decode(
@@ -157,16 +175,20 @@ def decode(
     server index; ``r * 100 / total`` in float64 is the correctly rounded
     quotient, as Python's ``int / int`` is.  Mode genes pass through
     unchecked: a mode index the host lacks is kept, and
-    :func:`sim.validate_allocation` rejects it.
+    :func:`sim.validate_allocation` rejects it.  Genes must be integers: a
+    float or bool gene vector is rejected, not truncated.
     """
     ordered = sorted(profiles, key=lambda p: p.task_id)
-    block = np.asarray(genes, dtype=np.int64)
+    block = np.asarray(genes)
     rows = np.atleast_2d(block)
     m, n = len(cluster), len(ordered)
     if rows.shape[1] != m + n * m:
         raise InvalidArgumentError(
             f"expected M + N*M = {m} + {n}*{m} = {m + n * m} genes, got {rows.shape[1]}"
         )
+    if block.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"genes must be integers, got dtype {block.dtype}")
+    rows = rows.astype(np.int64, copy=False)
     shares = _repair(rows, len(cluster), np.array([p.kind == "REAL" for p in ordered]))
     allocs = [
         sim.Allocation(dvfs=tuple(d), shares=tuple(map(tuple, s)))
@@ -191,6 +213,12 @@ def _repair(rows: np.ndarray, n_servers: int, is_real: np.ndarray) -> np.ndarray
 
     largest = 100 * (server == np.argmax(shares, axis=2)[..., None])
     return np.where(is_real[:, None], largest, rounded).astype(np.int64)
+
+
+def _key_type(high: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds ``0..high``, big-endian, so that
+    the bytes of two rows in it order as their tuples of genes do."""
+    return np.min_scalar_type(high).newbyteorder(">")
 
 
 def _row_bytes(block: np.ndarray) -> list[bytes]:
@@ -276,9 +304,11 @@ class _Scored(NamedTuple):
     """A ``FrontPoint`` without its allocation (genes already times ``share_step``).
 
     ``evolve`` makes one per distinct gene row, for the archive; rows that
-    repair to one allocation share its memoized scores."""
+    repair to one allocation share its memoized scores.  Its ``genes`` are
+    the row's key bytes, unsigned big-endian of one width, which order as
+    the gene tuples do; the archive also takes entries with tuple genes."""
 
-    genes: tuple[int, ...]
+    genes: bytes | tuple[int, ...]
     objectives: ObjectiveVector
     energy_j: float
     energy_units: float
@@ -337,9 +367,9 @@ def evolve(
     n_servers = len(cluster)
     scale = np.where(np.arange(n_vars) < n_servers, 1, config.share_step)
 
-    # Gene rows and repaired rows are keyed by their bytes in the narrowest
-    # dtype that holds every scaled gene, a mode index or a share (0..100).
-    key_type = np.min_scalar_type(int((bounds.high * scale).max()))
+    # Gene rows and repaired rows are keyed by their bytes: every scaled gene
+    # is a mode index or a share (0..100).
+    key_type = _key_type(int((bounds.high * scale).max()))
     cache: dict[bytes, int] = {}  # key id, by scaled gene row
     scores: dict[bytes, tuple[int, ObjectiveVector, float, float]] = {}  # by repaired row
     key_ids: dict[Key, int] = {}
@@ -373,10 +403,10 @@ def evolve(
                     if key_id == len(keys):
                         keys.append(key)
                     scores[alloc_key] = key_id, ObjectiveVector(*key), energy_j, energy_u
-            for row_key, row, alloc_key in zip(fresh, rows.tolist(), alloc_keys):
+            for row_key, alloc_key in zip(fresh, alloc_keys):
                 key_id, *scored = scores[alloc_key]
                 cache[row_key] = key_id
-                entries.append(_Scored(tuple(row), *scored))
+                entries.append(_Scored(row_key, *scored))
         return list(map(cache.__getitem__, row_keys)), entries
 
     # Uniform mode genes; each share row one-hot on a random server (share
@@ -434,14 +464,17 @@ def evolve(
             lam0_since = None
 
     front = [
-        _front_point(p, ordered, cluster)
+        _front_point(p, key_type, ordered, cluster)
         for p in sorted(archive.points, key=lambda p: p.objectives)
     ]
     return EvolveResult(front=front, convergence=convergence, generations_run=gen)
 
 
-def _front_point(p: _Scored, ordered, cluster) -> FrontPoint:
-    return FrontPoint(allocation=decode(p.genes, ordered, cluster), **p._asdict())
+def _front_point(p: _Scored, key_type: np.dtype, ordered, cluster) -> FrontPoint:
+    """The front point of an entry whose genes are a row's bytes in ``key_type``."""
+    genes = tuple(np.frombuffer(p.genes, key_type).tolist())
+    return FrontPoint(genes, p.objectives, decode(genes, ordered, cluster), p.energy_j,
+                      p.energy_units)
 
 
 def _key_runs(ids: Sequence[int], keys: Sequence[Key]) -> list[Run]:

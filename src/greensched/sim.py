@@ -17,9 +17,12 @@ executed instruction counts only.
 
 Each evaluator call (and each ``evolve`` run) checks its arguments once in
 :func:`_prepare`, which builds the context all evaluation reads: the trace
-arrays with the tasks in id order and their REAL/CTRL masks, the ``[host,
-mode]`` energy tables, each host's ``cpi``, every task's soft constraints (and
-every bound's task, ``x`` and ``beta`` as arrays) and the scoring arguments.
+arrays with the tasks in id order and their REAL/CTRL masks, the trace padded
+to a ``[task, slot]`` block with the scan's per-trace constants, the ``[host,
+mode]`` energy tables, each host's ``cpi`` and mode count, every task's soft
+constraints (and every bound's task, ``x`` and ``beta`` as arrays) and the
+scoring arguments.  A block of P allocations is replayed as one ``[member,
+task, slot]`` block of completions, whose slot axis is contiguous.
 ``evaluate_objectives(..., _context=)`` takes one in place of its cluster,
 profiles, trace and keyword arguments.
 ``evaluate_objectives`` also scores a block of ``[U, M]`` mode and ``[U, N, M]``
@@ -37,7 +40,7 @@ from . import power as pw
 from . import tasks as tk
 # scan_jobs is not called here: perfbench's tracer resolves its
 # kernels.scan_jobs layer through this module's binding.
-from ._kernels import scan_jobs, scan_population  # noqa: F401
+from ._kernels import ScanConstants, scan_constants, scan_jobs, scan_population  # noqa: F401
 from .errors import InvalidAllocationError, InvalidArgumentError
 from .workload import JobTrace, TaskProfile
 
@@ -126,7 +129,8 @@ def validate_allocation(
             )
     # Python ints, so that a value past int64 is checked and named as written.
     modes, shares = np.array([alloc.dvfs], object), np.array(alloc.shares, object).reshape(1, n, m)
-    _check_rules(ordered, cluster, modes, shares)
+    _check_rules(ordered, cluster, np.array([p.kind == "REAL" for p in ordered]),
+                 np.array([len(h.spec.modes) for h in cluster]), modes, shares)
     return modes.astype(np.int64), shares.astype(np.int64)
 
 
@@ -146,19 +150,21 @@ def _check_block(ctx: _Context, block) -> tuple[np.ndarray, np.ndarray]:
         first = (f"server {cluster[0].spec.server_id}: mode indices"
                  if modes.dtype.kind not in "iu" else f"task {ordered[0].task_id}: shares")
         raise InvalidAllocationError(f"{first} must be integers, got {modes.dtype}/{shares.dtype}")
-    _check_rules(ordered, cluster, modes, shares)
+    _check_rules(ordered, cluster, ctx.arr.is_real, ctx.n_modes, modes, shares)
     return modes, shares
 
 
 def _check_rules(ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost],
+                 is_real: np.ndarray, n_modes: np.ndarray,
                  modes: np.ndarray, shares: np.ndarray) -> None:
-    """Each mode in ``1..len(modes)`` of its host, each share row >= 0 summing
-    to 100, each REAL row on one host; else name the first bad server, then
-    task, of the first bad row (the row's index only in a longer block)."""
+    """Each mode in ``1..n_modes`` of its host, each share row >= 0 summing
+    to 100, each REAL row (``is_real``, in task-id order) on one host; else
+    name the first bad server, then task, of the first bad row (the row's
+    index only in a longer block)."""
     # A share > 100 is flagged too, so that no int64 row sum can wrap to 100.
     bad_sum = (shares.sum(axis=2) != 100) | ((shares < 0) | (shares > 100)).any(axis=2)
-    split = np.array([p.kind == "REAL" for p in ordered]) & ((shares > 0).sum(axis=2) != 1)
-    bad_mode = (modes < 1) | (modes > [len(h.spec.modes) for h in cluster])
+    split = is_real & ((shares > 0).sum(axis=2) != 1)
+    bad_mode = (modes < 1) | (modes > n_modes)
     bad = np.concatenate([bad_mode, bad_sum | split], axis=1)
     if bad.any():
         u, j = divmod(int(bad.argmax()), bad.shape[1])
@@ -178,26 +184,24 @@ def _task_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-task hard misses, control aborts and soft violations, three ``[P, T]`` arrays.
 
-    ``completion`` holds the would-be completions in the scan's ``[P, slot,
-    task]`` layout; a padded slot's deadline is +inf, so it is never late.
+    ``completion`` holds the would-be completions in the scan's ``[P, task,
+    slot]`` layout; a padded slot's deadline is +inf, so it is never late.
     ``aborted`` (same layout, no abort in a padded slot) flags the aborted
     control jobs; without it a control job aborted exactly when it was late,
     as in the scan.  An EDF abort can round to overrun 0, so it is passed.
+    Every count sums along the contiguous slot axis.
     """
     arr = ctx.arr
-    # Counts of bools are exact in any order; a sum along the contiguous axis
-    # of a transposed copy is faster than one along the slot axis.
-    late = np.ascontiguousarray((completion > arr.pad_deadlines).transpose(0, 2, 1))
-    n_late = late.sum(axis=2)
-    aborts = np.where(arr.is_ctrl, n_late, 0) if aborted is None else aborted.sum(axis=1)
+    n_late = (completion > arr.pad_deadlines).sum(axis=2)
+    aborts = np.where(arr.is_ctrl, n_late, 0) if aborted is None else aborted.sum(axis=2)
     # Every soft bound at once: its task's jobs late by more than x_s, as a
     # fraction of the task's jobs, against beta; then summed per task.  Late
     # by more than 0 is late (also at +-inf and in padded slots), so a bound
     # with x = 0 reads its task's late count.
     n_over, rest = n_late[:, ctx.soft_task], ctx.soft_task[ctx.n_x0:]
     if len(rest):
-        over = completion[:, :, rest] - arr.pad_deadlines[:, rest] > ctx.soft_x[ctx.n_x0:]
-        n_over[:, ctx.n_x0:] = np.ascontiguousarray(over.transpose(0, 2, 1)).sum(axis=2)
+        over = completion[:, rest] - arr.pad_deadlines[rest] > ctx.soft_x[ctx.n_x0:, None]
+        n_over[:, ctx.n_x0:] = over.sum(axis=2)
     soft = np.zeros_like(n_late)
     np.add.at(soft, (slice(None), ctx.soft_task),
               n_over / arr.n_jobs[ctx.soft_task] > ctx.soft_beta)
@@ -269,9 +273,10 @@ def _assemble_result(
 class _TraceArrays:
     """A trace's columns as evaluation reads them, reusable across many evaluations.
 
-    The ``pad_*`` arrays hold the same jobs as ``[slot, task]`` (slot = the
+    The ``pad_*`` arrays hold the same jobs as ``[task, slot]`` (slot = the
     job's position within its task) for the population scan; missing slots
-    are padded with arrival -inf, deadline +inf and work 0.
+    are padded with arrival -inf, deadline +inf and work 0.  ``scan`` holds
+    them with the scan's other per-trace constants.
     """
 
     trace: JobTrace
@@ -290,16 +295,19 @@ class _TraceArrays:
     pad_arrivals: np.ndarray = field(init=False)
     pad_deadlines: np.ndarray = field(init=False)
     pad_works: np.ndarray = field(init=False)
+    scan: ScanConstants = field(init=False)
 
     def __post_init__(self):
         self.pad_arrivals = self.pad(self.arrivals, -np.inf)
         self.pad_deadlines = self.pad(self.deadlines, np.inf)
         self.pad_works = self.pad(self.works, 0.0)
+        self.scan = scan_constants(self.pad_arrivals, self.pad_deadlines, self.pad_works,
+                                   self.is_ctrl)
 
     def pad(self, values: np.ndarray, fill: float | bool) -> np.ndarray:
-        """Per-job ``values`` as ``[slot, task]``, missing slots set to ``fill``."""
-        out = np.full((self.n_jobs.max(initial=0), len(self.task_ids)), fill)
-        out[self.slot, self.task_of_job] = values
+        """Per-job ``values`` as ``[task, slot]``, missing slots set to ``fill``."""
+        out = np.full((len(self.task_ids), self.n_jobs.max(initial=0)), fill)
+        out[self.task_of_job, self.slot] = values
         return out
 
 
@@ -342,6 +350,7 @@ class _Context:
 
     ``tables[:, m, k - 1]`` holds the frequency (Hz), ``a_dyn * V**2 * cpi``
     and ``P_leak * cpi / f`` of host m at mode index k; unused cells are NaN.
+    ``n_modes`` holds each host's mode count and ``hosts`` the host indices.
     A server that executed ``n`` instructions (``s`` in the dynamic sum) used
     ``(dyn * s) / FREQ_NORM_HZ`` and ``leak * n`` joules, the operations of
     ``power.dynamic_energy`` and ``power.leakage_energy`` in their order.
@@ -351,6 +360,8 @@ class _Context:
     arr: _TraceArrays
     tables: np.ndarray  # [3, M, K], K the most modes of any host
     cpi: np.ndarray  # per host
+    n_modes: np.ndarray  # per host
+    hosts: np.ndarray  # 0..M-1
     soft: tuple[tuple[tk.LatenessConstraint, ...], ...]  # per task; () unless SOFT
     # Every soft bound, the n_x0 with x_s = 0 first: its task's index, x_s and beta.
     soft_task: np.ndarray
@@ -399,7 +410,8 @@ def _prepare(
     bounds = sorted(((ti, c) for ti, task_bounds in enumerate(soft) for c in task_bounds),
                     key=lambda bound: bound[1].x_s != 0)
     return _Context(
-        tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]), soft,
+        tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]),
+        np.array([len(h.spec.modes) for h in cluster]), np.arange(len(cluster)), soft,
         np.array([ti for ti, _ in bounds], dtype=np.int64),
         np.array([c.x_s for _, c in bounds], dtype=float),
         np.array([c.beta for _, c in bounds], dtype=float),
@@ -417,7 +429,7 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     """Replay P validated allocations, given as ``[P, M]`` mode indices (1-based)
     and ``[P, N, M]`` percentages, each bit-identical to replaying it alone.
 
-    Returns the ``[P, slot, task]`` would-be completions (pre-abort; padding
+    Returns the ``[P, task, slot]`` would-be completions (pre-abort; padding
     unspecified), the ``[P, server]`` dynamic and leakage joules and executed
     instructions, the ``[P, task, server]`` utilizations and the ``[P, task]``
     seconds per instruction.  Sums over tasks run per (member, server) on a
@@ -430,7 +442,7 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(col[:, None, :] > 0, weights / col[:, None, :], 0.0)
 
-    freq, dyn, leak = ctx.tables[:, np.arange(len(ctx.cluster)), modes - 1]
+    freq, dyn, leak = ctx.tables[:, ctx.hosts, modes - 1]
 
     # Seconds per instruction of each task: slowest of its subtasks.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -440,8 +452,7 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
 
     completion = np.empty((len(modes),) + arr.pad_arrivals.shape)
     exec_per_task = np.empty_like(dur_coef)
-    scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
-                    arr.is_ctrl, completion, exec_per_task)
+    scan_population(arr.scan, dur_coef, completion, exec_per_task)
 
     exec_im = shares * exec_per_task[:, :, None]
     executed = _server_sums(exec_im)
@@ -449,6 +460,17 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     dynamic_j = (dyn * dyn_sum) / pw.FREQ_NORM_HZ
     leakage_j = leak * executed
     return completion, dynamic_j, leakage_j, executed, u, dur_coef
+
+
+def _total_energy(dynamic_j: np.ndarray, leakage_j: np.ndarray) -> list[float]:
+    """Each member's joules, host by host, dynamic then leakage, from 0.0: the
+    additions of ``energy += dynamic_j[:, m]; energy += leakage_j[:, m]``
+    over the hosts, in that order, as one accumulate over the interleaved
+    ``[0.0, dyn_0, leak_0, dyn_1, ...]`` columns."""
+    terms = np.zeros((len(dynamic_j), 1 + 2 * dynamic_j.shape[1]))
+    terms[:, 1::2] = dynamic_j
+    terms[:, 2::2] = leakage_j
+    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
 
 def evaluate_objectives(
@@ -479,12 +501,8 @@ def evaluate_objectives(
         return []
     completion, dynamic_j, leakage_j, *_ = _run(ctx, modes, shares)
     counts = _task_counts(ctx, completion)
-    energy = np.zeros(len(modes))
-    for m in range(len(ctx.cluster)):  # host by host: dynamic, then leakage
-        energy += dynamic_j[:, m]
-        energy += leakage_j[:, m]
     out = [(penalty[0], e, e / ctx.energy_unit_j)
-           for penalty, e in zip(_fold_lam(ctx, counts), energy.tolist())]
+           for penalty, e in zip(_fold_lam(ctx, counts), _total_energy(dynamic_j, leakage_j))]
     return out[0] if single else out
 
 
@@ -505,7 +523,7 @@ def evaluate_allocation(
     modes, shares = validate_allocation(alloc, ctx.arr.profiles, ctx.cluster)
     arr = ctx.arr
     padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(ctx, modes, shares)
-    completion = padded[0, arr.slot, arr.task_of_job]
+    completion = padded[0, arr.task_of_job, arr.slot]
 
     servers = [  # in ServerOutcome field order, of Python numbers as the JSON writers need
         ServerOutcome(host.spec.server_id, k, n * host.spec.cpi / ctx.tables[0, mi, k - 1].item(),
@@ -577,8 +595,7 @@ def edf_schedule(
                    energy_unit_j=energy_unit_j)
     arr = ctx.arr
     mode_of = [len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]
-    freqs, dyn_coefs, leak_coefs = ctx.tables[:, np.arange(len(cluster)),
-                                              np.array(mode_of) - 1].tolist()
+    freqs, dyn_coefs, leak_coefs = ctx.tables[:, ctx.hosts, np.array(mode_of) - 1].tolist()
     host_of = _wfd_partition(arr.profiles, cluster, freqs)
 
     arrivals, deadlines, works = arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()

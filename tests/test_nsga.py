@@ -99,6 +99,13 @@ class TestNondominatedSort:
         pts = [obj(0, 1.0), obj(0, 2.0), obj(0, 3.0)]
         assert nondominated_sort(pts) == [0, 1, 2]
 
+    def test_nan_energy_is_rejected_naming_the_point(self):
+        with pytest.raises(InvalidArgumentError, match=r"^point 0 .*nan\): scaled energy must be a number"):
+            nondominated_sort([obj(0, float("nan")), obj(1, 2.0)])
+        with pytest.raises(InvalidArgumentError, match=r"^point 2 "):
+            nondominated_sort([obj(0, 1.0), obj(1, 2.0), obj(1, float("nan")), obj(0, float("nan"))])
+        assert nondominated_sort([obj(0, float("inf")), obj(1, 2.0), obj(1, -float("inf"))]) == [0, 1, 0]
+
 
 class TestCrowdingDistance:
     def test_boundaries_infinite(self):
@@ -127,6 +134,13 @@ class TestCrowdingDistance:
     def test_empty_front_rejected(self):
         with pytest.raises(InvalidArgumentError):
             crowding_distance([])
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_energy_is_rejected_naming_the_point(self, bad):
+        with pytest.raises(InvalidArgumentError, match=rf"^point 0 .*{bad}\): scaled energy must be finite"):
+            crowding_distance([obj(0, bad), obj(1, 2.0), obj(2, 1.0)])
+        with pytest.raises(InvalidArgumentError, match=r"^point 1 "):
+            crowding_distance([obj(0, 1.0), obj(1, bad), obj(2, bad)])
 
 
 def reference_nondominated_sort(points):
@@ -457,6 +471,20 @@ class TestBlockDecode:
         [alloc] = decode(np.array([[2, 3, 1, 2]]), profiles, [None] * 2)
         assert all(type(v) is int for v in alloc.dvfs + alloc.shares[0])
 
+    @pytest.mark.parametrize("genes, dtype", [
+        ([1.9, 1, 1] + [50.7] * 27, "float64"),  # was decoded as modes (1, 1, 1) and shares of 50
+        ([1.0, 1.0, 1.0] + [50.0] * 27, "float64"),
+        ([True] * 30, "bool"),
+        (np.ones((2, 30), dtype=np.float32), "float32"),
+        (np.ones((2, 30), dtype=bool), "bool"),
+    ])
+    def test_float_and_bool_genes_are_rejected_naming_the_dtype(self, genes, dtype):
+        s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        with pytest.raises(InvalidArgumentError, match=f"^genes must be integers, got dtype {dtype}$"):
+            decode(genes, s.profiles, s.cluster)
+        assert decode(np.asarray(genes).astype(np.uint8), s.profiles, s.cluster) == decode(
+            np.asarray(genes).astype(np.uint8).tolist(), s.profiles, s.cluster)
+
 
 class TestGeneBounds:
     def setup_method(self):
@@ -655,6 +683,46 @@ class TestArchiveFirstOffers:
         assert first.points == every.points
 
 
+def key_bytes(rows, high):
+    """``evolve``'s key bytes of each row of ``rows``, whose genes are in ``0..high``,
+    and their dtype."""
+    key_type = nsga._key_type(high)
+    return nsga._row_bytes(np.asarray(rows).astype(key_type)), key_type
+
+
+class TestRowKeys:
+    """Archive entries carry their gene rows as big-endian key bytes, which
+    order as the gene tuples do, so the archive keeps the same genes."""
+
+    @pytest.mark.parametrize("high", [2, 100, 255, 256, 1000, 65535])
+    def test_key_bytes_order_like_gene_tuples(self, high):
+        rng = np.random.default_rng(high)
+        rows = rng.integers(0, high + 1, (300, 5))
+        rows[100:200] = rows[rng.integers(0, 100, 100)]  # ties
+        rows[200:, :3] = rows[:100, :3]  # rows that differ only in their last genes
+        keys, key_type = key_bytes(rows, high)
+        assert key_type.itemsize == (1 if high < 256 else 2)
+        genes = [tuple(row) for row in rows.tolist()]
+        assert sorted(range(300), key=keys.__getitem__) == sorted(range(300), key=genes.__getitem__)
+        for a, b in rng.integers(0, 300, (2000, 2)).tolist():
+            assert (keys[a] < keys[b], keys[a] == keys[b]) == (genes[a] < genes[b], genes[a] == genes[b])
+        assert [tuple(np.frombuffer(k, key_type).tolist()) for k in keys] == genes
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=archive_stream(), high=st.sampled_from([2, 255, 256, 65535]))
+    def test_archive_keeps_the_same_genes_from_bytes_as_from_tuples(self, stream, high):
+        # Spread the genes over the dtype's range, so that a uint16 gene's low
+        # byte alone would order some pairs the other way.
+        stream = [e._replace(genes=tuple(g * high // 2 for g in e.genes)) for e in stream]
+        as_tuples, as_bytes = _Archive(), _Archive()
+        for entry in stream:
+            as_tuples.offer(entry)
+            as_bytes.offer(entry._replace(genes=key_bytes([entry.genes], high)[0][0]))
+        key_type = nsga._key_type(high)
+        assert [p._replace(genes=tuple(np.frombuffer(p.genes, key_type).tolist()))
+                for p in as_bytes.points] == as_tuples.points
+
+
 class TestSmallInstanceOptimality:
     def test_front_matches_exhaustive_enumeration(self):
         cluster = two_host_cluster(n_modes=2)
@@ -843,6 +911,32 @@ class TestEvolveBasics:
         cfg = dataclasses.replace(s.optimizer, seed=1, population=20, generations=10)
         evolve(list(s.cluster), list(s.profiles), trace, cfg, soft_constraints=s.soft_constraints)
         assert len(calls) == sum(len(h.spec.modes) for h in s.cluster) == n_cells
+
+    @pytest.mark.parametrize("name", ["intel", "amd"])
+    def test_scan_constants_and_check_arrays_are_built_once_per_run(self, monkeypatch, name):
+        # The scan's per-trace constants, and the REAL mask and mode counts
+        # every block check reads, come from the run's one context.
+        s = load_scenario(str(FIXTURES / f"scenario_{name}.json"), seed=1)
+        trace = generate_jobs(s.profiles, 1, s.phase_policy)
+        built, checked = [], []
+        scan_constants, check_rules = sim.scan_constants, sim._check_rules
+
+        def counting(*args):
+            built.append(args)
+            return scan_constants(*args)
+
+        def recording(ordered, cluster, is_real, n_modes, modes, shares):
+            checked.append((is_real, n_modes))
+            return check_rules(ordered, cluster, is_real, n_modes, modes, shares)
+
+        monkeypatch.setattr(sim, "scan_constants", counting)
+        monkeypatch.setattr(sim, "_check_rules", recording)
+        cfg = dataclasses.replace(s.optimizer, seed=1, population=20, generations=10)
+        evolve(list(s.cluster), list(s.profiles), trace, cfg, soft_constraints=s.soft_constraints)
+        assert len(built) == 1
+        assert len(checked) > 1
+        assert all(is_real is checked[0][0] and n_modes is checked[0][1]
+                   for is_real, n_modes in checked)
 
     def test_odd_population_breeds_and_keeps_its_size(self, monkeypatch):
         sizes = {"offspring": [], "candidates": [], "survivors": []}

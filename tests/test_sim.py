@@ -367,13 +367,12 @@ class TestPopulationBatch:
         dur_coef = rng.uniform(1e-10, 3e-9, (4, len(profiles)))
         completion = np.empty((4,) + arr.pad_arrivals.shape)
         executed = np.empty_like(dur_coef)
-        scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
-                        arr.is_ctrl, completion, executed)
+        scan_population(arr.scan, dur_coef, completion, executed)
         for p in range(4):
             want_completion, want_frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
             scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[p],
                       arr.is_ctrl, want_completion, np.empty_like(arr.arrivals), want_frac)
-            assert np.array_equal(completion[p, arr.slot, arr.task_of_job], want_completion)
+            assert np.array_equal(completion[p, arr.task_of_job, arr.slot], want_completion)
             want_executed = np.bincount(
                 arr.task_of_job, weights=arr.works * want_frac, minlength=len(profiles)
             )
@@ -480,13 +479,12 @@ def assert_scan_population_matches_scan_jobs(arr, dur_coef):
     """``scan_population`` over ``dur_coef``'s rows equals ``scan_jobs`` per row, bit for bit."""
     completion = np.empty(dur_coef.shape[:1] + arr.pad_arrivals.shape)
     executed = np.empty_like(dur_coef)
-    scan_population(arr.pad_arrivals, arr.pad_deadlines, arr.pad_works, dur_coef,
-                    arr.is_ctrl, completion, executed)
+    scan_population(arr.scan, dur_coef, completion, executed)
     for p in range(dur_coef.shape[0]):
         want_completion, want_frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
         scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[p],
                   arr.is_ctrl, want_completion, np.empty_like(arr.arrivals), want_frac)
-        assert completion[p, arr.slot, arr.task_of_job].tobytes() == want_completion.tobytes()
+        assert completion[p, arr.task_of_job, arr.slot].tobytes() == want_completion.tobytes()
         want_executed = np.bincount(
             arr.task_of_job, weights=arr.works * want_frac, minlength=len(arr.task_ids)
         )
@@ -526,14 +524,14 @@ class TestScanPopulationLongTraces:
     @pytest.mark.parametrize("traffic", ["abort-prone", "queue-prone"])
     def test_matches_scan_jobs_on_bundled_trace(self, name, n_rows, traffic):
         s, _, arr = bundled(name)
-        assert arr.pad_arrivals.shape[0] == 131
+        assert arr.pad_arrivals.shape[1] == 131
         rng = np.random.default_rng(0)
         if traffic == "abort-prone":
             dur_coef = abort_prone_coef(s.profiles, rng, n_rows)
         else:
             dur_coef = queue_prone_coef(arr, rng, n_rows)
         completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
-        completion = completion[:, arr.slot, arr.task_of_job]
+        completion = completion[:, arr.task_of_job, arr.slot]
         if traffic == "abort-prone":
             aborted = (completion > arr.deadlines)[:, arr.is_ctrl[arr.task_of_job]]
             assert aborted.any() and not aborted.all()
@@ -563,7 +561,7 @@ class TestScanPopulationLongTraces:
         completion, executed = assert_scan_population_matches_scan_jobs(
             arr, np.full((2, 1), 1e-9)
         )
-        assert completion[:, :, 0].tolist() == [[2.0, 3.0]] * 2
+        assert completion[:, 0, :].tolist() == [[2.0, 3.0]] * 2
         assert executed[:, 0].tolist() == [2.5e9] * 2
 
     @pytest.mark.parametrize("n_idle", [0, 3], ids=["slot-loop", "waves"])
@@ -579,7 +577,7 @@ class TestScanPopulationLongTraces:
         completion, executed = assert_scan_population_matches_scan_jobs(
             arr, np.full((1, 1 + n_idle), 1e-9)
         )
-        assert completion[0, :, 0].tolist() == pytest.approx([1.5, 2.3, 3.5, 4.0])
+        assert completion[0, 0, :].tolist() == pytest.approx([1.5, 2.3, 3.5, 4.0])
         assert executed[0, 0] == sum(works)
 
     @pytest.mark.parametrize("n_idle", [0, 2], ids=["slot-loop", "waves"])
@@ -595,7 +593,7 @@ class TestScanPopulationLongTraces:
         completion, executed = assert_scan_population_matches_scan_jobs(
             arr, np.full((1, 1 + n_idle), 1e-9)
         )
-        assert completion[0, :, 0].tolist() == pytest.approx([1.5, 2.5, 4.5, 4.2, 4.7])
+        assert completion[0, 0, :].tolist() == pytest.approx([1.5, 2.5, 4.5, 4.2, 4.7])
         assert executed[0, 0] == pytest.approx(1.5e9 + 1.0e9 + 0.4e9 + 1.2e9 + 0.5e9)
 
     @pytest.mark.parametrize("n_idle", [0, 2], ids=["slot-loop", "waves"])
@@ -608,12 +606,12 @@ class TestScanPopulationLongTraces:
         works = [0.4e9, 0.2e9, 1.0e9, 0.2e9, 0.2e9, 0.2e9]
         jobs += [Job(1, j, 0.5 * j, 0.5 * j + 10.0, int(w)) for j, w in enumerate(works)]
         arr = with_idle_tasks(profiles, jobs, n_idle)
-        assert arr.pad_arrivals.shape == (6, 2 + n_idle)
+        assert arr.pad_arrivals.shape == (2 + n_idle, 6)
         completion, _ = assert_scan_population_matches_scan_jobs(
             arr, np.full((1, 2 + n_idle), 1e-9)
         )
-        assert completion[0, :3, 0].tolist() == pytest.approx([2.0, 4.0, 6.0])
-        assert completion[0, :, 1].tolist() == pytest.approx([0.4, 0.7, 2.0, 2.2, 2.4, 2.7])
+        assert completion[0, 0, :3].tolist() == pytest.approx([2.0, 4.0, 6.0])
+        assert completion[0, 1, :].tolist() == pytest.approx([0.4, 0.7, 2.0, 2.2, 2.4, 2.7])
 
     def test_zero_work_jobs(self):
         # Task 0 (CTRL): job 1 does nothing and is released after its
@@ -627,7 +625,7 @@ class TestScanPopulationLongTraces:
         completion, executed = assert_scan_population_matches_scan_jobs(
             arr, np.array([[1e-9, 1e-9], [2e-9, 5e-10]])
         )
-        assert completion[0, :, 0].tolist() == [3.0, 1.0, 3.0]
+        assert completion[0, 0, :].tolist() == [3.0, 1.0, 3.0]
         assert executed[0].tolist() == [2e9, 2e9]
 
 
@@ -658,7 +656,7 @@ class TestScanTailWhereLate:
                                      * rng.uniform(2.0, 3.0, late_rows.sum()))
         for dur_coef, want_late in ((mixed, late_rows), (on_time, np.zeros(n_rows, bool))):
             completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
-            late = (completion > arr.pad_deadlines).any(axis=1)  # [P, T]
+            late = (completion > arr.pad_deadlines).any(axis=2)  # [P, T]
             assert late[:, ctrl[0]].tolist() == want_late.tolist()
             assert not late[:, ctrl[1:]].any() and not late[:, ~arr.is_ctrl].any()
 
@@ -790,6 +788,56 @@ class TestEnergyAccounting:
             evaluate_allocation(
                 [host()], profiles, trace_of(jobs), alloc, dyn_energy_form="as-writen"
             )
+
+
+def reference_total_energy(dynamic_j, leakage_j):
+    """Each member's joules as ``evaluate_objectives`` summed them host by host
+    before the one accumulate (verbatim loop)."""
+    energy = np.zeros(len(dynamic_j))
+    for m in range(dynamic_j.shape[1]):  # host by host: dynamic, then leakage
+        energy += dynamic_j[:, m]
+        energy += leakage_j[:, m]
+    return energy
+
+
+class TestTotalEnergyMatchesHostLoop:
+    """The accumulate over interleaved ``[dyn_0, leak_0, dyn_1, ...]`` columns
+    adds in the host loop's order, so its sums are bit for bit the loop's."""
+
+    @pytest.mark.parametrize("n_hosts", [1, 2, 6, 9])
+    def test_random_blocks(self, n_hosts):
+        rng = np.random.default_rng(n_hosts)
+        for n_rows in (1, 2, 7, 100):
+            # Joules over 26 decades, so that the order of the additions shows.
+            dynamic_j, leakage_j = 10.0 ** rng.uniform(-13, 13, (2, n_rows, n_hosts))
+            idle = rng.random((n_rows, n_hosts)) < 0.3  # hosts that execute nothing
+            dynamic_j[idle] = leakage_j[idle] = 0.0
+            dynamic_j[rng.random((n_rows, n_hosts)) < 0.1] = -0.0
+            want = reference_total_energy(dynamic_j, leakage_j)
+            got = np.array(sim._total_energy(dynamic_j, leakage_j))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, n_hosts, n_idle", [
+        ("amd", 1, 0), ("amd", 3, 2), ("intel", 1, 0), ("intel", 6, 0), ("intel", 6, 5),
+    ])
+    def test_evaluate_objectives_on_bundled_scenarios(self, name, n_hosts, n_idle):
+        # The scenario's first n_hosts hosts, every task off the last n_idle
+        # of them, which then execute nothing.
+        s, trace, _ = bundled(name)
+        cluster = s.cluster[:n_hosts]
+        m, n = len(cluster), len(s.profiles)
+        rng = np.random.default_rng(n_idle)
+        modes = np.column_stack([rng.integers(1, len(h.spec.modes) + 1, 20) for h in cluster])
+        genes = rng.integers(0, 101, (20, m + n * m))
+        genes[:, m:].reshape(20, n, m)[:, :, m - n_idle:] = 0
+        ordered = sorted(s.profiles, key=lambda p: p.task_id)
+        shares = _repair(genes, m, np.array([p.kind == "REAL" for p in ordered]))
+        ctx = _prepare(cluster, s.profiles, trace, s.soft_constraints)
+        _, dynamic_j, leakage_j, executed, *_ = sim._run(ctx, modes, shares)
+        assert (executed[:, m - n_idle:] == 0).all() and (executed[:, : m - n_idle] > 0).any()
+        scores = evaluate_objectives(cluster, s.profiles, trace, (modes, shares), _context=ctx)
+        want = reference_total_energy(dynamic_j, leakage_j)
+        assert np.array([e for _, e, _ in scores]).tobytes() == want.tobytes()
 
 
 class TestHardMissPenalty:
@@ -948,7 +996,7 @@ class TestCountsMatchRecords:
             for t, bounds in soft.items():
                 n = profiles[t].n_jobs
                 for c in bounds:
-                    late = (completion[:, :n, t] - deadlines[:n, t] > c.x_s).sum(axis=1)
+                    late = (completion[:, t, :n] - deadlines[t, :n] > c.x_s).sum(axis=1)
                     want[:, t] += late / n > c.beta
             got = _task_counts(ctx, completion)[2]
         assert np.isinf(completion).any() and np.isnan(completion).any()
