@@ -45,6 +45,8 @@ from .workload import JobTrace, TaskProfile
 
 POLICIES = ("MIN", "MAX", "VAR")
 CROSSOVER_PROB = 0.9
+#: Largest share-row total ``decode`` takes: ``r * 100`` is exact in float64 for ``r`` up to it.
+SHARE_TOTAL_MAX = 2**53 // 100
 
 
 @dataclass(frozen=True, order=True)
@@ -173,13 +175,18 @@ def decode(
     row, each equal to decoding that row alone.  A share row not summing to
     100 is scaled to 100 and rounded by largest remainder, ties to the lower
     server index; ``r * 100 / total`` in float64 is the correctly rounded
-    quotient, as Python's ``int / int`` is.  Mode genes pass through
-    unchecked: a mode index the host lacks is kept, and
+    quotient, as Python's ``int / int`` is, because share genes must be >= 0
+    and each share row's total at most ``2**53 / 100``.  Mode genes pass
+    through unchecked: a mode index the host lacks is kept, and
     :func:`sim.validate_allocation` rejects it.  Genes must be integers: a
-    float or bool gene vector is rejected, not truncated.
+    float or bool gene, or a bool among integers, is rejected, not truncated.
     """
     ordered = sorted(profiles, key=lambda p: p.task_id)
     block = np.asarray(genes)
+    if block.ndim > 2:
+        raise InvalidArgumentError(
+            f"genes must be a gene vector or a [U, G] block, got shape {block.shape}"
+        )
     rows = np.atleast_2d(block)
     m, n = len(cluster), len(ordered)
     if rows.shape[1] != m + n * m:
@@ -188,6 +195,13 @@ def decode(
         )
     if block.dtype.kind not in "iu":
         raise InvalidArgumentError(f"genes must be integers, got dtype {block.dtype}")
+    if not isinstance(genes, np.ndarray):  # asarray turns a bool among ints into an int
+        is_bool = [isinstance(g, (bool, np.bool_)) for g in np.asarray(genes, dtype=object).flat]
+        if any(is_bool):
+            raise InvalidArgumentError(
+                f"genes must be integers, got a bool at flat index {is_bool.index(True)}"
+            )
+    _check_share_genes(rows[:, m:].reshape(len(rows), n, m))
     rows = rows.astype(np.int64, copy=False)
     shares = _repair(rows, len(cluster), np.array([p.kind == "REAL" for p in ordered]))
     allocs = [
@@ -195,6 +209,22 @@ def decode(
         for d, s in zip(rows[:, : len(cluster)].tolist(), shares.tolist())
     ]
     return allocs if block.ndim == 2 else allocs[0]
+
+
+def _check_share_genes(shares: np.ndarray) -> None:
+    """Reject a ``[U, N, M]`` block of share genes (int or uint) with a negative
+    gene or a row whose total times 100 passes ``2**53``."""
+    negative = shares[shares < 0]
+    if negative.size:
+        raise InvalidArgumentError(f"share genes must be >= 0, got {negative[0]}")
+    # Capped at SHARE_TOTAL_MAX + 1, no row's sum overflows.
+    capped = np.minimum(shares.astype(np.uint64), SHARE_TOTAL_MAX + 1).sum(axis=2)
+    over = np.argwhere(capped > SHARE_TOTAL_MAX)
+    if len(over):
+        u, t = over[0]
+        raise InvalidArgumentError(
+            f"share row total {sum(shares[u, t].tolist())} exceeds 2**53 / 100"
+        )
 
 
 def _repair(rows: np.ndarray, n_servers: int, is_real: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ The per-host energy split is
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -59,10 +60,9 @@ class ThermalState:
 
     t_cpu_k: tuple[float, ...]
     t_mem_k: float
-    band_k: tuple[float, float] = TEMP_BAND_K
 
     def __post_init__(self):
-        lo, hi = self.band_k
+        lo, hi = TEMP_BAND_K
         for t in (*self.t_cpu_k, self.t_mem_k):
             if not (lo <= t <= hi):
                 raise ModelDomainError(
@@ -252,20 +252,23 @@ def leakage_energy(
 
 # --- calibration ----------------------------------------------------------
 
+#: The coefficients telemetry identifies, in design-matrix column order.  A
+#: sample has one CPU and one memory temperature, so B, C, G and H stand for
+#: their sums over the sockets.
+LUMPED = ("A", "B", "C", "D", "E", "G", "H")
+
+#: Relative singular-value cutoff of the fit's rank check and least squares.
+RANK_RTOL = 1e-10
+
 
 def _design_row(spec: ServerSpec, s: TelemetrySample) -> list[float]:
+    """The terms that multiply each ``LUMPED`` coefficient in one sample's power."""
     mode = spec.mode(s.mode_index)
     v = mode.voltage_v
     f_norm = mode.frequency_hz / FREQ_NORM_HZ
     tc = s.t_cpu_k
     tm = s.t_mem_k
-    row = [v * v * f_norm * s.utilization]
-    row += [tc * tc * v] * spec.n_sockets
-    row += [tc * v * v] * spec.n_sockets
-    row += [v**3, 1.0]
-    row += [tm * tm] * spec.n_sockets
-    row += [tm] * spec.n_sockets
-    return row
+    return [v * v * f_norm * s.utilization, tc * tc * v, tc * v * v, v**3, 1.0, tm * tm, tm]
 
 
 @dataclass(frozen=True)
@@ -280,17 +283,16 @@ def fit_constants(
     samples: Sequence[TelemetrySample],
     template: ServerSpec,
     split: float = 0.65,
-    rank_rtol: float = 1e-10,
 ) -> FitResult:
     """Least-squares calibration of the power model's coefficients.
 
-    The model is linear in its coefficients given (u, T, V, f), so ordinary
-    least squares on the fitting split recovers them; the returned validation
-    error is the mean absolute percentage error on the held-out split.
-
-    With a single measured CPU/memory temperature, multi-socket machines only
-    expose the per-socket coefficient sums; the lumped estimate is distributed
-    equally across sockets.
+    The model is linear in its coefficients given (u, T, V, f).  A sample has
+    one CPU and one memory temperature, so it identifies A, D, E and the
+    per-socket sums of B, C, G and H (``LUMPED``); ordinary least squares on
+    the fitting split recovers these seven, and the fitted spec splits each
+    sum equally across the sockets.  The returned validation error is the
+    mean absolute percentage error on the held-out split.  At least twice as
+    many samples as ``template.coefficient_names()`` are required.
 
     Samples are split deterministically by interleaving: sample ``i`` goes to
     the fitting set when ``floor((i+1)*split) > floor(i*split)``.
@@ -317,79 +319,28 @@ def fit_constants(
     design = np.array([_design_row(template, samples[i]) for i in fit_idx])
     target = np.array([samples[i].measured_power_w for i in fit_idx])
 
-    # Collapse duplicated per-socket columns (identical by construction when a
-    # single temperature is measured) before the rank check so they do not
-    # masquerade as a rank deficiency.
-    ns = template.n_sockets
-    groups: list[list[int]] = [[0]]
-    col = 1
-    lumped_names = ["A"]
-    for block in ("B", "C"):
-        groups.append(list(range(col, col + ns)))
-        lumped_names.append(block)
-        col += ns
-    groups += [[col], [col + 1]]
-    lumped_names += ["D", "E"]
-    col += 2
-    for block in ("G", "H"):
-        groups.append(list(range(col, col + ns)))
-        lumped_names.append(block)
-        col += ns
-    lumped = np.column_stack([design[:, g].sum(axis=1) / len(g) for g in groups])
-
-    _, sv, vt = np.linalg.svd(lumped, full_matrices=False)
-    rank = int(np.sum(sv > rank_rtol * sv[0]))
-    if rank < lumped.shape[1]:
-        null = vt[rank:]
-        bad = sorted(
-            {
-                lumped_names[j]
-                for row in null
-                for j in range(len(lumped_names))
-                if abs(row[j]) > 1e-6
-            }
-        )
-        expanded = sorted(
-            n for n in names if n.rstrip("0123456789") in {b.rstrip("0123456789") for b in bad}
-        )
+    _, sv, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+    if rank < len(LUMPED):
+        bad = {LUMPED[j] for row in vt[rank:] for j in np.flatnonzero(np.abs(row) > 1e-6)}
+        expanded = sorted(n for n in names if n.rstrip("0123456789") in bad)
         raise UnderdeterminedFitError(
-            f"design matrix rank {rank} < {lumped.shape[1]}; "
+            f"design matrix rank {rank} < {len(LUMPED)}; "
             f"unidentifiable coefficients: {', '.join(expanded)}",
             expanded,
         )
 
-    theta, *_ = np.linalg.lstsq(lumped, target, rcond=rank_rtol)
-    a, b, c, d, e, g, h = theta
-
-    fitted = ServerSpec(
-        server_id=template.server_id,
-        label=template.label,
-        a_dyn=float(a),
-        b_cpu=(float(b) / ns,) * ns,
-        c_cpu=(float(c) / ns,) * ns,
-        d_volt=float(d),
-        e_const=float(e),
-        g_mem=(float(g) / ns,) * ns,
-        h_mem=(float(h) / ns,) * ns,
-        modes=template.modes,
-        cpi=template.cpi,
-        n_sockets=template.n_sockets,
-        f_unused=template.f_unused,
+    theta, *_ = np.linalg.lstsq(design, target, rcond=RANK_RTOL)
+    a, b, c, d, e, g, h = theta.tolist()
+    ns = template.n_sockets
+    fitted = dataclasses.replace(
+        template, a_dyn=a, b_cpu=(b / ns,) * ns, c_cpu=(c / ns,) * ns, d_volt=d, e_const=e,
+        g_mem=(g / ns,) * ns, h_mem=(h / ns,) * ns,
     )
 
-    val_design = np.array([_design_row(fitted, samples[i]) for i in val_idx])
+    val_design = np.array([_design_row(template, samples[i]) for i in val_idx])
     val_target = np.array([samples[i].measured_power_w for i in val_idx])
-    flat = np.concatenate(
-        [
-            [float(a)],
-            [float(b) / ns] * ns,
-            [float(c) / ns] * ns,
-            [float(d), float(e)],
-            [float(g) / ns] * ns,
-            [float(h) / ns] * ns,
-        ]
-    )
-    pred = val_design @ flat
+    pred = val_design @ theta
     nonzero = np.abs(val_target) > 1e-12
     mape = float(
         np.mean(np.abs(pred[nonzero] - val_target[nonzero]) / np.abs(val_target[nonzero]))

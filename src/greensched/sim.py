@@ -384,6 +384,10 @@ def _prepare(
 ) -> _Context:
     """Check the arguments and build the context; SOFT tasks default to
     ``DEFAULT_SOFT_CONSTRAINTS``, every other task has no soft constraint."""
+    if not cluster:
+        raise InvalidArgumentError("cluster is empty")
+    if not profiles:
+        raise InvalidArgumentError("profiles is empty")
     if type(hard_miss_weight) is not int or hard_miss_weight < 1:  # a bool is rejected too
         raise InvalidArgumentError(f"hard_miss_weight {hard_miss_weight!r} is not an int >= 1")
     if dyn_energy_form not in pw.DYN_ENERGY_FORMS:

@@ -485,6 +485,40 @@ class TestBlockDecode:
         assert decode(np.asarray(genes).astype(np.uint8), s.profiles, s.cluster) == decode(
             np.asarray(genes).astype(np.uint8).tolist(), s.profiles, s.cluster)
 
+    @pytest.mark.parametrize("genes, where", [
+        ([True, 1, 1] + [100, 0, 0] * 9, 0),  # was decoded as modes (1, 1, 1)
+        ([1, 1, 1] + [100, np.bool_(False), 0] + [100, 0, 0] * 8, 4),
+        ([[1, 1, 1] + [100, 0, 0] * 9, [1, 1, 1] + [100, 0, False] + [100, 0, 0] * 8], 35),
+    ])
+    def test_bools_among_integers_are_rejected_naming_the_first(self, genes, where):
+        s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        with pytest.raises(InvalidArgumentError, match=f"^genes must be integers, got a bool at flat index {where}$"):
+            decode(genes, s.profiles, s.cluster)
+
+    @pytest.mark.parametrize("shares, message", [
+        ([-5, -5, -5], "share genes must be >= 0, got -5"),  # was rounded to (-499, -499, -499)
+        ([100, -1, 1], "share genes must be >= 0, got -1"),
+        ([2**62, 2**62, 0], r"share row total 9223372036854775808 exceeds 2\*\*53 / 100"),  # was (1, 1, 1)
+        ([2**53 // 100, 1, 0], r"share row total 90071992547410 exceeds 2\*\*53 / 100"),
+    ])
+    def test_negative_and_huge_share_genes_are_rejected(self, shares, message):
+        profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1)]
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            decode([1, 1, 1] + shares, profiles, [None] * 3)
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            decode(np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1] + shares], dtype=object).astype(
+                np.uint64 if min(shares) >= 0 else np.int64), profiles, [None] * 3)
+
+    def test_largest_share_total_is_decoded_exactly(self):
+        profiles = [TaskProfile(0, "SOFT", 10**8, 1.0, 1.0, 1)]
+        genes = [1, 1, 1, 2**53 // 100 - 1, 1, 0]
+        assert decode(genes, profiles, [None] * 3) == scalar_decode(genes, profiles, [None] * 3)
+
+    def test_block_of_rank_above_two_is_rejected_naming_its_shape(self):
+        s = load_scenario(str(FIXTURES / "scenario_amd.json"), seed=1)
+        with pytest.raises(InvalidArgumentError, match=r"^genes must be a gene vector or a \[U, G\] block, got shape \(1, 1, 30\)$"):
+            decode(np.ones((1, 1, 30), dtype=np.int64), s.profiles, s.cluster)
+
 
 class TestGeneBounds:
     def setup_method(self):

@@ -927,6 +927,20 @@ class TestArgumentChecks:
         with pytest.raises(InvalidArgumentError, match=message):
             EVALUATORS[evaluator](cluster, profiles, trace, alloc=alloc, **kw)
 
+    @pytest.mark.parametrize("evaluator", [e for e in EVALUATORS if e != "evolve"])
+    def test_every_evaluator_rejects_an_empty_profile_list(self, evaluator):
+        # Each raised IndexError before; evolve has its own ConfigurationError.
+        empty = JobTrace.from_jobs([], rng_seed=0, horizon_s=1.0)
+        with pytest.raises(InvalidArgumentError, match="^profiles is empty$"):
+            EVALUATORS[evaluator]([host()], [], empty, alloc=Allocation(dvfs=(1,), shares=()))
+
+    @pytest.mark.parametrize("evaluator", [e for e in EVALUATORS if e != "evolve"])
+    def test_every_evaluator_rejects_an_empty_cluster(self, evaluator):
+        profiles = [TaskProfile(0, "SOFT", 10**9, 10.0, 10.0, 1)]
+        trace = trace_of([Job(0, 0, 0.0, 10.0, 10**9)])
+        with pytest.raises(InvalidArgumentError, match="^cluster is empty$"):
+            EVALUATORS[evaluator]([], profiles, trace, alloc=Allocation(dvfs=(), shares=((),)))
+
 
 class TestCountsMatchRecords:
     """The counts behind lambda against what the result itself records: the
