@@ -22,9 +22,12 @@ decodes them into gene tuples and ``Allocation`` objects.  The archive is
 offered only the entries first seen in a round.
 
 Each distinct objective vector gets an integer key id when it is first
-scored, and the population carries one id per member.  Selection and
-crowding group the members by id, rank each distinct vector once and
-compute crowding per vector (see :func:`_chain_crowding`).
+scored, and the population carries one id per member; the
+``ObjectiveVector`` itself is the key that ranking sorts and sweeps.  Each
+generation groups the members by id once: selection ranks each distinct
+vector once, and hands the survivors' fronts to the next generation, whose
+tournament reads its ranks and crowding from them (see
+:func:`_chain_crowding`).
 """
 
 from __future__ import annotations
@@ -49,14 +52,12 @@ CROSSOVER_PROB = 0.9
 SHARE_TOTAL_MAX = 2**53 // 100
 
 
-@dataclass(frozen=True, order=True)
-class ObjectiveVector:
+class ObjectiveVector(NamedTuple):
     lam: int
     scaled_energy_j: float  # (1 + lam) * total energy
 
 
-Key = tuple[int, float]  # (lam, scaled energy), ObjectiveVector's order
-Run = tuple[Key, list[int]]  # a distinct key and its members' positions, in index order
+Run = tuple[ObjectiveVector, list[int]]  # a distinct key and its members' positions, in index order
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,13 @@ def nondominated_sort(points: Sequence[ObjectiveVector]) -> list[int]:
     sweep of :func:`_ranked_fronts`.  A NaN scaled energy has no rank.
     """
     _check_energies(points, allow_inf=True)
-    key_ids: dict[Key, int] = {}
-    ids = [key_ids.setdefault((p.lam, p.scaled_energy_j), len(key_ids)) for p in points]
-    return _ranks(ids, list(key_ids))
+    key_ids: dict[ObjectiveVector, int] = {}
+    ids = [key_ids.setdefault(p, len(key_ids)) for p in points]
+    ranks = [0] * len(points)
+    for rank, front in enumerate(_ranked_fronts(ids, list(key_ids))):
+        for i in chain.from_iterable(run for _, run in front):
+            ranks[i] = rank
+    return ranks
 
 
 def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
@@ -401,9 +406,9 @@ def evolve(
     # is a mode index or a share (0..100).
     key_type = _key_type(int((bounds.high * scale).max()))
     cache: dict[bytes, int] = {}  # key id, by scaled gene row
-    scores: dict[bytes, tuple[int, ObjectiveVector, float, float]] = {}  # by repaired row
-    key_ids: dict[Key, int] = {}
-    keys: list[Key] = []  # by key id
+    scores: dict[bytes, tuple[int, float, float]] = {}  # key id and energies, by repaired row
+    key_ids: dict[ObjectiveVector, int] = {}
+    keys: list[ObjectiveVector] = []  # by key id
 
     def fitness(population: np.ndarray) -> tuple[list[int], list[_Scored]]:
         """Score a ``[P, G]`` population: every row's key id, and the entries of
@@ -428,15 +433,15 @@ def evolve(
                     cluster, ordered, trace, (dvfs[idx], repaired[idx]), _context=context
                 )
                 for alloc_key, (lam, energy_j, energy_u) in zip(unscored, results):
-                    key = (lam, (1 + lam) * energy_j)
+                    key = ObjectiveVector(lam, (1 + lam) * energy_j)
                     key_id = key_ids.setdefault(key, len(keys))
                     if key_id == len(keys):
                         keys.append(key)
-                    scores[alloc_key] = key_id, ObjectiveVector(*key), energy_j, energy_u
+                    scores[alloc_key] = key_id, energy_j, energy_u
             for row_key, alloc_key in zip(fresh, alloc_keys):
-                key_id, *scored = scores[alloc_key]
+                key_id, energy_j, energy_u = scores[alloc_key]
                 cache[row_key] = key_id
-                entries.append(_Scored(row_key, *scored))
+                entries.append(_Scored(row_key, keys[key_id], energy_j, energy_u))
         return list(map(cache.__getitem__, row_keys)), entries
 
     # Uniform mode genes; each share row one-hot on a random server (share
@@ -450,7 +455,7 @@ def evolve(
     shares = (picked * bounds.high[n_servers:].reshape(n_tasks, n_servers)).reshape(n_pop, -1)
     pop = np.concatenate([modes, shares], axis=1)
     ids, fresh = fitness(pop)
-    ranks = _ranks(ids, keys)
+    fronts = _ranked_fronts(ids, keys)
 
     # Only entries never offered before: an archive that was offered an entry
     # stays unchanged when offered it again.
@@ -463,7 +468,7 @@ def evolve(
     gen = 0
     n_pairs = (n_pop + 1) // 2
     for gen in range(1, config.generations + 1):
-        crowd = _crowding(ids, keys, ranks)
+        ranks, crowd = _rank_and_crowd(fronts, n_pop)
 
         # Parents pair up in draw order; children c1, c2 of each pair stay
         # adjacent, and an odd population drops the last pair's c2.
@@ -476,7 +481,7 @@ def evolve(
             archive.offer(entry)
 
         combined_ids = ids + off_ids
-        sel, ranks = _environmental_selection(combined_ids, keys, n_pop)
+        sel, fronts = _environmental_selection(combined_ids, keys, n_pop)
         pop = np.concatenate([pop, offspring])[sel]
         ids = list(map(combined_ids.__getitem__, sel))
 
@@ -507,7 +512,7 @@ def _front_point(p: _Scored, key_type: np.dtype, ordered, cluster) -> FrontPoint
                       p.energy_units)
 
 
-def _key_runs(ids: Sequence[int], keys: Sequence[Key]) -> list[Run]:
+def _key_runs(ids: Sequence[int], keys: Sequence[ObjectiveVector]) -> list[Run]:
     """The run of each distinct key among the members, in key order.
     ``ids`` holds each member's key id and ``keys[id]`` its key."""
     runs: dict[int, list[int]] = {}
@@ -520,7 +525,7 @@ def _key_runs(ids: Sequence[int], keys: Sequence[Key]) -> list[Run]:
     return [(keys[key_id], runs[key_id]) for key_id in sorted(runs, key=keys.__getitem__)]
 
 
-def _ranked_fronts(ids: Sequence[int], keys: Sequence[Key]) -> list[list[Run]]:
+def _ranked_fronts(ids: Sequence[int], keys: Sequence[ObjectiveVector]) -> list[list[Run]]:
     """The members' runs (see :func:`_key_runs`) as fronts in rank order, each
     in ``lam`` order.
 
@@ -544,16 +549,6 @@ def _ranked_fronts(ids: Sequence[int], keys: Sequence[Key]) -> list[list[Run]]:
             latest[r] = energy
         fronts[r].append(run)
     return fronts
-
-
-def _ranks(ids: Sequence[int], keys: Sequence[Key]) -> list[int]:
-    """Each member's rank; ``ids`` and ``keys`` as in :func:`_key_runs`."""
-    ranks = [0] * len(ids)
-    for rank, front in enumerate(_ranked_fronts(ids, keys)):
-        for _, run in front:
-            for i in run:
-                ranks[i] = rank
-    return ranks
 
 
 def _chain_crowding(front: Sequence[Run]) -> list[tuple[int, float]]:
@@ -589,35 +584,36 @@ def _chain_crowding(front: Sequence[Run]) -> list[tuple[int, float]]:
     return out
 
 
-def _crowding(ids: Sequence[int], keys: Sequence[Key], ranks: Sequence[int]) -> list[float]:
-    """Each member's :func:`crowding_distance` within its rank, computed per
-    distinct key by :func:`_chain_crowding`."""
-    fronts: dict[int, list[Run]] = {}
-    for run in _key_runs(ids, keys):
-        fronts.setdefault(ranks[run[1][0]], []).append(run)
-    crowd = [0.0] * len(ids)
-    for front in fronts.values():
+def _rank_and_crowd(fronts: Sequence[Sequence[Run]], n: int) -> tuple[list[int], list[float]]:
+    """Each of ``n`` members' rank and :func:`crowding_distance` in its front."""
+    ranks, crowd = [0] * n, [0.0] * n
+    for rank, front in enumerate(fronts):
+        for i in chain.from_iterable(run for _, run in front):
+            ranks[i] = rank
         for i, d in _chain_crowding(front):
             crowd[i] = d
-    return crowd
+    return ranks, crowd
 
 
 def _environmental_selection(
-    ids: Sequence[int], keys: Sequence[Key], k: int
-) -> tuple[list[int], list[int]]:
+    ids: Sequence[int], keys: Sequence[ObjectiveVector], k: int
+) -> tuple[list[int], list[list[Run]]]:
     """NSGA-II survivor selection: fill by rank, break the last front by crowding.
 
     ``ids`` and ``keys`` are as in :func:`_key_runs`.  Whole fronts are
     admitted in index order; the front that overflows gives its members with
     nonzero crowding distance by ``(-distance, index)``, then its members at
-    distance 0 by index.  Returns the chosen indices and their ranks, which
-    are also their ranks among the survivors alone: every point that
-    dominates a survivor lies in an earlier front, and earlier fronts are
-    admitted whole.
+    distance 0 by index.  Returns the chosen indices and the survivors' fronts
+    (see :func:`_ranked_fronts`) by position among the survivors, which are
+    also the fronts of the survivors alone: every point that dominates a
+    survivor lies in an earlier front, and earlier fronts are admitted whole.
     """
     chosen: list[int] = []
-    ranks: list[int] = []
-    for rank, front in enumerate(_ranked_fronts(ids, keys)):
+    fronts = _ranked_fronts(ids, keys)
+    for rank, front in enumerate(fronts):
+        if len(chosen) == k:
+            del fronts[rank:]
+            break
         room = k - len(chosen)
         runs = [run for _, run in front]
         if sum(map(len, runs)) <= room:
@@ -630,7 +626,11 @@ def _environmental_selection(
                 idle = chain((i for i, d in ends if not d),
                              chain.from_iterable(run[1:-1] for run in runs))
                 chosen.extend(sorted(idle)[: room - len(spaced)])
-        ranks.extend([rank] * (len(chosen) - len(ranks)))
-        if len(chosen) == k:
-            break
-    return chosen, ranks
+    at = [-1] * len(ids)  # each member's position among the survivors
+    for p, i in enumerate(chosen):
+        at[i] = p
+    kept = [[(key, [at[i] for i in run]) for key, run in front] for front in fronts]
+    # Only the last front admitted can lose members or leave index order.
+    kept[-1:] = [[(key, sorted(p for p in run if p >= 0)) for key, run in front if max(run) >= 0]
+                 for front in kept[-1:]]
+    return chosen, kept

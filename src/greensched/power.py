@@ -257,7 +257,9 @@ def leakage_energy(
 #: their sums over the sockets.
 LUMPED = ("A", "B", "C", "D", "E", "G", "H")
 
-#: Relative singular-value cutoff of the fit's rank check and least squares.
+#: Relative singular-value cutoff of the fit's rank check.  The check runs on
+#: the design with each column scaled to unit norm: the raw columns span 1 to
+#: about 1e5 (``T²·V``), so a cutoff on them would also reflect the units.
 RANK_RTOL = 1e-10
 
 
@@ -319,7 +321,8 @@ def fit_constants(
     design = np.array([_design_row(template, samples[i]) for i in fit_idx])
     target = np.array([samples[i].measured_power_w for i in fit_idx])
 
-    _, sv, vt = np.linalg.svd(design, full_matrices=False)
+    norms = np.linalg.norm(design, axis=0)
+    _, sv, vt = np.linalg.svd(design / np.where(norms > 0, norms, 1.0), full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     if rank < len(LUMPED):
         bad = {LUMPED[j] for row in vt[rank:] for j in np.flatnonzero(np.abs(row) > 1e-6)}
@@ -330,7 +333,7 @@ def fit_constants(
             expanded,
         )
 
-    theta, *_ = np.linalg.lstsq(design, target, rcond=RANK_RTOL)
+    theta, *_ = np.linalg.lstsq(design, target, rcond=None)
     a, b, c, d, e, g, h = theta.tolist()
     ns = template.n_sockets
     fitted = dataclasses.replace(

@@ -192,7 +192,7 @@ def _task_counts(
     Every count sums along the contiguous slot axis.
     """
     arr = ctx.arr
-    n_late = (completion > arr.pad_deadlines).sum(axis=2)
+    n_late = (completion > arr.scan.deadlines).sum(axis=2)
     aborts = np.where(arr.is_ctrl, n_late, 0) if aborted is None else aborted.sum(axis=2)
     # Every soft bound at once: its task's jobs late by more than x_s, as a
     # fraction of the task's jobs, against beta; then summed per task.  Late
@@ -200,7 +200,7 @@ def _task_counts(
     # with x = 0 reads its task's late count.
     n_over, rest = n_late[:, ctx.soft_task], ctx.soft_task[ctx.n_x0:]
     if len(rest):
-        over = completion[:, rest] - arr.pad_deadlines[rest] > ctx.soft_x[ctx.n_x0:, None]
+        over = completion[:, rest] - arr.scan.deadlines[rest] > ctx.soft_x[ctx.n_x0:, None]
         n_over[:, ctx.n_x0:] = over.sum(axis=2)
     soft = np.zeros_like(n_late)
     np.add.at(soft, (slice(None), ctx.soft_task),
@@ -273,10 +273,10 @@ def _assemble_result(
 class _TraceArrays:
     """A trace's columns as evaluation reads them, reusable across many evaluations.
 
-    The ``pad_*`` arrays hold the same jobs as ``[task, slot]`` (slot = the
-    job's position within its task) for the population scan; missing slots
-    are padded with arrival -inf, deadline +inf and work 0.  ``scan`` holds
-    them with the scan's other per-trace constants.
+    ``scan`` holds the same jobs as ``[task, slot]`` (slot = the job's
+    position within its task) for the population scan, missing slots padded
+    with arrival -inf, deadline +inf and work 0, together with the scan's
+    other per-trace constants.
     """
 
     trace: JobTrace
@@ -292,16 +292,11 @@ class _TraceArrays:
     n_jobs: np.ndarray  # jobs per task
     n_mean: np.ndarray
     slot: np.ndarray
-    pad_arrivals: np.ndarray = field(init=False)
-    pad_deadlines: np.ndarray = field(init=False)
-    pad_works: np.ndarray = field(init=False)
     scan: ScanConstants = field(init=False)
 
     def __post_init__(self):
-        self.pad_arrivals = self.pad(self.arrivals, -np.inf)
-        self.pad_deadlines = self.pad(self.deadlines, np.inf)
-        self.pad_works = self.pad(self.works, 0.0)
-        self.scan = scan_constants(self.pad_arrivals, self.pad_deadlines, self.pad_works,
+        self.scan = scan_constants(self.pad(self.arrivals, -np.inf),
+                                   self.pad(self.deadlines, np.inf), self.pad(self.works, 0.0),
                                    self.is_ctrl)
 
     def pad(self, values: np.ndarray, fill: float | bool) -> np.ndarray:
@@ -454,7 +449,7 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     per_server[shares == 0] = 0.0
     dur_coef = per_server.max(axis=2)
 
-    completion = np.empty((len(modes),) + arr.pad_arrivals.shape)
+    completion = np.empty((len(modes),) + arr.scan.arrivals.shape)
     exec_per_task = np.empty_like(dur_coef)
     scan_population(arr.scan, dur_coef, completion, exec_per_task)
 

@@ -18,12 +18,12 @@ from greensched.power import (
 from greensched.scenario import FIXTURES, load_server_spec
 
 
-def synth_samples(spec, rng, n, noise=0.0):
+def synth_samples(spec, rng, n, noise=0.0, t_range=(290.0, 340.0)):
     samples = []
     for _ in range(n):
         u = float(rng.uniform(0.0, 1.0))
-        tc = float(rng.uniform(290.0, 340.0))
-        tm = float(rng.uniform(290.0, 340.0))
+        tc = float(rng.uniform(*t_range))
+        tm = float(rng.uniform(*t_range))
         mode_ix = int(rng.integers(1, len(spec.modes) + 1))
         th = ThermalState((tc,) * spec.n_sockets, tm)
         p = total_power(spec, spec.mode(mode_ix), th, u)
@@ -123,6 +123,16 @@ class TestIdentifiability:
         with pytest.raises(UnderdeterminedFitError) as e:
             fit_constants(samples, make_spec())
         assert set(e.value.coefficients) & {"B1", "C1", "E", "G1", "H1"}
+
+    def test_narrow_temperature_spread_is_identifiable(self, rng):
+        # Over 2 K the raw design's singular values span more than 1e10 (its
+        # columns' units alone span 1e5), but each column scaled to unit norm
+        # leaves all seven lumped coefficients well determined.
+        spec = load_server_spec(FIXTURES / "intel_xeon_e5620.json")
+        samples = synth_samples(spec, rng, 400, t_range=(300.0, 302.0))
+        assert {s.mode_index for s in samples} == set(range(1, len(spec.modes) + 1))
+        result = fit_constants(samples, spec)
+        assert result.validation_error_pct < 1e-9
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -39,10 +40,29 @@ def obj(lam, e):
 
 
 def key_ids(points):
-    """The key id of each point and the ``(lam, scaled energy)`` of each id,
-    as ``evolve`` carries them."""
-    ids: dict[tuple[int, float], int] = {}
-    return [ids.setdefault((p.lam, p.scaled_energy_j), len(ids)) for p in points], list(ids)
+    """The key id of each point and the ``ObjectiveVector`` of each id, as
+    ``evolve`` carries them."""
+    ids: dict[ObjectiveVector, int] = {}
+    return [ids.setdefault(p, len(ids)) for p in points], list(ids)
+
+
+class TestObjectiveVector:
+    def test_repr_order_and_messages_are_unchanged(self):
+        v = obj(1, 2.5)
+        assert repr(v) == str(v) == "ObjectiveVector(lam=1, scaled_energy_j=2.5)"
+        assert (v.lam, v.scaled_energy_j) == (1, 2.5)
+        assert obj(0, 3.0) < obj(1, 0.0) < obj(1, 0.5) <= obj(1, 0.5)
+        assert sorted([obj(1, 0.0), obj(0, 3.0), obj(0, 1.0)]) == [
+            obj(0, 1.0), obj(0, 3.0), obj(1, 0.0)]
+        assert obj(0, 1.0) == obj(0, 1.0) and hash(obj(0, 1.0)) == hash(obj(0, 1.0))
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                "point 1 ObjectiveVector(lam=2, scaled_energy_j=inf): "
+                "scaled energy must be finite")):
+            crowding_distance([obj(0, 1.0), obj(2, float("inf"))])
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                "point 0 ObjectiveVector(lam=0, scaled_energy_j=nan): "
+                "scaled energy must be a number")):
+            nondominated_sort([obj(0, float("nan"))])
 
 
 class TestDominates:
@@ -87,8 +107,9 @@ class TestNondominatedSort:
                 for _ in range(n)
             ]
             k = int(rng.integers(1, n + 1))
-            chosen, ranks = nsga._environmental_selection(*key_ids(points), k)
+            chosen, fronts = nsga._environmental_selection(*key_ids(points), k)
             assert len(chosen) == k
+            ranks, _ = nsga._rank_and_crowd(fronts, k)
             assert ranks == nondominated_sort([points[i] for i in chosen])
 
     def test_single_front(self):
@@ -277,13 +298,15 @@ class TestSelectionEqualsReference:
     def assert_equal_to_reference(self, points, ks):
         ids, keys = key_ids(points)
         ranks = nondominated_sort(points)
-        assert nsga._crowding(ids, keys, ranks) == reference_crowding_by_rank(points, ranks)
+        assert nsga._rank_and_crowd(nsga._ranked_fronts(ids, keys), len(points)) == (
+            ranks, reference_crowding_by_rank(points, ranks))
         for k in ks:
-            chosen, chosen_ranks = nsga._environmental_selection(ids, keys, k)
-            assert (chosen, chosen_ranks) == reference_environmental_selection(points, k)
+            chosen, fronts = nsga._environmental_selection(ids, keys, k)
+            want_chosen, want_ranks = reference_environmental_selection(points, k)
+            assert chosen == want_chosen
             survivors = [points[i] for i in chosen]
-            assert nsga._crowding([ids[i] for i in chosen], keys, chosen_ranks) == (
-                reference_crowding_by_rank(survivors, chosen_ranks))
+            assert nsga._rank_and_crowd(fronts, len(chosen)) == (
+                want_ranks, reference_crowding_by_rank(survivors, want_ranks))
 
     def random_multiset(self, rng):
         """1-400 entries of 1-12 distinct vectors; lambda up to 10**19 + 7."""
@@ -299,6 +322,16 @@ class TestSelectionEqualsReference:
         for _ in range(40):
             points = self.random_multiset(rng)
             self.assert_equal_to_reference(points, range(1, len(points) + 1))
+
+    def test_handed_on_fronts_equal_a_regrouping_of_the_survivors(self, rng):
+        for _ in range(40):
+            points = self.random_multiset(rng)
+            ids, keys = key_ids(points)
+            for k in range(1, len(points) + 1):
+                chosen, fronts = nsga._environmental_selection(ids, keys, k)
+                regrouped = nsga._ranked_fronts([ids[i] for i in chosen], keys)
+                assert fronts == regrouped
+                assert nsga._rank_and_crowd(fronts, k) == nsga._rank_and_crowd(regrouped, k)
 
     def test_exact_fits_of_whole_fronts(self, rng):
         for _ in range(200):
@@ -319,13 +352,16 @@ class TestSelectionEqualsReference:
         points = [obj(0, 3.0), obj(1, 2.0)] * 2 + [obj(1, 2.0), obj(2, 1.0)]
         ids, keys = key_ids(points)
         # Middle key (1, 2.0) at 1, 3, 4: only its first and last copy count.
-        assert nsga._crowding(ids, keys, [0] * 6) == [
+        assert nsga._rank_and_crowd(nsga._ranked_fronts(ids, keys), 6) == ([0] * 6, [
             float("inf"), (1 - 0) / 2 + (2.0 - 1.0) / 2.0,
             float("inf"), 0.0,
             (2 - 1) / 2 + (3.0 - 2.0) / 2.0, float("inf"),
-        ]
-        assert nsga._environmental_selection(ids, keys, 4) == ([0, 2, 5, 1], [0] * 4)
-        assert nsga._environmental_selection(ids, keys, 6) == (list(range(6)), [0] * 6)
+        ])
+        # Survivors 0, 2, 5, 1 keep (1, 2.0) once, as survivor 3.
+        assert nsga._environmental_selection(ids, keys, 4) == (
+            [0, 2, 5, 1], [[(obj(0, 3.0), [0, 1]), (obj(1, 2.0), [3]), (obj(2, 1.0), [2])]])
+        assert nsga._environmental_selection(ids, keys, 6) == (
+            list(range(6)), [[(obj(0, 3.0), [0, 2]), (obj(1, 2.0), [1, 3, 4]), (obj(2, 1.0), [5])]])
 
 
 def two_host_cluster(n_modes=2):
@@ -981,10 +1017,10 @@ class TestEvolveBasics:
             return mutate(genes, *args)
 
         def selection_wrapper(ids, keys, k):
-            chosen, ranks = select(ids, keys, k)
+            chosen, fronts = select(ids, keys, k)
             sizes["candidates"].append(len(ids))
             sizes["survivors"].append(len(chosen))
-            return chosen, ranks
+            return chosen, fronts
 
         monkeypatch.setattr(nsga, "integer_flip_mutation", mutation_wrapper)
         monkeypatch.setattr(nsga, "_environmental_selection", selection_wrapper)
@@ -993,6 +1029,23 @@ class TestEvolveBasics:
         result = evolve(cluster, profiles, trace, cfg)
         assert result.generations_run == 6
         assert sizes == {"offspring": [5] * 6, "candidates": [10] * 6, "survivors": [5] * 6}
+
+    def test_members_are_grouped_by_key_once_per_generation(self, monkeypatch):
+        # Once for the initial population, then once per selection: the
+        # survivors' fronts are handed on, not rebuilt for the tournament.
+        calls = []
+        key_runs = nsga._key_runs
+
+        def counting(ids, keys):
+            calls.append(len(ids))
+            return key_runs(ids, keys)
+
+        monkeypatch.setattr(nsga, "_key_runs", counting)
+        cluster, profiles, trace = self.two_task_instance()
+        cfg = EvolveConfig(population=6, generations=7, seed=4, stop_window=7)
+        result = evolve(cluster, profiles, trace, cfg)
+        assert result.generations_run == 7
+        assert calls == [6] + [12] * 7
 
 
 def front_digest(result) -> str:

@@ -365,7 +365,7 @@ class TestPopulationBatch:
         arr = trace_arrays(profiles, trace)
         rng = np.random.default_rng(seed)
         dur_coef = rng.uniform(1e-10, 3e-9, (4, len(profiles)))
-        completion = np.empty((4,) + arr.pad_arrivals.shape)
+        completion = np.empty((4,) + arr.scan.arrivals.shape)
         executed = np.empty_like(dur_coef)
         scan_population(arr.scan, dur_coef, completion, executed)
         for p in range(4):
@@ -477,7 +477,7 @@ class TestBlockCheck:
 
 def assert_scan_population_matches_scan_jobs(arr, dur_coef):
     """``scan_population`` over ``dur_coef``'s rows equals ``scan_jobs`` per row, bit for bit."""
-    completion = np.empty(dur_coef.shape[:1] + arr.pad_arrivals.shape)
+    completion = np.empty(dur_coef.shape[:1] + arr.scan.arrivals.shape)
     executed = np.empty_like(dur_coef)
     scan_population(arr.scan, dur_coef, completion, executed)
     for p in range(dur_coef.shape[0]):
@@ -524,7 +524,7 @@ class TestScanPopulationLongTraces:
     @pytest.mark.parametrize("traffic", ["abort-prone", "queue-prone"])
     def test_matches_scan_jobs_on_bundled_trace(self, name, n_rows, traffic):
         s, _, arr = bundled(name)
-        assert arr.pad_arrivals.shape[1] == 131
+        assert arr.scan.arrivals.shape[1] == 131
         rng = np.random.default_rng(0)
         if traffic == "abort-prone":
             dur_coef = abort_prone_coef(s.profiles, rng, n_rows)
@@ -606,7 +606,7 @@ class TestScanPopulationLongTraces:
         works = [0.4e9, 0.2e9, 1.0e9, 0.2e9, 0.2e9, 0.2e9]
         jobs += [Job(1, j, 0.5 * j, 0.5 * j + 10.0, int(w)) for j, w in enumerate(works)]
         arr = with_idle_tasks(profiles, jobs, n_idle)
-        assert arr.pad_arrivals.shape == (2 + n_idle, 6)
+        assert arr.scan.arrivals.shape == (2 + n_idle, 6)
         completion, _ = assert_scan_population_matches_scan_jobs(
             arr, np.full((1, 2 + n_idle), 1e-9)
         )
@@ -656,7 +656,7 @@ class TestScanTailWhereLate:
                                      * rng.uniform(2.0, 3.0, late_rows.sum()))
         for dur_coef, want_late in ((mixed, late_rows), (on_time, np.zeros(n_rows, bool))):
             completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
-            late = (completion > arr.pad_deadlines).any(axis=2)  # [P, T]
+            late = (completion > arr.scan.deadlines).any(axis=2)  # [P, T]
             assert late[:, ctrl[0]].tolist() == want_late.tolist()
             assert not late[:, ctrl[1:]].any() and not late[:, ~arr.is_ctrl].any()
 
@@ -1000,7 +1000,7 @@ class TestCountsMatchRecords:
         lc = LatenessConstraint
         soft = {0: (lc(0.0, 0.2), lc(0.5, 0.2)), 1: (lc(0.0, 0.0),), 2: (lc(0.25, 0.0), lc(0.0, 0.5))}
         ctx = _prepare([host()], profiles, trace_of(jobs), soft)
-        deadlines = ctx.arr.pad_deadlines
+        deadlines = ctx.arr.scan.deadlines
         rng = np.random.default_rng(3)
         overrun = rng.choice([-np.inf, -1.0, -0.25, 0.0, 5e-324, 0.25, 0.5, 1.0, np.inf, np.nan],
                              (40,) + deadlines.shape)
