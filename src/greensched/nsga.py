@@ -8,18 +8,23 @@ single-host (REAL) tasks keep only their largest entry.
 
 The population is one int64 ``[P, G]`` gene matrix.  Each generation breeds
 it with block operators: P binary tournaments from one draw, crossover of
-the paired parent rows with one coin and one cut per pair, and a mutation
-mask whose flipped genes are redrawn in one in-bounds draw.
+the ``[pair, 2, G]`` parent block with one coin and one cut per pair, and a
+mutation mask whose flipped genes are redrawn in place in one in-bounds draw.
 
 Each piece of work is done once per distinct input.  Scores are cached by the
 bytes of each scaled gene row.  The rows a generation brings that were never
 seen are repaired together, and their scores are memoized by the bytes of the
 repaired row, since many gene rows repair to one allocation: only allocations
 never scored are evaluated, as one block of mode and share arrays per
-generation.  An archive entry carries its gene row as those key bytes,
-big-endian, so that bytes order like gene tuples; only the returned front
-decodes them into gene tuples and ``Allocation`` objects.  The archive is
-offered only the entries first seen in a round.
+generation.  When a task's share genes can spell at most
+``REPAIR_TABLE_MAX`` rows (``(100 // share_step + 1) ** M``), the run repairs
+every one of them once, as a REAL and as another task, and each generation
+gathers its repaired rows from that table; with more, each generation
+repairs its fresh rows itself (see :func:`_repairer`).  An archive entry
+carries its gene row as those key bytes, big-endian, so that bytes order like
+gene tuples; only the returned front decodes them into gene tuples and
+``Allocation`` objects.  The archive is offered only the entries first seen
+in a round, and the best point is looked up only when the archive changed.
 
 Each distinct objective vector gets an integer key id when it is first
 scored, and the population carries one id per member; the
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,6 +56,11 @@ POLICIES = ("MIN", "MAX", "VAR")
 CROSSOVER_PROB = 0.9
 #: Largest share-row total ``decode`` takes: ``r * 100`` is exact in float64 for ``r`` up to it.
 SHARE_TOTAL_MAX = 2**53 // 100
+#: Most share rows a task's genes may spell for ``evolve`` to repair them all up front.
+REPAIR_TABLE_MAX = 2**12
+#: ``EvolveConfig`` fields that must be ints (``max_mode_index`` may also be None).
+_INT_FIELDS = ("population", "generations", "seed", "stop_window", "max_mode_index",
+               "share_step", "hard_miss_weight")
 
 
 class ObjectiveVector(NamedTuple):
@@ -85,6 +96,10 @@ class EvolveConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ConfigurationError(f"unknown policy {self.policy!r}")
+        for name in _INT_FIELDS:  # a bool, float or numpy scalar is not taken for an int
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "max_mode_index" and value is None):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if self.population < 2:
             raise ConfigurationError("population must be >= 2")
         if self.generations < 1:
@@ -105,10 +120,8 @@ class EvolveConfig:
             raise ConfigurationError("share_step must divide 100")
         if not self.energy_unit_j > 0:
             raise ConfigurationError("energy_unit_j must be > 0")
-        if type(self.hard_miss_weight) is not int or self.hard_miss_weight < 1:
-            raise ConfigurationError(
-                f"hard_miss_weight must be an int >= 1, got {self.hard_miss_weight!r}"
-            )
+        if self.hard_miss_weight < 1:
+            raise ConfigurationError(f"hard_miss_weight must be >= 1, got {self.hard_miss_weight}")
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -250,6 +263,37 @@ def _repair(rows: np.ndarray, n_servers: int, is_real: np.ndarray) -> np.ndarray
     return np.where(is_real[:, None], largest, rounded).astype(np.int64)
 
 
+def _repairer(
+    n_servers: int, is_real: np.ndarray, share_step: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``rows -> _repair(rows, n_servers, is_real)`` for one run's ``[U, G]``
+    blocks of scaled gene rows, whose share genes are multiples of
+    ``share_step`` in ``0..100``.
+
+    A share row is then one of ``alphabet ** n_servers`` rows, with
+    ``alphabet = 100 // share_step + 1``; its code is its genes over
+    ``share_step`` read as digits base ``alphabet``, the first gene lowest.
+    When there are at most ``REPAIR_TABLE_MAX`` codes, :func:`_repair` runs
+    once here, on the row of every code as a non-REAL and a REAL task, and
+    each block gathers its rows from that ``[code, is REAL, M]`` table.
+    Otherwise each block is passed to :func:`_repair`.
+    """
+    alphabet = 100 // share_step + 1
+    if alphabet**n_servers > REPAIR_TABLE_MAX:
+        return lambda rows: _repair(rows, n_servers, is_real)
+    weights = alphabet ** np.arange(n_servers)
+    spelled = np.arange(alphabet**n_servers)[:, None] // weights % alphabet * share_step
+    # _repair reads no mode gene: the first block of columns only fills their place.
+    table = _repair(np.hstack([spelled, spelled, spelled]), n_servers, np.array([False, True]))
+    kind = is_real.astype(np.intp)
+
+    def lookup(rows: np.ndarray) -> np.ndarray:
+        shares = rows[:, n_servers:].reshape(len(rows), len(kind), n_servers)
+        return table[shares @ weights // share_step, kind]
+
+    return lookup
+
+
 def _key_type(high: int) -> np.dtype:
     """The narrowest unsigned dtype that holds ``0..high``, big-endian, so that
     the bytes of two rows in it order as their tuples of genes do."""
@@ -277,6 +321,15 @@ class GeneBounds:
     high: np.ndarray  # inclusive
     frozen: np.ndarray  # bool; frozen genes keep their low value
 
+    @cached_property
+    def free(self) -> np.ndarray:
+        return ~self.frozen
+
+    @cached_property
+    def stop(self) -> np.ndarray:
+        """The exclusive upper bounds, ``high + 1``."""
+        return self.high + 1
+
 
 def gene_bounds(
     profiles: Sequence[TaskProfile],
@@ -298,26 +351,28 @@ def gene_bounds(
 
 
 def single_point_crossover(
-    a: np.ndarray, b: np.ndarray, rng: np.random.Generator, prob: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross the row pairs of two ``[n, G]`` blocks: each pair with ``prob``,
-    at one cut uniform over the G + 1 gene boundaries."""
-    n, g = a.shape
+    pairs: np.ndarray, rng: np.random.Generator, prob: float
+) -> np.ndarray:
+    """The ``[n, 2, G]`` children of a ``[n, 2, G]`` block of parent pairs:
+    each pair crosses with ``prob``, at one cut uniform over the G + 1 gene
+    boundaries, and a pair's first child has its first parent's head."""
+    n, _, g = pairs.shape
     crossed = rng.random(n) < prob
     cut = np.where(crossed, rng.integers(0, g + 1, size=n), g)  # cut g keeps both rows
     head = np.arange(g) < cut[:, None]
-    return np.where(head, a, b), np.where(head, b, a)
+    return np.where(head[:, None], pairs, pairs[:, ::-1])
 
 
 def integer_flip_mutation(
     genes: np.ndarray, bounds: GeneBounds, rng: np.random.Generator, prob: float
 ) -> np.ndarray:
-    """Each unfrozen gene of a ``[n, G]`` block redrawn uniformly in-bounds with
-    ``prob``; the flipped genes are redrawn together, in row-major order."""
-    rows, cols = np.nonzero((rng.random(genes.shape) < prob) & ~bounds.frozen)
-    out = genes.copy()
-    out[rows, cols] = rng.integers(bounds.low[cols], bounds.high[cols] + 1)
-    return out
+    """Redraw each unfrozen gene of a ``[n, G]`` block uniformly in-bounds with
+    ``prob``, in place, and return the block; the flipped genes are redrawn
+    together, in row-major order."""
+    flipped = np.flatnonzero((rng.random(genes.shape) < prob) & bounds.free)
+    cols = flipped % genes.shape[1]
+    np.put(genes, flipped, rng.integers(bounds.low[cols], bounds.stop[cols]))
+    return genes
 
 
 def tournament_select(
@@ -349,11 +404,23 @@ class _Scored(NamedTuple):
     energy_units: float
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """What a run scored and why it stopped; deterministic given its inputs."""
+
+    gene_rows: int  # distinct gene rows scored
+    cache_hits: int  # population rows not new to the fitness cache, repeats in one population too
+    allocations: int  # distinct allocations evaluated
+    stop_reason: str  # "cap" (generations ran out) or "window" (lam = 0 held stop_window)
+    last_archive_change: int  # the last generation to change the archive (0: the initial one)
+
+
 @dataclass
 class EvolveResult:
     front: list[FrontPoint]
     convergence: list[tuple[int, int, float]]  # (generation, best lam, best energy J)
     generations_run: int
+    stats: RunStats
 
 
 class _Archive:
@@ -364,19 +431,21 @@ class _Archive:
     def __init__(self):
         self.points: list[_Scored] = []
 
-    def offer(self, cand: _Scored) -> None:
+    def offer(self, cand: _Scored) -> bool:
+        """Take ``cand`` if it belongs; whether the archive changed."""
         kept: list[_Scored] = []
         for p in self.points:
             if dominates(p.objectives, cand.objectives):
-                return
+                return False
             if p.objectives == cand.objectives:
                 if p.genes <= cand.genes:
-                    return
+                    return False
                 continue  # candidate's genes are smaller; drop the incumbent
             if not dominates(cand.objectives, p.objectives):
                 kept.append(p)
         kept.append(cand)
         self.points = kept
+        return True
 
 
 def evolve(
@@ -405,7 +474,9 @@ def evolve(
     # Gene rows and repaired rows are keyed by their bytes: every scaled gene
     # is a mode index or a share (0..100).
     key_type = _key_type(int((bounds.high * scale).max()))
+    repair = _repairer(n_servers, context.arr.is_real, config.share_step)
     cache: dict[bytes, int] = {}  # key id, by scaled gene row
+    cache_hits = 0
     scores: dict[bytes, tuple[int, float, float]] = {}  # key id and energies, by repaired row
     key_ids: dict[ObjectiveVector, int] = {}
     keys: list[ObjectiveVector] = []  # by key id
@@ -415,14 +486,16 @@ def evolve(
         rows never seen before in first-seen order.  Those rows are repaired
         together; the allocations among them never scored are evaluated
         together, as one block of mode and share arrays."""
+        nonlocal cache_hits
         genes = population * scale
         row_keys = _row_bytes(genes.astype(key_type))
         fresh = _first_seen(row_keys, cache)
+        cache_hits += len(row_keys) - len(fresh)
         entries = []
         if fresh:
             rows = genes[list(fresh.values())]
             dvfs = rows[:, :n_servers]
-            repaired = _repair(rows, n_servers, context.arr.is_real)
+            repaired = repair(rows)
             alloc_keys = _row_bytes(
                 np.concatenate([dvfs, repaired.reshape(len(rows), -1)], axis=1).astype(key_type)
             )
@@ -460,12 +533,23 @@ def evolve(
     # Only entries never offered before: an archive that was offered an entry
     # stays unchanged when offered it again.
     archive = _Archive()
-    for entry in fresh:
-        archive.offer(entry)
+
+    def offer_all(entries: list[_Scored]) -> bool:
+        """Offer each entry to the archive; whether any changed it."""
+        changed = False
+        for entry in entries:
+            changed |= archive.offer(entry)
+        return changed
+
+    def best_point() -> _Scored:
+        return min(archive.points, key=lambda p: (p.objectives.lam, p.energy_j))
+
+    offer_all(fresh)
+    best, last_change = best_point(), 0
 
     convergence: list[tuple[int, int, float]] = []
     lam0_since: int | None = None
-    gen = 0
+    gen, stop_reason = 0, "cap"
     n_pairs = (n_pop + 1) // 2
     for gen in range(1, config.generations + 1):
         ranks, crowd = _rank_and_crowd(fronts, n_pop)
@@ -473,19 +557,18 @@ def evolve(
         # Parents pair up in draw order; children c1, c2 of each pair stay
         # adjacent, and an odd population drops the last pair's c2.
         parents = pop[tournament_select(rng, ranks, crowd, 2 * n_pairs)]
-        c1, c2 = single_point_crossover(parents[0::2], parents[1::2], rng, CROSSOVER_PROB)
-        children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, n_vars)[:n_pop]
+        children = single_point_crossover(parents.reshape(n_pairs, 2, n_vars), rng,
+                                          CROSSOVER_PROB).reshape(2 * n_pairs, n_vars)[:n_pop]
         offspring = integer_flip_mutation(children, bounds, rng, 1.0 / n_vars)
         off_ids, fresh = fitness(offspring)
-        for entry in fresh:
-            archive.offer(entry)
+        if offer_all(fresh):
+            best, last_change = best_point(), gen
 
         combined_ids = ids + off_ids
         sel, fronts = _environmental_selection(combined_ids, keys, n_pop)
         pop = np.concatenate([pop, offspring])[sel]
         ids = list(map(combined_ids.__getitem__, sel))
 
-        best = min(archive.points, key=lambda p: (p.objectives.lam, p.energy_j))
         convergence.append((gen, best.objectives.lam, best.energy_j))
         if progress is not None:
             progress(gen, best.objectives.lam, best.energy_j)
@@ -494,6 +577,7 @@ def evolve(
             if lam0_since is None:
                 lam0_since = gen
             elif gen - lam0_since >= config.stop_window:
+                stop_reason = "window"
                 break
         else:
             lam0_since = None
@@ -502,7 +586,9 @@ def evolve(
         _front_point(p, key_type, ordered, cluster)
         for p in sorted(archive.points, key=lambda p: p.objectives)
     ]
-    return EvolveResult(front=front, convergence=convergence, generations_run=gen)
+    stats = RunStats(gene_rows=len(cache), cache_hits=cache_hits, allocations=len(scores),
+                     stop_reason=stop_reason, last_archive_change=last_change)
+    return EvolveResult(front=front, convergence=convergence, generations_run=gen, stats=stats)
 
 
 def _front_point(p: _Scored, key_type: np.dtype, ordered, cluster) -> FrontPoint:

@@ -599,6 +599,16 @@ class TestGeneBounds:
             with pytest.raises(ConfigurationError, match=f"stop_window must be >= 1, got {window}"):
                 EvolveConfig(stop_window=window)
 
+    @pytest.mark.parametrize("field, value", [
+        ("population", 10.0), ("population", float("nan")), ("generations", 3.5),
+        ("generations", True), ("seed", 1.5), ("stop_window", 2.5), ("share_step", True),
+        ("max_mode_index", 1.5),
+    ])
+    def test_non_int_field_is_rejected_naming_it(self, field, value):
+        # Each once surfaced as a raw TypeError, a misleading mode error, or not at all.
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an int, got {value!r}$"):
+            EvolveConfig(**{field: value})
+
     def test_zero_generations_rejected(self):
         with pytest.raises(ConfigurationError, match="generations"):
             EvolveConfig(generations=0)
@@ -609,12 +619,18 @@ class TestGeneBounds:
             EvolveConfig(dyn_energy_form="as-writen")
 
 
+def cross(a, b, rng, prob):
+    """The children of the row pairs of two ``[n, G]`` blocks, as two blocks."""
+    c1, c2 = single_point_crossover(np.stack([a, b], axis=1), rng, prob).transpose(1, 0, 2)
+    return c1, c2
+
+
 class TestOperators:
     def test_crossover_swaps_tails(self):
         rng = np.random.default_rng(0)
         a = np.ones((100, 4), dtype=np.int64)
         b = np.full((100, 4), 2, dtype=np.int64)
-        c1, c2 = single_point_crossover(a, b, rng, prob=1.0)
+        c1, c2 = cross(a, b, rng, prob=1.0)
         for r1, r2 in zip(c1, c2):
             cut = int((r1 == 1).sum())
             assert (r1 == [1] * cut + [2] * (4 - cut)).all()
@@ -625,7 +641,7 @@ class TestOperators:
         rng = np.random.default_rng(4)
         a = np.zeros((2000, 5), dtype=np.int64)
         b = np.ones((2000, 5), dtype=np.int64)
-        c1, _ = single_point_crossover(a, b, rng, prob=1.0)
+        c1, _ = cross(a, b, rng, prob=1.0)
         cuts = set((c1 == 0).sum(axis=1).tolist())
         assert cuts == set(range(6))  # boundary 0 (c1 = b) through G (c1 = a)
 
@@ -633,14 +649,14 @@ class TestOperators:
         rng = np.random.default_rng(0)
         a = np.array([[1, 2, 3], [7, 8, 9]], dtype=np.int64)
         b = np.array([[4, 5, 6], [1, 1, 1]], dtype=np.int64)
-        c1, c2 = single_point_crossover(a, b, rng, prob=0.0)
+        c1, c2 = cross(a, b, rng, prob=0.0)
         assert (c1 == a).all() and (c2 == b).all()
 
     def test_crossover_rate_close_to_probability(self):
         rng = np.random.default_rng(5)
         a = np.zeros((4000, 3), dtype=np.int64)
         b = np.ones((4000, 3), dtype=np.int64)
-        c1, _ = single_point_crossover(a, b, rng, prob=0.5)
+        c1, _ = cross(a, b, rng, prob=0.5)
         # a crossed pair keeps c1 = a only at cut G, one cut in four
         kept = (c1 == 0).all(axis=1).mean()
         assert 0.5 + 0.5 / 4 - 0.03 <= kept <= 0.5 + 0.5 / 4 + 0.03
@@ -668,7 +684,7 @@ class TestOperators:
             frozen=np.zeros(n, dtype=bool),
         )
         genes = np.full((trials, n), 50, dtype=np.int64)
-        out = integer_flip_mutation(genes, bounds, rng, prob=0.1)
+        out = integer_flip_mutation(genes.copy(), bounds, rng, prob=0.1)
         # each flip redraws uniformly, so ~1% of redraws keep the old value
         rate = (out != genes).sum() / (trials * n)
         assert 0.07 <= rate <= 0.13
@@ -857,15 +873,25 @@ class TestEvolveBasics:
 
     @staticmethod
     def count_decodes_and_evaluations(monkeypatch):
-        """Record the gene rows repaired (for scoring, and through ``decode``)
-        and, as ``Allocation``s, the rows of the blocks passed to
+        """Record the gene rows repaired for scoring (by the run's
+        ``_repairer``), the gene vectors passed to ``decode`` and, as
+        ``Allocation``s, the rows of the blocks passed to
         ``evaluate_objectives`` (one call may score many)."""
-        seen = {"decoded": [], "evaluated": 0, "allocations": []}
-        repair = nsga._repair
+        seen = {"scored": [], "decoded": [], "evaluated": 0, "allocations": []}
+        repairer, decoder = nsga._repairer, nsga.decode
 
-        def repair_wrapper(rows, *args):
-            seen["decoded"].extend(map(tuple, rows.tolist()))
-            return repair(rows, *args)
+        def repairer_wrapper(*args):
+            repair = repairer(*args)
+
+            def recording(rows):
+                seen["scored"].extend(map(tuple, rows.tolist()))
+                return repair(rows)
+
+            return recording
+
+        def decode_wrapper(genes, *args):
+            seen["decoded"].append(genes)
+            return decoder(genes, *args)
 
         def evaluate_wrapper(cluster, profiles, trace, block, **kwargs):
             modes, shares = block
@@ -876,7 +902,8 @@ class TestEvolveBasics:
             )
             return evaluate_objectives(cluster, profiles, trace, block, **kwargs)
 
-        monkeypatch.setattr(nsga, "_repair", repair_wrapper)
+        monkeypatch.setattr(nsga, "_repairer", repairer_wrapper)
+        monkeypatch.setattr(nsga, "decode", decode_wrapper)
         monkeypatch.setattr(sim, "evaluate_objectives", evaluate_wrapper)
         return seen
 
@@ -896,10 +923,11 @@ class TestEvolveBasics:
         cluster, profiles, trace = self.two_task_instance()
         cfg = EvolveConfig(population=8, generations=10, seed=3, share_step=100)
         result = evolve(cluster, profiles, trace, cfg)
-        scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
-        assert len(scored) == len(set(scored))  # no gene row repaired twice
+        assert seen["decoded"] == [p.genes for p in result.front]
+        scored = seen["scored"]
+        assert len(scored) == len(set(scored)) == result.stats.gene_rows  # none repaired twice
         allocs = seen["allocations"]
-        assert len(allocs) == len(set(allocs))
+        assert len(allocs) == len(set(allocs)) == result.stats.allocations
         assert set(allocs) == {decode(genes, profiles, cluster) for genes in scored}
         assert len(allocs) < len(scored)  # some rows repair to one allocation
         for p in result.front:
@@ -940,8 +968,9 @@ class TestEvolveBasics:
         cluster, profiles, trace = self.two_task_instance()
         cfg = EvolveConfig(population=4, generations=3, seed=5, share_step=100)
         result = evolve(cluster, profiles, trace, cfg)
-        scored = seen["decoded"][: len(seen["decoded"]) - len(result.front)]
+        scored = seen["scored"]
         assert len(scored) == len(set(scored)) == seen["evaluated"]
+        assert (result.stats.gene_rows, result.stats.allocations) == (len(scored), len(scored))
 
     def test_rows_that_repair_to_one_allocation_are_scored_once(self, monkeypatch):
         # With share_step 100, a REAL row (1, 1) beside (1, 0) and a SOFT row
@@ -956,13 +985,15 @@ class TestEvolveBasics:
         jobs = [Job(p.task_id, j, j * 1.0, j * 1.0 + p.deadline_s, p.n_instructions)
                 for p in profiles for j in range(p.n_jobs)]
         cfg = EvolveConfig(population=4, generations=2, seed=5, share_step=100)
-        evolve(cluster, profiles, JobTrace.from_jobs(jobs, 0, 6.0), cfg)
+        result = evolve(cluster, profiles, JobTrace.from_jobs(jobs, 0, 6.0), cfg)
         on_host_0 = Allocation(dvfs=(2, 2), shares=((100, 0), (100, 0)))
         assert decode(crafted, profiles, cluster) == [on_host_0] * 4
         # Only the second row is one-hot, so only it can be in the first population.
         scaled = (crafted * [1, 1, 100, 100, 100, 100]).tolist()
-        assert sum(tuple(row) in set(seen["decoded"]) for row in scaled) >= 3
+        assert sum(tuple(row) in set(seen["scored"]) for row in scaled) >= 3
         assert seen["allocations"].count(on_host_0) == 1
+        assert result.stats.allocations == len(seen["allocations"])
+        assert result.stats.gene_rows == len(seen["scored"])
 
     @pytest.mark.parametrize("name, n_cells", [("intel", 36), ("amd", 9)])
     def test_mode_tables_are_built_once_per_run(self, monkeypatch, name, n_cells):
@@ -1008,6 +1039,40 @@ class TestEvolveBasics:
         assert all(is_real is checked[0][0] and n_modes is checked[0][1]
                    for is_real, n_modes in checked)
 
+    def test_last_archive_change_is_the_last_generation_that_changed_it(self, monkeypatch):
+        # Generation g's offers follow its tournament, so g tournaments have
+        # run by then; the initial population's offers are generation 0.
+        generation, changed = [0], []
+        select, offer = nsga.tournament_select, nsga._Archive.offer
+
+        def counting_select(*args):
+            generation[0] += 1
+            return select(*args)
+
+        def recording_offer(archive, cand):
+            before = list(archive.points)
+            took = offer(archive, cand)
+            assert took == (archive.points != before)
+            if took:
+                changed.append(generation[0])
+            return took
+
+        monkeypatch.setattr(nsga, "tournament_select", counting_select)
+        monkeypatch.setattr(nsga._Archive, "offer", recording_offer)
+        cluster, profiles, trace = self.two_task_instance()
+        cfg = EvolveConfig(population=8, generations=30, seed=2, stop_window=30)
+        result = evolve(cluster, profiles, trace, cfg)
+        assert changed[0] == 0 < changed[-1]
+        assert result.stats.last_archive_change == changed[-1]
+
+    def test_a_run_the_window_ends_says_so(self):
+        cluster, profiles, trace = self.two_task_instance()
+        cfg = EvolveConfig(population=6, generations=40, seed=0, stop_window=5)
+        result = evolve(cluster, profiles, trace, cfg)
+        assert result.generations_run < cfg.generations
+        assert result.stats.stop_reason == "window"
+        assert result.stats.gene_rows + result.stats.cache_hits == 6 * (result.generations_run + 1)
+
     def test_odd_population_breeds_and_keeps_its_size(self, monkeypatch):
         sizes = {"offspring": [], "candidates": [], "survivors": []}
         mutate, select = nsga.integer_flip_mutation, nsga._environmental_selection
@@ -1046,6 +1111,59 @@ class TestEvolveBasics:
         result = evolve(cluster, profiles, trace, cfg)
         assert result.generations_run == 7
         assert calls == [6] + [12] * 7
+
+
+class TestRepairTable:
+    @pytest.mark.parametrize("share_step", [100, 50, 20])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equals_repair_of_every_row(self, monkeypatch, m, share_step):
+        # Four tasks, non-REAL and REAL, each spelling every share row once.
+        spelled = np.array(list(itertools.product(range(0, 101, share_step), repeat=m)))
+        rolled = np.roll(spelled, 1, axis=0)
+        rows = np.hstack([np.ones_like(spelled), spelled, spelled, rolled, rolled])
+        is_real = np.array([False, True, False, True])
+        calls = []
+        repair = nsga._repair
+
+        def counting(rows, *args):
+            calls.append(len(rows))
+            return repair(rows, *args)
+
+        monkeypatch.setattr(nsga, "_repair", counting)
+        lookup = nsga._repairer(m, is_real, share_step)
+        built = list(calls)
+        got = lookup(rows)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, repair(rows, m, is_real))
+        n_codes = len(spelled)
+        if n_codes <= 2**12:  # one table for the run, no call per block
+            assert built == calls == [n_codes]
+        else:
+            assert built == [] and calls == [len(rows)]
+
+
+class TestRunStats:
+    # Seed 1, population 100, stop window off: (distinct gene rows, cache
+    # hits, allocations), measured before the counts were part of the result.
+    COUNTS = {
+        ("intel", "VAR", 100): (3278, 6822, 2441),
+        ("amd", "MIN", 200): (1979, 18121, 897),
+    }
+
+    @pytest.mark.parametrize("fixture, policy, generations", sorted(COUNTS))
+    def test_seed_1_counts(self, fixture, policy, generations):
+        s = load_scenario(str(FIXTURES / f"scenario_{fixture}.json"), seed=1)
+        trace = generate_jobs(s.profiles, 1, s.phase_policy)
+        cfg = dataclasses.replace(s.optimizer, seed=1, policy=policy, population=100,
+                                  generations=generations, stop_window=generations)
+        result = evolve(list(s.cluster), list(s.profiles), trace, cfg,
+                        soft_constraints=s.soft_constraints)
+        stats = result.stats
+        assert (stats.gene_rows, stats.cache_hits, stats.allocations) == self.COUNTS[
+            fixture, policy, generations]
+        assert stats.gene_rows + stats.cache_hits == 100 * (generations + 1)
+        assert result.generations_run == generations and stats.stop_reason == "cap"
+        assert 0 < stats.last_archive_change <= generations
 
 
 def front_digest(result) -> str:
@@ -1104,3 +1222,27 @@ def test_long_stagnant_run_matches_golden_digest(fixture, policy, seed):
                     soft_constraints=s.soft_constraints)
     assert result.generations_run == 300
     assert front_digest(result) == LONG_RUN_DIGESTS[fixture, policy, seed]
+
+
+# Every run above uses the scenarios' share_step 100, whose share rows round
+# exactly.  These take the largest-remainder path: step 1 repairs each
+# generation's rows (101**M codes); step 20 gathers from the repair table on
+# amd (6**3 codes) and repairs each generation's rows on intel (6**6).
+# Recorded before share rows were repaired by table lookup.
+SHARE_STEP_DIGESTS = {
+    ("intel", "VAR", 2, 1): "3a09364a22816081f0c244669eaa10997494d25ddb844af0ba572b46f55f894e",
+    ("amd", "VAR", 2, 1): "7dae5f1194a2f2012b3d808382f98369e84d626abafdfb92e76cf4f2704d3487",
+    ("intel", "MIN", 3, 20): "10aafa026244d66329c8d50a8d80902041bea1c4efd906f3fafc8a046638d43a",
+    ("amd", "MIN", 3, 20): "903f0dd37ee6b33640a812169d60dcb5d0858be7572e7133cf8cd95274519293",
+}
+
+
+@pytest.mark.parametrize("fixture, policy, seed, share_step", sorted(SHARE_STEP_DIGESTS))
+def test_share_steps_match_golden_digests(fixture, policy, seed, share_step):
+    s = load_scenario(str(FIXTURES / f"scenario_{fixture}.json"), seed=seed)
+    trace = generate_jobs(s.profiles, seed, s.phase_policy)
+    cfg = dataclasses.replace(s.optimizer, seed=seed, policy=policy, population=30,
+                              generations=20, share_step=share_step)
+    result = evolve(list(s.cluster), list(s.profiles), trace, cfg,
+                    soft_constraints=s.soft_constraints)
+    assert front_digest(result) == SHARE_STEP_DIGESTS[fixture, policy, seed, share_step]
