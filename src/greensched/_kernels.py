@@ -12,14 +12,14 @@ past which its successor waits, each task's work sum and the control tasks'
 deadlines) is built once per trace by ``scan_constants``.
 Few jobs wait for their predecessor in the traces the search replays, so it
 first computes every job as if it started at its arrival, then recomputes
-only the jobs that wait, in waves along each task's queue, and falls back to
-stepping over the job slots when the waves grow past one job per (member,
-task) column.  A job's end is its completion capped at its deadline for
-control tasks; which control jobs aborted, and the instructions every task
-executed, are derived from the completions afterwards: a column without an
-aborted job executed the per-trace sum of its works, so the executed
-fractions are computed only for the (member, control column) pairs gathered
-where a job would have completed past its deadline.  Both scans are plain
+only the jobs that wait, in waves along each task's queue until none is
+queued: at worst one wave per slot, when a whole queue waits.  A job's end
+is its completion capped at its deadline for control tasks; which control
+jobs aborted, and the instructions every task executed, are derived from the
+completions afterwards: a column without an aborted job executed the
+per-trace sum of its works, so the executed fractions are computed only for
+the (member, control column) pairs gathered where a job would have completed
+past its deadline.  Both scans are plain
 Python over numpy arrays.
 """
 
@@ -115,20 +115,19 @@ def scan_constants(arrivals, deadlines, works, is_ctrl) -> ScanConstants:
                          deadlines[ctrl])
 
 
-def scan_population(scan: ScanConstants, dur_coef, completion_out, executed_out):
+def scan_population(scan: ScanConstants, dur_coef):
     """``scan_jobs`` for P allocations at once, over a trace padded to slots.
 
     ``scan`` holds the padded ``[T, K]`` trace and its per-trace constants;
-    ``dur_coef`` is ``[P, T]``.  ``completion_out`` (C-contiguous ``[P, T,
-    K]``) receives each job's would-be completion and ``executed_out``
-    (``[P, T]``) each task's executed instructions, added job by job in order
-    as ``np.bincount`` adds them.  Padded jobs execute nothing and their
-    completions are unspecified; their deadline is +inf, so they are never
-    late.
+    ``dur_coef`` is ``[P, T]``.  Returns each job's would-be completion, a
+    C-contiguous ``[P, T, K]`` block, and each task's executed instructions,
+    ``[P, T]``, added job by job in order as ``np.bincount`` adds them.
+    Padded jobs execute nothing and their completions are unspecified; their
+    deadline is +inf, so they are never late.
 
     Every real job gets the operations of ``scan_jobs``' step,
     ``min(max(prev_end, arrival) + work * coef, end_at)``, from its
-    predecessor's final end, so the result is bit-identical.  Three steps:
+    predecessor's final end, so the result is bit-identical.  Two steps:
 
     1. Sweep: every job starts at its arrival, over the whole block.  That is
        exact for each job whose predecessor ended by its arrival, because
@@ -137,15 +136,13 @@ def scan_population(scan: ScanConstants, dur_coef, completion_out, executed_out)
     2. Waves: the chain heads, jobs whose predecessor's sweep end is after
        their arrival while the predecessor itself does not wait, are
        recomputed from the predecessor's end.  A recomputed job whose end is
-       after its successor's arrival puts the successor in the next wave.
-       Ends only grow, so every change to a job's end re-queues a successor
-       that waits for it, and each job's last value comes from its
-       predecessor's final end; a head that a chain from further back
-       reaches later is recomputed again then.
-    3. Budget: the waves recompute at most P * T jobs in total.  Past that,
-       the slot loop of the recursion finishes the scan from the earliest
-       slot still holding a queued job.  No later wave would touch a slot
-       before it, so those slots are final.
+       after its successor's arrival puts the successor in the next wave,
+       until no job is queued.  Ends only grow, so every change to a job's
+       end re-queues a successor that waits for it, and each job's last
+       value comes from its predecessor's final end; a head that a chain
+       from further back reaches later is recomputed again then.  A column
+       whose whole queue waits takes K - 1 waves, one job each; waves from
+       every waiting job would recompute about K**2 / 2 jobs there.
 
     Executed counts: each column starts from the per-trace sum of its works,
     which is exact for every column whose jobs all ran in full.  Only the
@@ -157,60 +154,48 @@ def scan_population(scan: ScanConstants, dur_coef, completion_out, executed_out)
     arrivals, works, ends_at, threshold = scan.arrivals, scan.works, scan.ends_at, scan.threshold
     n_cells, n_slots = arrivals.size, arrivals.shape[1]
     # Sweep: each job's duration, plus its arrival.
-    np.multiply(works, dur_coef[:, :, None], out=completion_out)
-    np.add(completion_out, arrivals, out=completion_out)
-    # heads[p, t, k]: job k + 1 is a chain head, it waits and job k does not
-    # (job 0 never waits).  The last slot's threshold is +inf, so a head's
-    # flat index + 1 stays in its (member, task) row.
-    waits = completion_out > threshold
-    heads = waits.copy()
-    np.greater(waits[:, :, 1:], waits[:, :, :-1], out=heads[:, :, 1:])
+    completions = works * dur_coef[:, :, None]
+    completions += arrivals
 
-    # Waves over the queued jobs, as flat indices into completion_out: a
+    # Waves over the queued jobs, as flat indices into completions: a
     # job's predecessor is the index before it, its trace cell the index
     # modulo T * K and its (member, task) column the index divided by K.
-    # Past the budget, the slot loop from the earliest slot still queued.
-    job = np.flatnonzero(heads) + 1
-    budget = dur_coef.size
-    while 0 < job.size <= budget:
-        budget -= job.size
+    # The last slot's threshold is +inf, so a queued job's flat index stays
+    # in its (member, task) row, and the index before a column's first job
+    # (-1, the block's last, before job 0) never waits.  The first wave's
+    # heads: job k + 1 waits and job k does not.
+    waits = (completions > threshold).ravel()
+    job = np.flatnonzero(waits)
+    job = job[~waits[job - 1]] + 1
+    while job.size:
         cell = job % n_cells
-        prev_end = np.minimum(completion_out.take(job - 1), ends_at.take(cell - 1))
+        prev_end = np.minimum(completions.take(job - 1), ends_at.take(cell - 1))
         completion = np.maximum(prev_end, arrivals.take(cell))
         completion += works.take(cell) * dur_coef.take(job // n_slots)
-        completion_out.put(job, completion)
+        completions.put(job, completion)
         job = job[completion > threshold.take(cell)] + 1
-    if job.size:
-        first = int((job % n_slots).min())
-        job_durations = completion_out[:, :, first:]
-        np.multiply(works[:, first:], dur_coef[:, :, None], out=job_durations)
-        prev_end = np.minimum(completion_out[:, :, first - 1], ends_at[:, first - 1])
-        for k in range(first, n_slots):
-            job_end = completion_out[:, :, k]
-            np.maximum(prev_end, arrivals[:, k], out=prev_end)
-            np.add(prev_end, job_end, out=job_end)
-            np.minimum(job_end, ends_at[:, k], out=prev_end)
 
     # Every job that ran in full adds its work times 1.0, which is its work,
     # so a column with no aborted job executed its task's work sum.
-    executed_out[...] = scan.work_sums
+    executed = np.tile(scan.work_sums, (len(dur_coef), 1))
     # The (member, control column) pairs where a job aborted: it would have
     # completed past its deadline.
-    p, c = np.nonzero((completion_out[:, scan.ctrl] > scan.ctrl_deadlines).any(axis=2))
+    p, c = np.nonzero((completions[:, scan.ctrl] > scan.ctrl_deadlines).any(axis=2))
     if not p.size:
-        return
+        return completions, executed
     t = scan.ctrl[c]
     # Their jobs' starts (each arrival, or the predecessor's capped end if
-    # later) and executed fractions, by scan_jobs' expressions, over [pairs, K].
-    completion = completion_out[p, t]
+    # later) and executed fractions, by scan_jobs' expressions, over [pairs, K]:
+    # a job that completes by its deadline, or does no work, runs in full.
+    completion = completions[p, t]
     duration = works[t] * dur_coef[p, t][:, None]
     deadline = scan.ctrl_deadlines[c]
     start = np.empty_like(completion)
     start[:, 0] = -np.inf
     np.minimum(completion[:, :-1], deadline[:, :-1], out=start[:, 1:])
     np.maximum(start, arrivals[t], out=start)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (deadline - start) / duration
-    frac = np.where(frac < 0.0, 0.0, frac)
-    frac = np.where(completion > deadline, np.where(duration > 0.0, frac, 1.0), 1.0)
-    executed_out[p, t] = np.add.accumulate(works[t] * frac, axis=1)[:, -1]
+    frac = np.divide(deadline - start, duration, out=np.ones_like(completion),
+                     where=(completion > deadline) & (duration > 0.0))
+    np.maximum(frac, 0.0, out=frac)
+    executed[p, t] = np.add.accumulate(works[t] * frac, axis=1)[:, -1]
+    return completions, executed

@@ -118,8 +118,10 @@ class EvolveConfig:
             raise ConfigurationError("share_step must be in 1..100")
         if 100 % self.share_step != 0:
             raise ConfigurationError("share_step must divide 100")
-        if not self.energy_unit_j > 0:
-            raise ConfigurationError("energy_unit_j must be > 0")
+        if not sim._is_energy_unit(self.energy_unit_j):
+            raise ConfigurationError(
+                f"energy_unit_j must be > 0 and a finite int or float, got {self.energy_unit_j!r}"
+            )
         if self.hard_miss_weight < 1:
             raise ConfigurationError(f"hard_miss_weight must be >= 1, got {self.hard_miss_weight}")
 

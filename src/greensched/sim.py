@@ -368,6 +368,13 @@ class _Context:
     energy_unit_j: float
 
 
+def _is_energy_unit(value) -> bool:
+    """Whether ``value`` can be ``energy_unit_j``: an int or float, not a bool,
+    that is > 0 and at most the largest float (so not inf or NaN)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= float(np.finfo(float).max))
+
+
 def _prepare(
     cluster: Sequence[ClusterHost],
     profiles: Sequence[TaskProfile],
@@ -387,14 +394,18 @@ def _prepare(
         raise InvalidArgumentError(f"hard_miss_weight {hard_miss_weight!r} is not an int >= 1")
     if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
         raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
-    if not energy_unit_j > 0:
-        raise InvalidArgumentError(f"energy_unit_j must be > 0, got {energy_unit_j!r}")
+    if not _is_energy_unit(energy_unit_j):
+        raise InvalidArgumentError(f"energy_unit_j must be > 0 and a finite int or float, "
+                                   f"got {energy_unit_j!r}")
     arr = trace_arrays(profiles, trace)
     soft_constraints = soft_constraints or {}
     soft_ids = {p.task_id for p in arr.profiles if p.kind == "SOFT"}
-    bad = [tid for tid, bounds in soft_constraints.items() if tid not in soft_ids or not bounds]
+    bad = [tid for tid, bounds in soft_constraints.items()
+           if tid not in soft_ids or not isinstance(bounds, (tuple, list)) or not bounds
+           or not all(isinstance(c, tk.LatenessConstraint) for c in bounds)]
     if bad:
-        raise InvalidArgumentError(f"task(s) {bad}: soft constraints need a SOFT task and a bound")
+        raise InvalidArgumentError(f"task(s) {bad}: soft constraints need a SOFT task and a "
+                                   f"non-empty tuple of LatenessConstraint")
     tables = np.full((3, len(cluster), max([0] + [len(h.spec.modes) for h in cluster])), np.nan)
     for m, host in enumerate(cluster):
         spec = host.spec
@@ -437,21 +448,18 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     arr = ctx.arr
     shares = shares / 100.0
     weights = shares * arr.n_mean[:, None]
-    col = weights.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(col[:, None, :] > 0, weights / col[:, None, :], 0.0)
+    col = weights.sum(axis=1)[:, None, :]
+    u = np.divide(weights, col, out=np.zeros_like(weights), where=col > 0)
 
     freq, dyn, leak = ctx.tables[:, ctx.hosts, modes - 1]
 
-    # Seconds per instruction of each task: slowest of its subtasks.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_server = ctx.cpi * shares / (freq[:, None, :] * u)
-    per_server[shares == 0] = 0.0
+    # Seconds per instruction of each task: slowest of its subtasks.  A task
+    # spends none on a server where it has no share, and u > 0 where it has.
+    per_server = np.divide(ctx.cpi * shares, freq[:, None, :] * u,
+                           out=np.zeros_like(shares), where=shares > 0)
     dur_coef = per_server.max(axis=2)
 
-    completion = np.empty((len(modes),) + arr.scan.arrivals.shape)
-    exec_per_task = np.empty_like(dur_coef)
-    scan_population(arr.scan, dur_coef, completion, exec_per_task)
+    completion, exec_per_task = scan_population(arr.scan, dur_coef)
 
     exec_im = shares * exec_per_task[:, :, None]
     executed = _server_sums(exec_im)

@@ -164,6 +164,8 @@ def generate_jobs(
     """
     if phase_policy not in PHASE_POLICIES:
         raise InvalidArgumentError(f"unknown phase policy {phase_policy!r}")
+    if type(seed) is not int:  # a bool, float or numpy scalar is not taken for an int
+        raise InvalidArgumentError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))

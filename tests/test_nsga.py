@@ -609,6 +609,13 @@ class TestGeneBounds:
         with pytest.raises(ConfigurationError, match=f"^{field} must be an int, got {value!r}$"):
             EvolveConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), True, "5", 0, -1])
+    def test_bad_energy_unit_is_rejected_naming_it(self, value):
+        # inf made every energy_units 0.0, True counted as 1 J, "5" raised a raw TypeError.
+        with pytest.raises(ConfigurationError,
+                           match=f"^energy_unit_j must be > 0 .*, got {value!r}$"):
+            EvolveConfig(energy_unit_j=value)
+
     def test_zero_generations_rejected(self):
         with pytest.raises(ConfigurationError, match="generations"):
             EvolveConfig(generations=0)

@@ -365,9 +365,7 @@ class TestPopulationBatch:
         arr = trace_arrays(profiles, trace)
         rng = np.random.default_rng(seed)
         dur_coef = rng.uniform(1e-10, 3e-9, (4, len(profiles)))
-        completion = np.empty((4,) + arr.scan.arrivals.shape)
-        executed = np.empty_like(dur_coef)
-        scan_population(arr.scan, dur_coef, completion, executed)
+        completion, executed = scan_population(arr.scan, dur_coef)
         for p in range(4):
             want_completion, want_frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
             scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[p],
@@ -477,9 +475,8 @@ class TestBlockCheck:
 
 def assert_scan_population_matches_scan_jobs(arr, dur_coef):
     """``scan_population`` over ``dur_coef``'s rows equals ``scan_jobs`` per row, bit for bit."""
-    completion = np.empty(dur_coef.shape[:1] + arr.scan.arrivals.shape)
-    executed = np.empty_like(dur_coef)
-    scan_population(arr.scan, dur_coef, completion, executed)
+    completion, executed = scan_population(arr.scan, dur_coef)
+    assert completion.flags.c_contiguous
     for p in range(dur_coef.shape[0]):
         want_completion, want_frac = np.empty_like(arr.arrivals), np.empty_like(arr.arrivals)
         scan_jobs(arr.arrivals, arr.deadlines, arr.works, arr.task_of_job, dur_coef[p],
@@ -508,7 +505,7 @@ def queue_prone_coef(arr, rng, n_rows):
 
 def with_idle_tasks(profiles, jobs, n_idle):
     """``trace_arrays`` of ``jobs`` plus ``n_idle`` one-job tasks that never
-    queue: each task is one more (member, task) column of the scan's budget."""
+    queue: each is one more (member, task) column beside the queued ones."""
     idle = range(len(profiles), len(profiles) + n_idle)
     profiles = profiles + [TaskProfile(t, "SOFT", 10**9, 1.0, 1.0, 1) for t in idle]
     jobs = jobs + [Job(t, 0, 0.0, 1.0, 0) for t in idle]
@@ -564,12 +561,11 @@ class TestScanPopulationLongTraces:
         assert completion[:, 0, :].tolist() == [[2.0, 3.0]] * 2
         assert executed[:, 0].tolist() == [2.5e9] * 2
 
-    @pytest.mark.parametrize("n_idle", [0, 3], ids=["slot-loop", "waves"])
+    @pytest.mark.parametrize("n_idle", [0, 3], ids=["alone", "beside-idle-tasks"])
     def test_head_reached_by_an_earlier_chain(self, n_idle):
         # Sweep ends 1.5, 1.8, 3.2, 3.5: jobs 1 and 3 are heads.  Job 1's new
         # end (2.3) makes job 2 wait, whose new end (3.5) puts job 3 in a third
-        # wave.  Three idle tasks make the waves' budget (one job per column)
-        # the four recomputations; without them the slot loop finishes.
+        # wave: four recomputations, job 3 twice.
         profiles = [TaskProfile(0, "SOFT", 10**9, 1.0, 1.0, 4)]
         works = [1.5e9, 0.8e9, 1.2e9, 0.5e9]
         jobs = [Job(0, j, float(j), j + 5.0, int(w)) for j, w in enumerate(works)]
@@ -580,7 +576,7 @@ class TestScanPopulationLongTraces:
         assert completion[0, 0, :].tolist() == pytest.approx([1.5, 2.3, 3.5, 4.0])
         assert executed[0, 0] == sum(works)
 
-    @pytest.mark.parametrize("n_idle", [0, 2], ids=["slot-loop", "waves"])
+    @pytest.mark.parametrize("n_idle", [0, 2], ids=["alone", "beside-idle-tasks"])
     def test_chain_cut_by_a_control_abort(self, n_idle):
         # Jobs 1 and 2 wait; job 2 would complete at 4.5 but aborts at its
         # deadline 2.9, before job 3 arrives, so job 3 starts on time and
@@ -596,7 +592,7 @@ class TestScanPopulationLongTraces:
         assert completion[0, 0, :].tolist() == pytest.approx([1.5, 2.5, 4.5, 4.2, 4.7])
         assert executed[0, 0] == pytest.approx(1.5e9 + 1.0e9 + 0.4e9 + 1.2e9 + 0.5e9)
 
-    @pytest.mark.parametrize("n_idle", [0, 2], ids=["slot-loop", "waves"])
+    @pytest.mark.parametrize("n_idle", [0, 2], ids=["alone", "beside-idle-tasks"])
     def test_chain_into_a_padded_tail(self, n_idle):
         # Task 0 (3 jobs) queues to its last job, whose successor slots are
         # padding; task 1 (6 jobs) has a chain of two in the middle.
@@ -612,6 +608,20 @@ class TestScanPopulationLongTraces:
         )
         assert completion[0, 0, :3].tolist() == pytest.approx([2.0, 4.0, 6.0])
         assert completion[0, 1, :].tolist() == pytest.approx([0.4, 0.7, 2.0, 2.2, 2.4, 2.7])
+
+    @pytest.mark.parametrize("kind", ["REAL", "CTRL"])
+    @pytest.mark.parametrize("n_rows", [1, 50])
+    def test_whole_queue_of_1000_jobs_waits(self, kind, n_rows):
+        # Each job arrives 0.1 s after its predecessor and runs 0.15-0.3 s, so
+        # every job after the first waits: one chain from job 1, K - 1 waves.
+        # A CTRL job's deadline (arrival + 0.2 s) aborts some jobs mid-chain.
+        rng = np.random.default_rng(11)
+        profiles = [TaskProfile(0, kind, 10**8, 0.1, 0.2, 1000)]
+        jobs = [Job(0, j, 0.1 * j, 0.1 * j + 0.2, 10**8) for j in range(1000)]
+        arr = trace_arrays(profiles, trace_of(jobs))
+        dur_coef = rng.uniform(1.5e-9, 3e-9, (n_rows, 1))
+        completion, _ = assert_scan_population_matches_scan_jobs(arr, dur_coef)
+        assert (completion[:, 0, :-1] > arr.arrivals[1:]).all()
 
     def test_zero_work_jobs(self):
         # Task 0 (CTRL): job 1 does nothing and is released after its
@@ -909,8 +919,17 @@ BAD_ARGUMENTS = {  # kwargs, message pattern
     ),
     "unknown-dyn-energy-form": ({"dyn_energy_form": "bogus"}, "'bogus'"),
     "zero-hard-miss-weight": ({"hard_miss_weight": 0}, "hard_miss_weight"),
+    # A bare constraint raised a raw TypeError, pairs a raw AttributeError.
+    "bare-soft-constraint": ({"soft_constraints": {5: LatenessConstraint(0.0, 0.1)}},
+                             r"task\(s\) \[5\]"),
+    "soft-constraint-pairs": ({"soft_constraints": {5: ((0.0, 0.1),)}}, r"task\(s\) \[5\]"),
     "zero-energy-unit": ({"energy_unit_j": 0.0}, "energy_unit_j"),
     "negative-energy-unit": ({"energy_unit_j": -1.0}, "energy_unit_j"),
+    # inf made every energy_units 0.0, True counted as 1 J, "5" raised a raw TypeError.
+    "infinite-energy-unit": ({"energy_unit_j": float("inf")}, "energy_unit_j .*, got inf$"),
+    "nan-energy-unit": ({"energy_unit_j": float("nan")}, "energy_unit_j .*, got nan$"),
+    "bool-energy-unit": ({"energy_unit_j": True}, "energy_unit_j .*, got True$"),
+    "string-energy-unit": ({"energy_unit_j": "5"}, "energy_unit_j .*, got '5'$"),
 }
 
 

@@ -140,6 +140,12 @@ class TestGenerateJobs:
         with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
             generate_jobs(parse_workload(WORKLOAD_CSV), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "1", True])
+    def test_non_int_seed_rejected(self, seed):
+        # 1.5 and "1" raised a raw TypeError; True was taken as seed 1.
+        with pytest.raises(InvalidArgumentError, match=f"^seed must be an int, got {seed!r}$"):
+            generate_jobs(parse_workload(WORKLOAD_CSV), seed=seed)
+
     def test_soft_interarrival_mean_matches_period(self):
         # law of large numbers: mean inter-arrival within 2% at 20k jobs
         profiles = [TaskProfile(0, "SOFT", 1000, 3.0, 2.0, 20_000)]
