@@ -165,7 +165,7 @@ def scan_population(scan: ScanConstants, dur_coef):
     # (-1, the block's last, before job 0) never waits.  The first wave's
     # heads: job k + 1 waits and job k does not.
     waits = (completions > threshold).ravel()
-    job = np.flatnonzero(waits)
+    job = waits.nonzero()[0]
     job = job[~waits[job - 1]] + 1
     while job.size:
         cell = job % n_cells
@@ -177,10 +177,10 @@ def scan_population(scan: ScanConstants, dur_coef):
 
     # Every job that ran in full adds its work times 1.0, which is its work,
     # so a column with no aborted job executed its task's work sum.
-    executed = np.tile(scan.work_sums, (len(dur_coef), 1))
+    executed = scan.work_sums[None].repeat(len(dur_coef), axis=0)
     # The (member, control column) pairs where a job aborted: it would have
     # completed past its deadline.
-    p, c = np.nonzero((completions[:, scan.ctrl] > scan.ctrl_deadlines).any(axis=2))
+    p, c = (completions[:, scan.ctrl] > scan.ctrl_deadlines).any(axis=2).nonzero()
     if not p.size:
         return completions, executed
     t = scan.ctrl[c]
@@ -194,7 +194,7 @@ def scan_population(scan: ScanConstants, dur_coef):
     start[:, 0] = -np.inf
     np.minimum(completion[:, :-1], deadline[:, :-1], out=start[:, 1:])
     np.maximum(start, arrivals[t], out=start)
-    frac = np.divide(deadline - start, duration, out=np.ones_like(completion),
+    frac = np.divide(deadline - start, duration, out=np.ones(completion.shape),
                      where=(completion > deadline) & (duration > 0.0))
     np.maximum(frac, 0.0, out=frac)
     executed[p, t] = np.add.accumulate(works[t] * frac, axis=1)[:, -1]

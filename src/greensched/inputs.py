@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,13 @@ from typing import Any, Callable
 from .errors import ConfigurationError, ParseError
 
 _REQUIRED = object()
+
+
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is an int or float, not a bool, of finite float value:
+    what a file's number field and a value type's float field take."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -46,10 +52,7 @@ class Field:
 
     def number(self) -> float:
         """A finite JSON number, integer or not, as a float."""
-        v = self.value
-        ok = (type(v) is float and math.isfinite(v)
-              or type(v) is int and abs(v) <= sys.float_info.max)
-        return float(self._expect(ok, "a number"))
+        return float(self._expect(is_finite_number(self.value), "a number"))
 
     def string(self) -> str:
         return self._expect(type(self.value) is str, "a string")

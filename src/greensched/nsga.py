@@ -29,9 +29,10 @@ in a round, and the best point is looked up only when the archive changed.
 Each distinct objective vector gets an integer key id when it is first
 scored, and the population carries one id per member; the
 ``ObjectiveVector`` itself is the key that ranking sorts and sweeps.  Each
-generation groups the members by id once: selection ranks each distinct
-vector once, and hands the survivors' fronts to the next generation, whose
-tournament reads its ranks and crowding from them (see
+generation groups only its offspring by id, into the runs of the survivors'
+fronts that the last selection handed on: selection ranks each distinct
+vector once, and hands the new survivors' fronts to the next generation,
+whose tournament reads its ranks and crowding from them (see
 :func:`_chain_crowding`).
 """
 
@@ -48,6 +49,7 @@ import numpy as np
 
 from . import sim
 from .errors import ConfigurationError, InvalidArgumentError
+from .inputs import is_finite_number
 from .power import DYN_ENERGY_FORMS
 from .tasks import LatenessConstraint
 from .workload import JobTrace, TaskProfile
@@ -118,7 +120,7 @@ class EvolveConfig:
             raise ConfigurationError("share_step must be in 1..100")
         if 100 % self.share_step != 0:
             raise ConfigurationError("share_step must divide 100")
-        if not sim._is_energy_unit(self.energy_unit_j):
+        if not (is_finite_number(self.energy_unit_j) and self.energy_unit_j > 0):
             raise ConfigurationError(
                 f"energy_unit_j must be > 0 and a finite int or float, got {self.energy_unit_j!r}"
             )
@@ -371,9 +373,9 @@ def integer_flip_mutation(
     """Redraw each unfrozen gene of a ``[n, G]`` block uniformly in-bounds with
     ``prob``, in place, and return the block; the flipped genes are redrawn
     together, in row-major order."""
-    flipped = np.flatnonzero((rng.random(genes.shape) < prob) & bounds.free)
+    flipped = ((rng.random(genes.shape) < prob) & bounds.free).ravel().nonzero()[0]
     cols = flipped % genes.shape[1]
-    np.put(genes, flipped, rng.integers(bounds.low[cols], bounds.stop[cols]))
+    genes.put(flipped, rng.integers(bounds.low[cols], bounds.stop[cols]))
     return genes
 
 
@@ -385,11 +387,9 @@ def tournament_select(
 ) -> np.ndarray:
     """``n`` binary tournaments on (rank, -crowding); the first entrant wins ties."""
     rank, crowd = np.asarray(ranks), np.asarray(crowding)
-    first, second = rng.integers(len(rank), size=(2, n))
-    first_wins = (rank[first] < rank[second]) | (
-        (rank[first] == rank[second]) & (crowd[first] >= crowd[second])
-    )
-    return np.where(first_wins, first, second)
+    pair = rng.integers(len(rank), size=(2, n))
+    (rank_1, rank_2), (crowd_1, crowd_2) = rank[pair], crowd[pair]
+    return np.where((rank_1 < rank_2) | ((rank_1 == rank_2) & (crowd_1 >= crowd_2)), *pair)
 
 
 class _Scored(NamedTuple):
@@ -558,7 +558,7 @@ def evolve(
 
         # Parents pair up in draw order; children c1, c2 of each pair stay
         # adjacent, and an odd population drops the last pair's c2.
-        parents = pop[tournament_select(rng, ranks, crowd, 2 * n_pairs)]
+        parents = pop.take(tournament_select(rng, ranks, crowd, 2 * n_pairs), axis=0)
         children = single_point_crossover(parents.reshape(n_pairs, 2, n_vars), rng,
                                           CROSSOVER_PROB).reshape(2 * n_pairs, n_vars)[:n_pop]
         offspring = integer_flip_mutation(children, bounds, rng, 1.0 / n_vars)
@@ -567,8 +567,8 @@ def evolve(
             best, last_change = best_point(), gen
 
         combined_ids = ids + off_ids
-        sel, fronts = _environmental_selection(combined_ids, keys, n_pop)
-        pop = np.concatenate([pop, offspring])[sel]
+        sel, fronts = _environmental_selection(combined_ids, keys, n_pop, fronts)
+        pop = np.concatenate([pop, offspring]).take(sel, axis=0)
         ids = list(map(combined_ids.__getitem__, sel))
 
         convergence.append((gen, best.objectives.lam, best.energy_j))
@@ -600,11 +600,14 @@ def _front_point(p: _Scored, key_type: np.dtype, ordered, cluster) -> FrontPoint
                       p.energy_units)
 
 
-def _key_runs(ids: Sequence[int], keys: Sequence[ObjectiveVector]) -> list[Run]:
-    """The run of each distinct key among the members, in key order.
-    ``ids`` holds each member's key id and ``keys[id]`` its key."""
-    runs: dict[int, list[int]] = {}
-    for i, key_id in enumerate(ids):
+def _key_runs(ids: Sequence[int], keys: Sequence[ObjectiveVector],
+              fronts: Sequence[Sequence[Run]] = ()) -> list[Run]:
+    """The run of each distinct key among the members, in key order.  ``ids`` holds each
+    member's key id and ``keys[id]`` its key; ``fronts`` may hold the runs of the first
+    members (see :func:`_ranked_fronts`), which are extended whole, not walked."""
+    runs = {ids[run[0]]: run.copy() for front in fronts for _, run in front}
+    start = sum(map(len, runs.values()))
+    for i, key_id in enumerate(ids[start:], start):
         run = runs.get(key_id)
         if run is None:
             runs[key_id] = [i]
@@ -613,7 +616,8 @@ def _key_runs(ids: Sequence[int], keys: Sequence[ObjectiveVector]) -> list[Run]:
     return [(keys[key_id], runs[key_id]) for key_id in sorted(runs, key=keys.__getitem__)]
 
 
-def _ranked_fronts(ids: Sequence[int], keys: Sequence[ObjectiveVector]) -> list[list[Run]]:
+def _ranked_fronts(ids: Sequence[int], keys: Sequence[ObjectiveVector],
+                   fronts: Sequence[Sequence[Run]] = ()) -> list[list[Run]]:
     """The members' runs (see :func:`_key_runs`) as fronts in rank order, each
     in ``lam`` order.
 
@@ -626,17 +630,17 @@ def _ranked_fronts(ids: Sequence[int], keys: Sequence[ObjectiveVector]) -> list[
     finds the first front that does not.
     """
     latest: list[float] = []  # energy of each front's latest key
-    fronts: list[list[Run]] = []
-    for run in _key_runs(ids, keys):
+    ranked: list[list[Run]] = []
+    for run in _key_runs(ids, keys, fronts):
         energy = run[0][1]
         r = bisect_right(latest, energy)
         if r == len(latest):
             latest.append(energy)
-            fronts.append([])
+            ranked.append([])
         else:
             latest[r] = energy
-        fronts[r].append(run)
-    return fronts
+        ranked[r].append(run)
+    return ranked
 
 
 def _chain_crowding(front: Sequence[Run]) -> list[tuple[int, float]]:
@@ -672,37 +676,39 @@ def _chain_crowding(front: Sequence[Run]) -> list[tuple[int, float]]:
     return out
 
 
-def _rank_and_crowd(fronts: Sequence[Sequence[Run]], n: int) -> tuple[list[int], list[float]]:
-    """Each of ``n`` members' rank and :func:`crowding_distance` in its front."""
-    ranks, crowd = [0] * n, [0.0] * n
+def _rank_and_crowd(fronts: Sequence[Sequence[Run]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``n`` members' rank and :func:`crowding_distance` in its front,
+    as ``[n]`` arrays; ``fronts`` holds every member."""
+    ranks, crowd = np.empty(n, dtype=np.intp), np.zeros(n)
     for rank, front in enumerate(fronts):
-        for i in chain.from_iterable(run for _, run in front):
-            ranks[i] = rank
+        for _, run in front:  # consecutive positions, as a one-key front's survivors, by a slice
+            ranks[run if run[-1] - run[0] >= len(run) else slice(run[0], run[-1] + 1)] = rank
         for i, d in _chain_crowding(front):
             crowd[i] = d
     return ranks, crowd
 
 
 def _environmental_selection(
-    ids: Sequence[int], keys: Sequence[ObjectiveVector], k: int
+    ids: Sequence[int], keys: Sequence[ObjectiveVector], k: int,
+    fronts: Sequence[Sequence[Run]] = (),
 ) -> tuple[list[int], list[list[Run]]]:
     """NSGA-II survivor selection: fill by rank, break the last front by crowding.
 
-    ``ids`` and ``keys`` are as in :func:`_key_runs`.  Whole fronts are
-    admitted in index order; the front that overflows gives its members with
-    nonzero crowding distance by ``(-distance, index)``, then its members at
-    distance 0 by index.  Returns the chosen indices and the survivors' fronts
-    (see :func:`_ranked_fronts`) by position among the survivors, which are
-    also the fronts of the survivors alone: every point that dominates a
+    ``ids``, ``keys`` and ``fronts`` are as in :func:`_key_runs`.  Whole fronts
+    are admitted in index order; the front that overflows gives its members
+    with nonzero crowding distance by ``(-distance, index)``, then its members
+    at distance 0 by index.  Returns the chosen indices and the survivors'
+    fronts (see :func:`_ranked_fronts`) by position among the survivors, which
+    are also the fronts of the survivors alone: every point that dominates a
     survivor lies in an earlier front, and earlier fronts are admitted whole.
     """
     chosen: list[int] = []
-    fronts = _ranked_fronts(ids, keys)
-    for rank, front in enumerate(fronts):
-        if len(chosen) == k:
-            del fronts[rank:]
+    kept: list[list[Run]] = []
+    for front in _ranked_fronts(ids, keys, fronts):
+        base = len(chosen)
+        room = k - base
+        if not room:
             break
-        room = k - len(chosen)
         runs = [run for _, run in front]
         if sum(map(len, runs)) <= room:
             chosen.extend(sorted(chain.from_iterable(runs)))
@@ -714,11 +720,11 @@ def _environmental_selection(
                 idle = chain((i for i, d in ends if not d),
                              chain.from_iterable(run[1:-1] for run in runs))
                 chosen.extend(sorted(idle)[: room - len(spaced)])
-    at = [-1] * len(ids)  # each member's position among the survivors
-    for p, i in enumerate(chosen):
-        at[i] = p
-    kept = [[(key, [at[i] for i in run]) for key, run in front] for front in fronts]
-    # Only the last front admitted can lose members or leave index order.
-    kept[-1:] = [[(key, sorted(p for p in run if p >= 0)) for key, run in front if max(run) >= 0]
-                 for front in kept[-1:]]
+        # The front's survivors hold positions base.. in the order chosen.
+        if len(front) == 1:  # all of them its one key's
+            kept.append([(front[0][0], list(range(base, len(chosen))))])
+        else:
+            at = dict(zip(chosen[base:], range(base, len(chosen))))
+            kept.append([(key, sorted(map(at.__getitem__, filter(at.__contains__, run))))
+                         for key, run in front if not at.keys().isdisjoint(run)])
     return chosen, kept

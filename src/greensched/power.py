@@ -29,6 +29,7 @@ from .errors import (
     ModelDomainError,
     UnderdeterminedFitError,
 )
+from .inputs import is_finite_number
 
 #: Frequency unit the dynamic coefficient is normalized to.
 FREQ_NORM_HZ = 1e9
@@ -48,10 +49,11 @@ class DvfsMode:
     voltage_v: float
 
     def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise InvalidArgumentError(f"mode {self.index}: frequency must be > 0")
-        if self.voltage_v <= 0:
-            raise InvalidArgumentError(f"mode {self.index}: voltage must be > 0")
+        for name in ("frequency_hz", "voltage_v"):
+            value = getattr(self, name)
+            if not is_finite_number(value) or value <= 0:
+                raise InvalidArgumentError(f"mode {self.index}: {name} must be a finite number "
+                                           f"> 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,10 @@ class ThermalState:
 
     def __post_init__(self):
         lo, hi = TEMP_BAND_K
-        for t in (*self.t_cpu_k, self.t_mem_k):
+        temps = [(f"t_cpu_k[{i}]", t) for i, t in enumerate(self.t_cpu_k)]
+        for name, t in temps + [("t_mem_k", self.t_mem_k)]:
+            if not is_finite_number(t):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {t!r}")
             if not (lo <= t <= hi):
                 raise ModelDomainError(
                     f"temperature {t} K outside plausible band [{lo}, {hi}] K"

@@ -42,6 +42,7 @@ from . import tasks as tk
 # kernels.scan_jobs layer through this module's binding.
 from ._kernels import ScanConstants, scan_constants, scan_jobs, scan_population  # noqa: F401
 from .errors import InvalidAllocationError, InvalidArgumentError
+from .inputs import is_finite_number
 from .workload import JobTrace, TaskProfile
 
 HARD_MISS_WEIGHT = 10**6
@@ -163,10 +164,10 @@ def _check_rules(ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost],
     index only in a longer block)."""
     # A share > 100 is flagged too, so that no int64 row sum can wrap to 100.
     bad_sum = (shares.sum(axis=2) != 100) | ((shares < 0) | (shares > 100)).any(axis=2)
-    split = is_real & ((shares > 0).sum(axis=2) != 1)
+    bad_row = bad_sum | (is_real & ((shares > 0).sum(axis=2) != 1))
     bad_mode = (modes < 1) | (modes > n_modes)
-    bad = np.concatenate([bad_mode, bad_sum | split], axis=1)
-    if bad.any():
+    if bad_mode.any() or bad_row.any():
+        bad = np.concatenate([bad_mode, bad_row], axis=1)
         u, j = divmod(int(bad.argmax()), bad.shape[1])
         t, where = j - len(cluster), f"row {u}: " if len(bad) > 1 else ""
         if t < 0:
@@ -179,10 +180,10 @@ def _check_rules(ordered: Sequence[TaskProfile], cluster: Sequence[ClusterHost],
         raise InvalidAllocationError(f"{where}REAL tasks must run on a single host")
 
 
-def _task_counts(
-    ctx: _Context, completion: np.ndarray, aborted: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-task hard misses, control aborts and soft violations, three ``[P, T]`` arrays.
+def _task_counts(ctx: _Context, completion: np.ndarray, aborted: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Per-task hard misses, control aborts and soft violations, as the
+    ``[P, T]`` planes of one ``[3, P, T]`` array.
 
     ``completion`` holds the would-be completions in the scan's ``[P, task,
     slot]`` layout; a padded slot's deadline is +inf, so it is never late.
@@ -191,27 +192,29 @@ def _task_counts(
     as in the scan.  An EDF abort can round to overrun 0, so it is passed.
     Every count sums along the contiguous slot axis.
     """
-    arr = ctx.arr
-    n_late = (completion > arr.scan.deadlines).sum(axis=2)
-    aborts = np.where(arr.is_ctrl, n_late, 0) if aborted is None else aborted.sum(axis=2)
+    deadlines = ctx.arr.scan.deadlines
+    n_late = (completion > deadlines).sum(axis=2)
+    counts = np.empty((3,) + n_late.shape, dtype=n_late.dtype)
+    np.multiply(n_late, ctx.kinds, out=counts[:2])
+    if aborted is not None:
+        aborted.sum(axis=2, out=counts[1])
     # Every soft bound at once: its task's jobs late by more than x_s, as a
     # fraction of the task's jobs, against beta; then summed per task.  Late
     # by more than 0 is late (also at +-inf and in padded slots), so a bound
     # with x = 0 reads its task's late count.
     n_over, rest = n_late[:, ctx.soft_task], ctx.soft_task[ctx.n_x0:]
     if len(rest):
-        over = completion[:, rest] - arr.scan.deadlines[rest] > ctx.soft_x[ctx.n_x0:, None]
+        over = completion[:, rest] - deadlines[rest] > ctx.soft_x[ctx.n_x0:, None]
         n_over[:, ctx.n_x0:] = over.sum(axis=2)
-    soft = np.zeros_like(n_late)
-    np.add.at(soft, (slice(None), ctx.soft_task),
-              n_over / arr.n_jobs[ctx.soft_task] > ctx.soft_beta)
-    return np.where(arr.is_real, n_late, 0), aborts, soft
+    np.matmul(n_over / ctx.arr.n_jobs[ctx.soft_task] > ctx.soft_beta, ctx.soft_of_task,
+              out=counts[2])
+    return counts
 
 
-def _fold_lam(ctx: _Context, counts: tuple[np.ndarray, ...]) -> list[tuple[int, int, int, int]]:
+def _fold_lam(ctx: _Context, counts: np.ndarray) -> list[tuple[int, int, int, int]]:
     """``(lam, hard misses, control aborts, soft violations)`` per member, as
     Python ints: a large ``hard_miss_weight`` must not wrap in int64."""
-    hard, aborts, soft = (c.sum(axis=1).tolist() for c in counts)
+    hard, aborts, soft = counts.sum(axis=2).tolist()
     return [(s + a + ctx.hard_miss_weight * h, h, a, s) for h, a, s in zip(hard, aborts, soft)]
 
 
@@ -357,22 +360,18 @@ class _Context:
     cpi: np.ndarray  # per host
     n_modes: np.ndarray  # per host
     hosts: np.ndarray  # 0..M-1
+    kinds: np.ndarray  # [2, 1, T]: the REAL and the CTRL tasks
     soft: tuple[tuple[tk.LatenessConstraint, ...], ...]  # per task; () unless SOFT
-    # Every soft bound, the n_x0 with x_s = 0 first: its task's index, x_s and beta.
+    # Every soft bound, the n_x0 with x_s = 0 first: its task's index, x_s and
+    # beta, and its task as a [bound, task] one-hot.
     soft_task: np.ndarray
     soft_x: np.ndarray
     soft_beta: np.ndarray
+    soft_of_task: np.ndarray
     n_x0: int
     hard_miss_weight: int
     dyn_energy_form: str
     energy_unit_j: float
-
-
-def _is_energy_unit(value) -> bool:
-    """Whether ``value`` can be ``energy_unit_j``: an int or float, not a bool,
-    that is > 0 and at most the largest float (so not inf or NaN)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value <= float(np.finfo(float).max))
 
 
 def _prepare(
@@ -394,7 +393,7 @@ def _prepare(
         raise InvalidArgumentError(f"hard_miss_weight {hard_miss_weight!r} is not an int >= 1")
     if dyn_energy_form not in pw.DYN_ENERGY_FORMS:
         raise InvalidArgumentError(f"unknown dynamic energy form {dyn_energy_form!r}")
-    if not _is_energy_unit(energy_unit_j):
+    if not (is_finite_number(energy_unit_j) and energy_unit_j > 0):
         raise InvalidArgumentError(f"energy_unit_j must be > 0 and a finite int or float, "
                                    f"got {energy_unit_j!r}")
     arr = trace_arrays(profiles, trace)
@@ -419,20 +418,16 @@ def _prepare(
                  if p.kind == "SOFT" else () for p in arr.profiles)
     bounds = sorted(((ti, c) for ti, task_bounds in enumerate(soft) for c in task_bounds),
                     key=lambda bound: bound[1].x_s != 0)
+    soft_task = np.array([ti for ti, _ in bounds], dtype=np.int64)
     return _Context(
         tuple(cluster), arr, tables, np.array([h.spec.cpi for h in cluster]),
-        np.array([len(h.spec.modes) for h in cluster]), np.arange(len(cluster)), soft,
-        np.array([ti for ti, _ in bounds], dtype=np.int64),
+        np.array([len(h.spec.modes) for h in cluster]), np.arange(len(cluster)),
+        np.array([arr.is_real, arr.is_ctrl])[:, None], soft, soft_task,
         np.array([c.x_s for _, c in bounds], dtype=float),
         np.array([c.beta for _, c in bounds], dtype=float),
+        (soft_task[:, None] == np.arange(len(arr.profiles))).astype(np.int64),
         sum(c.x_s == 0 for _, c in bounds), hard_miss_weight, dyn_energy_form, energy_unit_j,
     )
-
-
-def _server_sums(x: np.ndarray) -> np.ndarray:
-    """``[P, task, server]`` -> ``[P, server]`` sums over tasks, each one the
-    same pairwise sum as ``x[p, :, m].sum()``."""
-    return np.ascontiguousarray(x.transpose(0, 2, 1)).sum(axis=2)
 
 
 def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -449,21 +444,24 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     shares = shares / 100.0
     weights = shares * arr.n_mean[:, None]
     col = weights.sum(axis=1)[:, None, :]
-    u = np.divide(weights, col, out=np.zeros_like(weights), where=col > 0)
+    u = np.divide(weights, col, out=np.zeros(weights.shape), where=col > 0)
 
     freq, dyn, leak = ctx.tables[:, ctx.hosts, modes - 1]
 
     # Seconds per instruction of each task: slowest of its subtasks.  A task
     # spends none on a server where it has no share, and u > 0 where it has.
     per_server = np.divide(ctx.cpi * shares, freq[:, None, :] * u,
-                           out=np.zeros_like(shares), where=shares > 0)
+                           out=np.zeros(shares.shape), where=shares > 0)
     dur_coef = per_server.max(axis=2)
 
     completion, exec_per_task = scan_population(arr.scan, dur_coef)
 
-    exec_im = shares * exec_per_task[:, :, None]
-    executed = _server_sums(exec_im)
-    dyn_sum = _server_sums(u * exec_im) if ctx.dyn_energy_form == "as-written" else executed
+    # Instructions per (member, server, task), C-ordered so that each sum over
+    # tasks runs on a contiguous last axis: the pairwise sum of x[p, :, m].sum().
+    exec_im = np.multiply(shares.transpose(0, 2, 1), exec_per_task[:, None, :], order="C")
+    executed = exec_im.sum(axis=2)
+    dyn_sum = (np.multiply(u.transpose(0, 2, 1), exec_im, order="C").sum(axis=2)
+               if ctx.dyn_energy_form == "as-written" else executed)
     dynamic_j = (dyn * dyn_sum) / pw.FREQ_NORM_HZ
     leakage_j = leak * executed
     return completion, dynamic_j, leakage_j, executed, u, dur_coef

@@ -21,6 +21,7 @@ from .errors import (
     InfeasiblePeriodsError,
     InvalidArgumentError,
 )
+from .inputs import is_finite_number
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,10 @@ class LatenessConstraint:
     beta: float
 
     def __post_init__(self):
-        if self.x_s < 0:
-            raise InvalidArgumentError("lateness tolerance x must be >= 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InvalidArgumentError("beta must be in [0, 1]")
+        if not is_finite_number(self.x_s) or self.x_s < 0:
+            raise InvalidArgumentError(f"x_s must be a finite number >= 0, got {self.x_s!r}")
+        if not is_finite_number(self.beta) or not 0.0 <= self.beta <= 1.0:
+            raise InvalidArgumentError(f"beta must be a number in [0, 1], got {self.beta!r}")
 
 
 HARD_CONSTRAINT = LatenessConstraint(0.0, 0.0)

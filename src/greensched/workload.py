@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidTraceError, ParseError
-from .inputs import int64, read_table
+from .inputs import int64, is_finite_number, read_table
 
 TASK_TYPES = ("REAL", "CTRL", "SOFT")
 GENERATOR_NAME = "numpy-PCG64"
@@ -49,10 +49,14 @@ class TaskProfile:
     def __post_init__(self):
         if self.kind not in TASK_TYPES:
             raise InvalidArgumentError(f"unknown task type {self.kind!r}")
-        if self.n_instructions <= 0 or self.period_s <= 0 or self.deadline_s <= 0:
-            raise InvalidArgumentError(f"task {self.task_id}: numeric fields must be positive")
-        if self.n_jobs <= 0:
-            raise InvalidArgumentError(f"task {self.task_id}: n_jobs must be positive")
+        if type(self.task_id) is not int:
+            raise InvalidArgumentError(f"task_id must be an int, got {self.task_id!r}")
+        for name in ("n_instructions", "period_s", "deadline_s", "n_jobs"):
+            value, whole = getattr(self, name), name.startswith("n_")
+            if not (type(value) is int if whole else is_finite_number(value)) or value <= 0:
+                kind = "an int" if whole else "a finite number"
+                raise InvalidArgumentError(f"task {self.task_id}: {name} must be {kind} > 0, "
+                                           f"got {value!r}")
 
 
 class Job(NamedTuple):

@@ -561,6 +561,22 @@ class TestErrors:
         assert rc == 2
         assert f"{workload}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "baseline"])
+    @pytest.mark.parametrize("row, field, value", [
+        ("2,SOFT,100000000,nan,0.8,6", "period_s", "nan"),
+        ("2,SOFT,100000000,inf,0.8,6", "period_s", "inf"),
+        ("2,SOFT,100000000,1.0,nan,6", "deadline_s", "nan"),
+    ], ids=["nan-period", "inf-period", "nan-deadline"])
+    def test_non_finite_workload_time_names_file_row_and_field(
+            self, scenario, capsys, tmp_path, command, row, field, value):
+        # Each read as "job row 246: arrival_s must be finite" (exit 4) before.
+        workload = tmp_path / "workload.csv"
+        workload.write_text(SMALL_WORKLOAD.replace("2,SOFT,100000000,1.0,0.8,6", row))
+        rc = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert (f"{workload}: row 4: task 2: {field} must be a finite number > 0, got {value}"
+                in capsys.readouterr().err)
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         rc = main(
             ["generate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]

@@ -46,6 +46,11 @@ def key_ids(points):
     return [ids.setdefault(p, len(ids)) for p in points], list(ids)
 
 
+def rank_and_crowd(fronts, n):
+    """``nsga._rank_and_crowd`` as lists of Python numbers, to compare with ``==``."""
+    return tuple(a.tolist() for a in nsga._rank_and_crowd(fronts, n))
+
+
 class TestObjectiveVector:
     def test_repr_order_and_messages_are_unchanged(self):
         v = obj(1, 2.5)
@@ -109,7 +114,7 @@ class TestNondominatedSort:
             k = int(rng.integers(1, n + 1))
             chosen, fronts = nsga._environmental_selection(*key_ids(points), k)
             assert len(chosen) == k
-            ranks, _ = nsga._rank_and_crowd(fronts, k)
+            ranks, _ = rank_and_crowd(fronts, k)
             assert ranks == nondominated_sort([points[i] for i in chosen])
 
     def test_single_front(self):
@@ -298,14 +303,14 @@ class TestSelectionEqualsReference:
     def assert_equal_to_reference(self, points, ks):
         ids, keys = key_ids(points)
         ranks = nondominated_sort(points)
-        assert nsga._rank_and_crowd(nsga._ranked_fronts(ids, keys), len(points)) == (
+        assert rank_and_crowd(nsga._ranked_fronts(ids, keys), len(points)) == (
             ranks, reference_crowding_by_rank(points, ranks))
         for k in ks:
             chosen, fronts = nsga._environmental_selection(ids, keys, k)
             want_chosen, want_ranks = reference_environmental_selection(points, k)
             assert chosen == want_chosen
             survivors = [points[i] for i in chosen]
-            assert nsga._rank_and_crowd(fronts, len(chosen)) == (
+            assert rank_and_crowd(fronts, len(chosen)) == (
                 want_ranks, reference_crowding_by_rank(survivors, want_ranks))
 
     def random_multiset(self, rng):
@@ -331,7 +336,20 @@ class TestSelectionEqualsReference:
                 chosen, fronts = nsga._environmental_selection(ids, keys, k)
                 regrouped = nsga._ranked_fronts([ids[i] for i in chosen], keys)
                 assert fronts == regrouped
-                assert nsga._rank_and_crowd(fronts, k) == nsga._rank_and_crowd(regrouped, k)
+                assert rank_and_crowd(fronts, k) == rank_and_crowd(regrouped, k)
+
+    def test_grouping_onto_handed_on_fronts_equals_grouping_all(self, rng):
+        # Selection groups only the members after the first n, onto the runs
+        # of the first n's fronts, as evolve hands the survivors' fronts on.
+        for _ in range(40):
+            points = self.random_multiset(rng)
+            ids, keys = key_ids(points)
+            n = int(rng.integers(0, len(points) + 1))
+            fronts = nsga._ranked_fronts(ids[:n], keys)
+            assert nsga._key_runs(ids, keys, fronts) == nsga._key_runs(ids, keys)
+            for k in range(1, len(points) + 1):
+                assert (nsga._environmental_selection(ids, keys, k, fronts)
+                        == nsga._environmental_selection(ids, keys, k))
 
     def test_exact_fits_of_whole_fronts(self, rng):
         for _ in range(200):
@@ -352,7 +370,7 @@ class TestSelectionEqualsReference:
         points = [obj(0, 3.0), obj(1, 2.0)] * 2 + [obj(1, 2.0), obj(2, 1.0)]
         ids, keys = key_ids(points)
         # Middle key (1, 2.0) at 1, 3, 4: only its first and last copy count.
-        assert nsga._rank_and_crowd(nsga._ranked_fronts(ids, keys), 6) == ([0] * 6, [
+        assert rank_and_crowd(nsga._ranked_fronts(ids, keys), 6) == ([0] * 6, [
             float("inf"), (1 - 0) / 2 + (2.0 - 1.0) / 2.0,
             float("inf"), 0.0,
             (2 - 1) / 2 + (3.0 - 2.0) / 2.0, float("inf"),
@@ -1088,8 +1106,8 @@ class TestEvolveBasics:
             sizes["offspring"].append(len(genes))
             return mutate(genes, *args)
 
-        def selection_wrapper(ids, keys, k):
-            chosen, fronts = select(ids, keys, k)
+        def selection_wrapper(ids, keys, k, fronts):
+            chosen, fronts = select(ids, keys, k, fronts)
             sizes["candidates"].append(len(ids))
             sizes["survivors"].append(len(chosen))
             return chosen, fronts
@@ -1104,20 +1122,22 @@ class TestEvolveBasics:
 
     def test_members_are_grouped_by_key_once_per_generation(self, monkeypatch):
         # Once for the initial population, then once per selection: the
-        # survivors' fronts are handed on, not rebuilt for the tournament.
+        # survivors' fronts are handed on, not rebuilt for the tournament,
+        # and selection walks only the offspring, whose runs it merges into
+        # the survivors' runs.
         calls = []
         key_runs = nsga._key_runs
 
-        def counting(ids, keys):
-            calls.append(len(ids))
-            return key_runs(ids, keys)
+        def counting(ids, keys, fronts=()):
+            calls.append(len(ids) - sum(len(run) for front in fronts for _, run in front))
+            return key_runs(ids, keys, fronts)
 
         monkeypatch.setattr(nsga, "_key_runs", counting)
         cluster, profiles, trace = self.two_task_instance()
         cfg = EvolveConfig(population=6, generations=7, seed=4, stop_window=7)
         result = evolve(cluster, profiles, trace, cfg)
         assert result.generations_run == 7
-        assert calls == [6] + [12] * 7
+        assert calls == [6] * 8
 
 
 class TestRepairTable:

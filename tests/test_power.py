@@ -214,6 +214,26 @@ class TestThermalState:
         with pytest.raises(ModelDomainError):
             ThermalState((300.0,), 500.0)
 
+    def test_a_string_temperature_is_named(self):
+        # It escaped as a raw TypeError from the band compare before.
+        with pytest.raises(InvalidArgumentError, match=r"^t_cpu_k\[0\] must be a finite number, got 'a'$"):
+            ThermalState(("a",), 300.0)
+        with pytest.raises(InvalidArgumentError, match=r"^t_mem_k must be a finite number, got nan$"):
+            ThermalState((300.0,), math.nan)
+
+
+class TestDvfsMode:
+    @pytest.mark.parametrize("frequency_hz, voltage_v, message", [
+        (math.nan, 1.0, "frequency_hz must be a finite number > 0, got nan"),
+        (1e9, math.inf, "voltage_v must be a finite number > 0, got inf"),
+        ("1e9", 1.0, "frequency_hz must be a finite number > 0, got '1e9'"),
+        (1e9, 0.0, "voltage_v must be a finite number > 0, got 0.0"),
+    ], ids=["nan-frequency", "inf-voltage", "string-frequency", "zero-voltage"])
+    def test_non_finite_or_non_positive_values_are_named(self, frequency_hz, voltage_v, message):
+        # NaN and inf built before.
+        with pytest.raises(InvalidArgumentError, match=f"^mode 1: {message}$"):
+            DvfsMode(1, frequency_hz, voltage_v)
+
 
 class TestServerSpec:
     def test_mode_lookup_is_one_based(self, spec):

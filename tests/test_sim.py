@@ -16,6 +16,7 @@ from greensched.errors import InvalidAllocationError, InvalidArgumentError
 from greensched.nsga import EvolveConfig, _repair, decode, evolve
 from greensched.power import (
     DYN_ENERGY_FORMS,
+    FREQ_NORM_HZ,
     DvfsMode,
     ThermalState,
     dynamic_energy,
@@ -307,9 +308,9 @@ class TestEvaluatorsAgree:
 
 
 @st.composite
-def random_instance(draw):
-    """A small cluster whose hosts have 1-4 modes each, up to 12 tasks of every
-    kind (past numpy's 8-element pairwise-sum unroll) with uneven job counts,
+def random_instance(draw, min_tasks=1):
+    """A small cluster whose hosts have 1-4 modes each, ``min_tasks`` to 12 tasks
+    of every kind (past numpy's 8-element pairwise-sum unroll) with uneven job counts,
     a jittered trace whose tight control deadlines force aborts, and 2-6
     decoded allocations whose share genes are often zero (whole rows included)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -317,7 +318,8 @@ def random_instance(draw):
         host(f_hz=draw(st.sampled_from([5e8, 1e9, 2e9])), n_modes=draw(st.integers(1, 4)))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    kinds = draw(st.lists(st.sampled_from(["REAL", "CTRL", "SOFT"]), min_size=1, max_size=12))
+    kinds = draw(st.lists(st.sampled_from(["REAL", "CTRL", "SOFT"]), min_size=min_tasks,
+                          max_size=12))
     profiles, jobs, soft = [], [], {}
     for t, kind in enumerate(kinds):
         n_jobs = draw(st.integers(1, 8))
@@ -850,6 +852,72 @@ class TestTotalEnergyMatchesHostLoop:
         assert np.array([e for _, e, _ in scores]).tobytes() == want.tobytes()
 
 
+def reference_server_sums(x):
+    """``[P, task, server]`` -> ``[P, server]`` sums over tasks as ``sim._run``
+    took them before it built its products in that order (verbatim)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).sum(axis=2)
+
+
+def reference_soft_counts(ctx, completion):
+    """Per-task soft violations as ``_task_counts`` counted them with
+    ``np.add.at`` before its one-hot matmul (verbatim)."""
+    arr = ctx.arr
+    n_late = (completion > arr.scan.deadlines).sum(axis=2)
+    n_over, rest = n_late[:, ctx.soft_task], ctx.soft_task[ctx.n_x0:]
+    if len(rest):
+        over = completion[:, rest] - arr.scan.deadlines[rest] > ctx.soft_x[ctx.n_x0:, None]
+        n_over[:, ctx.n_x0:] = over.sum(axis=2)
+    soft = np.zeros_like(n_late)
+    np.add.at(soft, (slice(None), ctx.soft_task),
+              n_over / arr.n_jobs[ctx.soft_task] > ctx.soft_beta)
+    return soft
+
+
+class TestScoringCoreEqualsReference:
+    """The scoring core's energy sums and soft counts against the reference
+    forms above, bit for bit, on more than 8 tasks (where numpy's pairwise
+    sum unrolls, so a reordered sum shows) and two bounds per SOFT task."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=random_instance(min_tasks=9),
+        form=st.sampled_from(DYN_ENERGY_FORMS),
+        xs=st.tuples(*[st.sampled_from([0.0, 0.1, 0.25])] * 2),
+        beta=st.sampled_from([0.0, 0.2, 0.5]),
+    )
+    def test_blocks_and_single_allocations(self, instance, form, xs, beta):
+        cluster, profiles, trace, _, allocs = instance
+        soft = {p.task_id: tuple(LatenessConstraint(x, beta) for x in xs)
+                for p in profiles if p.kind == "SOFT"}
+        kw = {"soft_constraints": soft, "dyn_energy_form": form}
+        ctx = _prepare(cluster, profiles, trace, **kw)
+        modes, shares = stack(allocs, profiles, cluster)
+        _, dynamic_j, leakage_j, executed, u, dur_coef = sim._run(ctx, modes, shares)
+        completion, exec_per_task = scan_population(ctx.arr.scan, dur_coef)
+        exec_im = shares / 100.0 * exec_per_task[:, :, None]
+        want_executed = reference_server_sums(exec_im)
+        dyn_sum = reference_server_sums(u * exec_im) if form == "as-written" else want_executed
+        _, dyn, leak = ctx.tables[:, ctx.hosts, modes - 1]
+        want_dynamic, want_leakage = (dyn * dyn_sum) / FREQ_NORM_HZ, leak * want_executed
+        for got, want in ((executed, want_executed), (dynamic_j, want_dynamic),
+                          (leakage_j, want_leakage)):
+            assert got.tobytes() == want.tobytes()
+        soft_counts = reference_soft_counts(ctx, completion)
+        assert _task_counts(ctx, completion)[2].tolist() == soft_counts.tolist()
+
+        scores = evaluate_objectives(cluster, profiles, trace, (modes, shares), **kw)
+        assert [e for _, e, _ in scores] == reference_total_energy(want_dynamic,
+                                                                  want_leakage).tolist()
+        for row, alloc in enumerate(allocs):
+            res = evaluate_allocation(cluster, profiles, trace, alloc, **kw)
+            assert [(s.executed_instructions, s.dynamic_energy_j, s.leakage_energy_j)
+                    for s in res.per_server] == list(zip(want_executed[row].tolist(),
+                                                         want_dynamic[row].tolist(),
+                                                         want_leakage[row].tolist()))
+            assert res.soft_violations == soft_counts[row].sum()
+            assert res.lam == scores[row][0]
+
+
 class TestHardMissPenalty:
     def test_hard_miss_dominates_lambda(self):
         cluster = [host()]
@@ -1089,7 +1157,7 @@ class TestEdfBaseline:
         # host, and each host's load grows by its own utilization.
         cluster = [host(1e9, 1.0, 2), host(2.5e9, 1.6, 3), host(1e9, 1.0, 2), host(2.5e9, 1.6, 3)]
         profiles = [
-            TaskProfile(t, "SOFT", n, period, period, 1)
+            TaskProfile(t, "SOFT", int(n), period, period, 1)  # n_instructions is an int
             for t, (n, period) in enumerate(
                 [(3e8, 1.0), (9e8, 2.0), (2e8, 0.5), (7e8, 1.0), (5e8, 4.0), (6e8, 0.5), (1e8, 1.0)]
             )

@@ -37,6 +37,15 @@ class TestLatenessConstraint:
         with pytest.raises(InvalidArgumentError):
             LatenessConstraint(0.0, 1.5)
 
+    def test_non_finite_values_are_named(self):
+        # LatenessConstraint(nan, 0.1) built before.
+        with pytest.raises(InvalidArgumentError, match="^x_s must be a finite number >= 0, got nan$"):
+            LatenessConstraint(math.nan, 0.1)
+        with pytest.raises(InvalidArgumentError, match="^x_s must be a finite number >= 0, got inf$"):
+            LatenessConstraint(math.inf, 0.1)
+        with pytest.raises(InvalidArgumentError, match=r"^beta must be a number in \[0, 1\], got nan$"):
+            LatenessConstraint(0.0, math.nan)
+
     def test_lateness_fraction_counts_strict_exceedances(self):
         overruns = [-1.0, 0.0, 0.5, 2.0]
         assert lateness_fraction(overruns, 0.0) == pytest.approx(0.5)

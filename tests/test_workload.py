@@ -106,6 +106,26 @@ class TestTaskProfile:
         with pytest.raises(InvalidArgumentError):
             TaskProfile(0, "NOPE", 100, 1.0, 1.0, 5)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, "SOFT", float("nan"), 1.0, 1.0, 1), "task 0: n_instructions must be an int > 0, got nan"),
+        ((0, "SOFT", "10", 1.0, 1.0, 1), "task 0: n_instructions must be an int > 0, got '10'"),
+        ((0, "SOFT", 10.0, 1.0, 1.0, 1), "task 0: n_instructions must be an int > 0, got 10.0"),
+        ((0, "SOFT", 10, float("nan"), 1.0, 1), "task 0: period_s must be a finite number > 0, got nan"),
+        ((0, "SOFT", 10, float("inf"), 1.0, 1), "task 0: period_s must be a finite number > 0, got inf"),
+        ((0, "SOFT", 10, 1.0, float("-inf"), 1),
+         "task 0: deadline_s must be a finite number > 0, got -inf"),
+        ((0, "SOFT", 10, 1.0, "1", 1), "task 0: deadline_s must be a finite number > 0, got '1'"),
+        ((0, "SOFT", 10, 1.0, 1.0, 1.0), "task 0: n_jobs must be an int > 0, got 1.0"),
+        ((0, "SOFT", 10, 1.0, 1.0, True), "task 0: n_jobs must be an int > 0, got True"),
+        ((True, "SOFT", 10, 1.0, 1.0, 1), "task_id must be an int, got True"),
+        ((0.0, "SOFT", 10, 1.0, 1.0, 1), "task_id must be an int, got 0.0"),
+    ])
+    def test_ids_and_counts_are_ints_and_times_finite_numbers(self, args, message):
+        # NaN and inf times, float counts and string fields built, or escaped
+        # as a raw TypeError, before.
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            TaskProfile(*args)
+
 
 class TestHyperperiodHorizon:
     def test_max_over_tasks(self):
