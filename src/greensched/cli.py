@@ -279,6 +279,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         trace,
         dvfs_policy="max",
         soft_constraints=scenario.soft_constraints,
+        dyn_energy_form=scenario.dyn_energy_form,
         energy_unit_j=scenario.energy_unit_j,
     )
     out = Path(args.out)

@@ -49,6 +49,8 @@ class DvfsMode:
     voltage_v: float
 
     def __post_init__(self):
+        if type(self.index) is not int or self.index < 1:  # a bool is rejected too
+            raise InvalidArgumentError(f"mode index must be an int >= 1, got {self.index!r}")
         for name in ("frequency_hz", "voltage_v"):
             value = getattr(self, name)
             if not is_finite_number(value) or value <= 0:
@@ -65,6 +67,9 @@ class ThermalState:
 
     def __post_init__(self):
         lo, hi = TEMP_BAND_K
+        if not isinstance(self.t_cpu_k, (tuple, list)):
+            raise InvalidArgumentError(f"t_cpu_k must be a tuple of numbers, one per socket, "
+                                       f"got {self.t_cpu_k!r}")
         temps = [(f"t_cpu_k[{i}]", t) for i, t in enumerate(self.t_cpu_k)]
         for name, t in temps + [("t_mem_k", self.t_mem_k)]:
             if not is_finite_number(t):
@@ -118,21 +123,24 @@ class ServerSpec:
     def __post_init__(self):
         if not self.modes:
             raise InvalidArgumentError("server needs at least one DVFS mode")
-        if self.cpi <= 0:
-            raise InvalidArgumentError("cpi must be > 0")
-        if self.n_sockets < 1:
-            raise InvalidArgumentError("n_sockets must be >= 1")
-        for name, coeffs in (
-            ("b_cpu", self.b_cpu),
-            ("c_cpu", self.c_cpu),
-            ("g_mem", self.g_mem),
-            ("h_mem", self.h_mem),
-        ):
-            if len(coeffs) != self.n_sockets:
-                raise InvalidArgumentError(
-                    f"{name} must have one entry per socket "
-                    f"({len(coeffs)} != {self.n_sockets})"
-                )
+        if not (is_finite_number(self.cpi) and self.cpi > 0):
+            raise InvalidArgumentError(f"cpi must be a finite number > 0, got {self.cpi!r}")
+        if type(self.n_sockets) is not int or self.n_sockets < 1:  # a bool is rejected too
+            raise InvalidArgumentError(f"n_sockets must be an int >= 1, got {self.n_sockets!r}")
+        # Fitted coefficients may be negative; each must be a finite number.
+        for name in ("a_dyn", "d_volt", "e_const", "f_unused"):
+            value = getattr(self, name)
+            if not is_finite_number(value) and not (name == "f_unused" and value is None):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+        for name in ("b_cpu", "c_cpu", "g_mem", "h_mem"):
+            coeffs = getattr(self, name)
+            if not isinstance(coeffs, (tuple, list)) or len(coeffs) != self.n_sockets:
+                raise InvalidArgumentError(f"{name} must have one entry per socket "
+                                           f"({self.n_sockets}), got {coeffs!r}")
+            for i, value in enumerate(coeffs):
+                if not is_finite_number(value):
+                    raise InvalidArgumentError(
+                        f"{name}[{i}] must be a finite number, got {value!r}")
         freqs = [m.frequency_hz for m in self.modes]
         volts = [m.voltage_v for m in self.modes]
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):

@@ -16,13 +16,10 @@ no-skip or skip-distance check do not enter ``lam``.  Energy follows the
 executed instruction counts only.
 
 Each evaluator call (and each ``evolve`` run) checks its arguments once in
-:func:`_prepare`, which builds the context all evaluation reads: the trace
-arrays with the tasks in id order and their REAL/CTRL masks, the trace padded
-to a ``[task, slot]`` block with the scan's per-trace constants, the ``[host,
-mode]`` energy tables, each host's ``cpi`` and mode count, every task's soft
-constraints (and every bound's task, ``x`` and ``beta`` as arrays) and the
-scoring arguments.  A block of P allocations is replayed as one ``[member,
-task, slot]`` block of completions, whose slot axis is contiguous.
+:func:`_prepare`, which builds the :class:`_Context` all evaluation reads.  A
+block of P allocations is replayed as one ``[member, task, slot]`` block of
+completions, whose slot axis is contiguous.  One function,
+:func:`_host_energy`, prices every evaluator's hosts, the EDF baseline's too.
 ``evaluate_objectives(..., _context=)`` takes one in place of its cluster,
 profiles, trace and keyword arguments.
 ``evaluate_objectives`` also scores a block of ``[U, M]`` mode and ``[U, N, M]``
@@ -72,7 +69,7 @@ class ServerOutcome:
     server_id: int
     mode_index: int
     busy_time_s: float
-    utilization_sum: float
+    utilization_sum: float  # of normalized shares; edf_schedule: the CPU utilization
     executed_instructions: float
     dynamic_energy_j: float
     leakage_energy_j: float
@@ -223,13 +220,17 @@ def _assemble_result(
     start: np.ndarray,
     completion: np.ndarray,
     aborted: np.ndarray,
-    servers: list[ServerOutcome],
-    task_servers: tuple[tuple[int, tuple[int, ...]], ...],
+    hosts: tuple,
+    shares: np.ndarray,
 ) -> EvaluationResult:
     """The result of per-job arrays in (task, job) order: ``start`` (each job's
     first run, never before its release: its arrival, or its predecessor's end
-    if later), ``completion`` (would-be, also of an aborted job) and ``aborted``."""
+    if later), ``completion`` (would-be, also of an aborted job) and ``aborted``;
+    ``hosts`` holds one per-host column for each :class:`ServerOutcome` field
+    after ``server_id``, and ``shares`` the ``[task, server]`` placement."""
     arr = ctx.arr
+    servers = [ServerOutcome(h.spec.server_id, *row)  # Python numbers, as JSON writers need
+               for h, row in zip(ctx.cluster, zip(*(np.asarray(c).tolist() for c in hosts)))]
     counts = _task_counts(ctx, arr.pad(completion, -np.inf)[None], arr.pad(aborted, False)[None])
     [(lam, hard_misses, control_aborts, soft_violations)] = _fold_lam(ctx, counts)
     overrun = completion - arr.deadlines
@@ -268,7 +269,8 @@ def _assemble_result(
         hard_misses=hard_misses,
         control_aborts=control_aborts,
         soft_violations=soft_violations,
-        task_servers=task_servers,
+        task_servers=tuple((tid, tuple(np.flatnonzero(row).tolist()))
+                           for tid, row in zip(arr.task_ids, shares)),
     )
 
 
@@ -349,9 +351,6 @@ class _Context:
     ``tables[:, m, k - 1]`` holds the frequency (Hz), ``a_dyn * V**2 * cpi``
     and ``P_leak * cpi / f`` of host m at mode index k; unused cells are NaN.
     ``n_modes`` holds each host's mode count and ``hosts`` the host indices.
-    A server that executed ``n`` instructions (``s`` in the dynamic sum) used
-    ``(dyn * s) / FREQ_NORM_HZ`` and ``leak * n`` joules, the operations of
-    ``power.dynamic_energy`` and ``power.leakage_energy`` in their order.
     """
 
     cluster: tuple[ClusterHost, ...]
@@ -437,16 +436,10 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     Returns the ``[P, task, slot]`` would-be completions (pre-abort; padding
     unspecified), the ``[P, server]`` dynamic and leakage joules and executed
     instructions, the ``[P, task, server]`` utilizations and the ``[P, task]``
-    seconds per instruction.  Sums over tasks run per (member, server) on a
-    contiguous last axis, so they do not depend on the population size.
+    seconds per instruction.
     """
-    arr = ctx.arr
-    shares = shares / 100.0
-    weights = shares * arr.n_mean[:, None]
-    col = weights.sum(axis=1)[:, None, :]
-    u = np.divide(weights, col, out=np.zeros(weights.shape), where=col > 0)
-
-    freq, dyn, leak = ctx.tables[:, ctx.hosts, modes - 1]
+    shares, u = _utilizations(ctx, shares)
+    freq = ctx.tables[0, ctx.hosts, modes - 1]
 
     # Seconds per instruction of each task: slowest of its subtasks.  A task
     # spends none on a server where it has no share, and u > 0 where it has.
@@ -454,17 +447,35 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
                            out=np.zeros(shares.shape), where=shares > 0)
     dur_coef = per_server.max(axis=2)
 
-    completion, exec_per_task = scan_population(arr.scan, dur_coef)
+    completion, exec_per_task = scan_population(ctx.arr.scan, dur_coef)
+    return (completion, *_host_energy(ctx, modes, shares, u, exec_per_task), u, dur_coef)
 
-    # Instructions per (member, server, task), C-ordered so that each sum over
-    # tasks runs on a contiguous last axis: the pairwise sum of x[p, :, m].sum().
+
+def _utilizations(ctx: _Context, shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[P, N, M]`` percentages as fractions and as utilizations: each task's
+    share of its server's instructions (``n_mean`` weights), 0 on an idle one."""
+    shares = shares / 100.0
+    weights = shares * ctx.arr.n_mean[:, None]
+    col = weights.sum(axis=1)[:, None, :]
+    return shares, np.divide(weights, col, out=np.zeros(weights.shape), where=col > 0)
+
+
+def _host_energy(ctx: _Context, modes: np.ndarray, shares: np.ndarray, u: np.ndarray,
+                 exec_per_task: np.ndarray, executed: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``[P, server]`` dynamic and leakage joules and executed instructions ``n``
+    of the ``[P, task]`` instructions run, split by the fractions ``shares``:
+    ``(dyn * s) / FREQ_NORM_HZ`` and ``leak * n``, as ``power.dynamic_energy``
+    and ``power.leakage_energy`` compute them, ``s`` being ``sum(u * n_task)``
+    ("as-written") or ``n``.  ``executed`` replaces ``n``, else each sum over
+    tasks runs on a contiguous last axis, the same at every population size."""
     exec_im = np.multiply(shares.transpose(0, 2, 1), exec_per_task[:, None, :], order="C")
-    executed = exec_im.sum(axis=2)
+    if executed is None:
+        executed = exec_im.sum(axis=2)
     dyn_sum = (np.multiply(u.transpose(0, 2, 1), exec_im, order="C").sum(axis=2)
                if ctx.dyn_energy_form == "as-written" else executed)
-    dynamic_j = (dyn * dyn_sum) / pw.FREQ_NORM_HZ
-    leakage_j = leak * executed
-    return completion, dynamic_j, leakage_j, executed, u, dur_coef
+    _, dyn, leak = ctx.tables[:, ctx.hosts, modes - 1]
+    return (dyn * dyn_sum) / pw.FREQ_NORM_HZ, leak * executed, executed
 
 
 def _total_energy(dynamic_j: np.ndarray, leakage_j: np.ndarray) -> list[float]:
@@ -530,21 +541,11 @@ def evaluate_allocation(
     padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(ctx, modes, shares)
     completion = padded[0, arr.task_of_job, arr.slot]
 
-    servers = [  # in ServerOutcome field order, of Python numbers as the JSON writers need
-        ServerOutcome(host.spec.server_id, k, n * host.spec.cpi / ctx.tables[0, mi, k - 1].item(),
-                      float(u[0, :, mi].sum()), n, dyn_j, leak_j)
-        for mi, (host, k, n, dyn_j, leak_j) in enumerate(zip(
-            ctx.cluster, modes[0].tolist(), executed[0].tolist(), dynamic_j[0].tolist(),
-            leakage_j[0].tolist(),
-        ))
-    ]
+    hosts = (modes[0], executed[0] * ctx.cpi / ctx.tables[0, ctx.hosts, modes[0] - 1],
+             np.ascontiguousarray(u[0].T).sum(axis=1), executed[0], dynamic_j[0], leakage_j[0])
     start = completion - arr.works * dur_coef[0][arr.task_of_job]
     aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
-    task_servers = tuple(
-        (p.task_id, tuple(mi for mi, share in enumerate(row) if share > 0))
-        for p, row in zip(arr.profiles, shares[0].tolist())
-    )
-    return _assemble_result(ctx, start, completion, aborted, servers, task_servers)
+    return _assemble_result(ctx, start, completion, aborted, hosts, shares[0])
 
 
 # --- EDF baseline ----------------------------------------------------------
@@ -568,11 +569,9 @@ def _wfd_partition(
         range(len(ordered)),
         key=lambda i: (-(ordered[i].n_instructions / ordered[i].period_s), ordered[i].task_id),
     )
-    load = [0.0] * len(cluster)
-    host_of = [0] * len(ordered)
+    load, host_of = [0.0] * len(cluster), [0] * len(ordered)
     for i in order:
-        h = min(range(len(cluster)), key=lambda h: (load[h], h))
-        host_of[i] = h
+        h = host_of[i] = min(range(len(cluster)), key=lambda h: (load[h], h))
         p = ordered[i]
         load[h] += (cluster[h].spec.cpi * p.n_instructions / freqs[h]) / p.period_s
     return host_of
@@ -586,6 +585,7 @@ def edf_schedule(
     dvfs_policy: str = "max",
     soft_constraints: dict[int, tuple[tk.LatenessConstraint, ...]] | None = None,
     hard_miss_weight: int = HARD_MISS_WEIGHT,
+    dyn_energy_form: str = "as-written",
     energy_unit_j: float = ENERGY_UNIT_J,
 ) -> EvaluationResult:
     """Single-queue-per-host preemptive EDF with a WFD task partition.
@@ -597,33 +597,31 @@ def edf_schedule(
     if dvfs_policy not in ("max", "min"):
         raise InvalidArgumentError(f"unknown dvfs policy {dvfs_policy!r}")
     ctx = _prepare(cluster, profiles, trace, soft_constraints, hard_miss_weight,
-                   energy_unit_j=energy_unit_j)
-    arr = ctx.arr
-    mode_of = [len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]
-    freqs, dyn_coefs, leak_coefs = ctx.tables[:, ctx.hosts, np.array(mode_of) - 1].tolist()
+                   dyn_energy_form, energy_unit_j)
+    arr, n = ctx.arr, len(ctx.arr.profiles)
+    modes = np.array([[len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]])
+    freqs = ctx.tables[0, ctx.hosts, modes[0] - 1].tolist()
     host_of = _wfd_partition(arr.profiles, cluster, freqs)
+    placement = np.zeros((1, n, len(cluster)), dtype=np.int64)  # a share of 100 on the host
+    placement[0, np.arange(n), host_of] = 100
 
     arrivals, deadlines, works = arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
     start, completion, aborted = [None] * len(works), [0.0] * len(works), [False] * len(works)
-    servers: list[ServerOutcome] = []
+    executed, util_sum, exec_per_task = [0.0] * len(cluster), [0.0] * len(cluster), np.zeros((1, n))
     for h, (host, freq) in enumerate(zip(cluster, freqs)):
-        spec = host.spec
-        rate = freq / spec.cpi  # instructions per second
-        local = [i for i in range(len(arr.profiles)) if host_of[i] == h]
-        executed = _edf_host(
+        local = [i for i in range(n) if host_of[i] == h]
+        executed[h], exec_per_task[0, local] = _edf_host(
             [(arr.task_jobs[i], arr.profiles[i].kind == "CTRL") for i in local],
-            arrivals, deadlines, works, rate, start, completion, aborted,
+            arrivals, deadlines, works, freq / host.spec.cpi, start, completion, aborted,
         )
-        util_sum = 0.0
         for p in (arr.profiles[i] for i in local):
-            util_sum += (spec.cpi * p.n_instructions / freq) / p.period_s
-        servers.append(ServerOutcome(  # in field order
-            spec.server_id, mode_of[h], executed / rate, util_sum, executed,
-            (dyn_coefs[h] * executed) / pw.FREQ_NORM_HZ, leak_coefs[h] * executed,
-        ))
-    task_servers = tuple((p.task_id, (host_of[i],)) for i, p in enumerate(arr.profiles))
+            util_sum[h] += (host.spec.cpi * p.n_instructions / freq) / p.period_s
+    dynamic_j, leakage_j, _ = _host_energy(ctx, modes, *_utilizations(ctx, placement),
+                                           exec_per_task, np.array([executed]))
+    hosts = (modes[0], np.divide(executed, np.divide(freqs, ctx.cpi)), util_sum, executed,
+             dynamic_j[0], leakage_j[0])
     return _assemble_result(ctx, np.array(start), np.array(completion), np.array(aborted),
-                            servers, task_servers)
+                            hosts, placement[0])
 
 
 def _edf_host(
@@ -635,7 +633,7 @@ def _edf_host(
     start: list[float | None],
     completion: list[float],
     aborted: list[bool],
-) -> float:
+) -> tuple[float, list[float]]:
     """Event-driven preemptive EDF on one host at ``rate`` instructions/second.
 
     ``tasks`` gives each hosted task's jobs in the flat trace columns and
@@ -647,7 +645,8 @@ def _edf_host(
     the earliest release among the others, the next preemption point.  The
     keys end in the task index, so they are distinct and the pick is unique.
     Writes each job's first run, would-be completion and abort flag into
-    ``start``, ``completion`` and ``aborted``; returns the instructions run.
+    ``start``, ``completion`` and ``aborted``; returns the instructions run,
+    in event order, and each task's.
     """
     inf = float("inf")
     job = [span.start for span, _ in tasks]  # flat index of each task's current job
@@ -656,7 +655,7 @@ def _edf_host(
     key = [(deadlines[j], arrivals[j], k) for k, j in enumerate(job)]
     none_ready = (inf, inf, len(tasks))  # above every key: trace times are finite
     active = list(range(len(tasks)))  # tasks with a current job
-    executed = 0.0
+    executed, done = 0.0, [0.0] * len(tasks)  # instructions run: on the host, per task
     t = 0.0
     while active:
         best, next_release = none_ready, inf
@@ -681,6 +680,7 @@ def _edf_host(
             ran_s = min(event - t, left)
             left -= ran_s
             executed += ran_s * rate
+            done[k] += ran_s * rate
         if event == horizon or event == cutoff:
             # The job completes, or a control job aborts at its deadline and
             # its remaining work is discarded.
@@ -696,4 +696,4 @@ def _edf_host(
         else:
             remaining[k] = left
         t = max(t, event)
-    return executed
+    return executed, done

@@ -45,6 +45,8 @@ def control_constraint(skip: int | None) -> LatenessConstraint:
     """Miss-fraction bound implied by the skip parameter: (S-1)/S, or 0 for no skips."""
     if skip is None:
         return HARD_CONSTRAINT
+    if skip < 1:
+        raise InvalidArgumentError(f"skip must be None or >= 1, got {skip!r}")
     return LatenessConstraint(0.0, (skip - 1) / skip)
 
 

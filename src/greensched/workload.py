@@ -57,6 +57,9 @@ class TaskProfile:
                 kind = "an int" if whole else "a finite number"
                 raise InvalidArgumentError(f"task {self.task_id}: {name} must be {kind} > 0, "
                                            f"got {value!r}")
+        if self.skip is not None and (type(self.skip) is not int or self.skip < 1):
+            raise InvalidArgumentError(f"task {self.task_id}: skip must be None or an int >= 1, "
+                                       f"got {self.skip!r}")
 
 
 class Job(NamedTuple):

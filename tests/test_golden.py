@@ -24,7 +24,7 @@ GOLDEN = {
         "simulate/simulate_jobs.csv": "9d03271da86b1ca6e0a053873b7ea79024565c07b9d645223679b7b26e9ede0e",
         "simulate/simulate_summary.json": "7b02e3882d28f75cc7c97bd51a676d6b29aeba3cc6681e9c8e254c702e71c31a",
         "baseline/baseline_jobs.csv": "eb491fc78d8b5bdb0c90d1fe7b81146f649b434ccb906022e6d1e4f8b9a6aaed",
-        "baseline/baseline_summary.json": "1f6c38b562a4ba8a92f9414d866773caea7207d3f390962d907ae338124fe67a",
+        "baseline/baseline_summary.json": "06c3d8cfa576223f2e520a9ce5188892e9624e94b8b8c004374a2484eab278e7",
     },
     ("amd", "min"): {
         "optimize/best_allocation.json": "d8896c3115559ab75d9d38c747fa62ffec1740373d9e86e5caa9f6093153d289",
@@ -34,7 +34,7 @@ GOLDEN = {
         "simulate/simulate_jobs.csv": "a9f95df7a0d5c135c71508286e6d3e56718c66f8b95907cb0a4b01f4f33292c1",
         "simulate/simulate_summary.json": "52ee7ce6dc68b843907e0a0342b766e41c94354b259ccaf74c8c899d99d78591",
         "baseline/baseline_jobs.csv": "7e10cbc22da70dd528d92dd80ba4d43b6eb0a978b654bb8e860ff3fdd1845a81",
-        "baseline/baseline_summary.json": "033132b9957b625dc71d66a81f63d2b7b029781060d98431cdb4bab178d2d13b",
+        "baseline/baseline_summary.json": "fd2c1738cde8d900e71dc344447ff1dbcf66f2e2b1aa40eb6a61222ddd6f18a6",
     },
 }
 

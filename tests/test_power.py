@@ -1,6 +1,7 @@
 """Power and energy model tests against independently derived values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,11 @@ class TestThermalState:
         with pytest.raises(InvalidArgumentError, match=r"^t_mem_k must be a finite number, got nan$"):
             ThermalState((300.0,), math.nan)
 
+    def test_a_bare_cpu_temperature_is_named(self):
+        # It escaped as a raw TypeError ('float' object is not iterable) before.
+        with pytest.raises(InvalidArgumentError, match=r"^t_cpu_k must be a tuple .*, got 300.0$"):
+            ThermalState(300.0, 300.0)
+
 
 class TestDvfsMode:
     @pytest.mark.parametrize("frequency_hz, voltage_v, message", [
@@ -233,6 +239,13 @@ class TestDvfsMode:
         # NaN and inf built before.
         with pytest.raises(InvalidArgumentError, match=f"^mode 1: {message}$"):
             DvfsMode(1, frequency_hz, voltage_v)
+
+    @pytest.mark.parametrize("index", ["x", True, 0, 1.0], ids=["string", "bool", "zero", "float"])
+    def test_index_is_an_int_of_at_least_one(self, index):
+        # Each built before.
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^mode index must be an int >= 1, got {re.escape(repr(index))}$"):
+            DvfsMode(index, 1e9, 1.0)
 
 
 class TestServerSpec:
@@ -251,6 +264,27 @@ class TestServerSpec:
     def test_socket_coefficient_arity_enforced(self):
         with pytest.raises(InvalidArgumentError):
             make_spec(b_cpu=(1e-4, 1e-4), n_sockets=1)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"cpi": math.nan}, "cpi must be a finite number > 0, got nan"),
+        ({"cpi": math.inf}, "cpi must be a finite number > 0, got inf"),
+        ({"cpi": "1"}, "cpi must be a finite number > 0, got '1'"),
+        ({"a_dyn": math.nan}, "a_dyn must be a finite number, got nan"),
+        ({"b_cpu": (math.nan,)}, r"b_cpu\[0\] must be a finite number, got nan"),
+        ({"e_const": True}, "e_const must be a finite number, got True"),
+        ({"n_sockets": True}, "n_sockets must be an int >= 1, got True"),
+        ({"n_sockets": 1.0}, r"n_sockets must be an int >= 1, got 1\.0"),
+        ({"h_mem": -0.01}, r"h_mem must have one entry per socket \(1\), got -0\.01"),
+    ], ids=["nan-cpi", "inf-cpi", "string-cpi", "nan-a_dyn", "nan-b_cpu", "bool-e_const",
+            "bool-n_sockets", "float-n_sockets", "bare-h_mem"])
+    def test_non_finite_coefficients_and_raw_types_are_named(self, fields, message):
+        # Each built before; cpi=nan then priced every allocation at nan J with lambda 0.
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            make_spec(**fields)
+
+    def test_coefficients_may_be_negative(self):
+        spec = make_spec(a_dyn=-1.0, d_volt=-0.3, e_const=-5.0, b_cpu=(-1e-4,))
+        assert (spec.a_dyn, spec.b_cpu) == (-1.0, (-1e-4,))
 
     def test_coefficient_names_two_sockets(self):
         spec2 = make_spec(

@@ -732,11 +732,24 @@ class TestServerEnergyMatchesPowerModel:
             self.assert_server_matches(server, h, terms, form)
         assert res.per_server[-1].executed_instructions == 0.0
 
-        edf = edf_schedule(cluster, profiles, trace, dvfs_policy=policy)
-        for server, h in zip(edf.per_server, cluster):
-            # One queue at full rate: the dynamic sum is the executed count.
-            terms = [(1.0, server.executed_instructions)]
-            self.assert_server_matches(server, h, terms, "dimensional")
+        # EDF's placement: each task's whole share on its host, u its share of
+        # the host's n_instructions, n the instructions its jobs ran there.
+        edf_host, ran = sim._edf_host, {}
+
+        def spy(tasks, *args):
+            executed, per_task = edf_host(tasks, *args)
+            ran.update((int(trace.task_id[span.start]), n) for (span, _), n in zip(tasks, per_task))
+            return executed, per_task
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sim, "_edf_host", spy)
+            edf = edf_schedule(cluster, profiles, trace, dvfs_policy=policy, dyn_energy_form=form)
+        on = dict(edf.task_servers)
+        for mi, (server, h) in enumerate(zip(edf.per_server, cluster)):
+            local = [p for p in profiles if on[p.task_id] == (mi,)]
+            total = sum(p.n_instructions for p in local)
+            terms = [(p.n_instructions / total, ran[p.task_id]) for p in local]
+            self.assert_server_matches(server, h, terms, form)
 
 
 class TestTraceMatchesProfiles:
@@ -1004,7 +1017,6 @@ BAD_ARGUMENTS = {  # kwargs, message pattern
 class TestArgumentChecks:
     @pytest.mark.parametrize("evaluator, case", [
         (evaluator, case) for evaluator in EVALUATORS for case in BAD_ARGUMENTS
-        if (evaluator, case) != ("edf", "unknown-dyn-energy-form")  # edf takes no such argument
     ])
     def test_every_evaluator_rejects_bad_arguments_at_every_batch_size(self, evaluator, case):
         kw, message = BAD_ARGUMENTS[case]
@@ -1184,6 +1196,32 @@ class TestEdfBaseline:
         assert dict(res.task_servers) == want
         assert len(set(want.values())) == len(cluster)
 
+    @pytest.mark.parametrize("form", DYN_ENERGY_FORMS)
+    @pytest.mark.parametrize("name", ["intel", "amd"])
+    def test_energy_equals_evaluate_allocation_of_its_placement(self, name, form):
+        # One energy function prices both.  The executed counts differ only in
+        # rounding: EDF sums each host's in event order, the scan by task.
+        compared = 0
+        for seed in range(1, 6):
+            s = load_scenario(str(FIXTURES / f"scenario_{name}.json"), seed=seed)
+            cluster, profiles = list(s.cluster), sorted(s.profiles, key=lambda p: p.task_id)
+            trace = generate_jobs(s.profiles, seed, s.phase_policy)
+            kw = dict(soft_constraints=s.soft_constraints, dyn_energy_form=form,
+                      energy_unit_j=s.energy_unit_j)
+            edf = edf_schedule(cluster, profiles, trace, **kw)
+            on = dict(edf.task_servers)
+            alloc = Allocation(
+                tuple(server.mode_index for server in edf.per_server),
+                tuple(tuple(100 * (on[p.task_id] == (m,)) for m in range(len(cluster)))
+                      for p in profiles),
+            )
+            res = evaluate_allocation(cluster, profiles, trace, alloc, **kw)
+            if edf.control_aborts or res.control_aborts:
+                continue
+            assert res.energy_j == pytest.approx(edf.energy_j, rel=1e-10, abs=0.0)
+            compared += 1
+        assert compared >= 4
+
     def test_hand_scheduled_preemption(self):
         # one host at 1 GHz; T0 releases 3e9 at t=0 (deadline 10),
         # T1 releases 1e9 at t=1 (deadline 3).  EDF runs T0 for 1 s, preempts
@@ -1296,7 +1334,7 @@ def reference_edf_host(tasks, arrivals, deadlines, works, rate, start, completio
     release = [arrivals[j] for j in job]
     remaining = [works[j] / rate for j in job]  # seconds
     active = list(range(len(tasks)))  # tasks with a current job
-    executed = 0.0
+    executed, done = 0.0, [0.0] * len(tasks)
     t = 0.0
     while active:
         ready = [k for k in active if release[k] <= t]
@@ -1316,6 +1354,7 @@ def reference_edf_host(tasks, arrivals, deadlines, works, rate, start, completio
             ran_s = min(event - t, left)
             left -= ran_s
             executed += ran_s * rate
+            done[k] += ran_s * rate
         if event == horizon or event == cutoff:
             # The job completes, or a control job aborts at its deadline and
             # its remaining work is discarded.
@@ -1330,7 +1369,7 @@ def reference_edf_host(tasks, arrivals, deadlines, works, rate, start, completio
         else:
             remaining[k] = left
         t = max(t, event)
-    return executed
+    return executed, done
 
 
 def host_case(task_jobs, rate=1e9):
@@ -1347,7 +1386,8 @@ def host_case(task_jobs, rate=1e9):
 
 
 def run_host(edf_host, tasks, arrivals, deadlines, works, rate):
-    """``(start, completion, aborted, executed)`` of ``edf_host`` on one host."""
+    """``(start, completion, aborted, (executed, per-task executed))`` of
+    ``edf_host`` on one host."""
     n = len(works)
     start, completion, aborted = [None] * n, [0.0] * n, [False] * n
     executed = edf_host(tasks, arrivals, deadlines, works, rate, start, completion, aborted)

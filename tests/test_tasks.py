@@ -31,6 +31,12 @@ class TestLatenessConstraint:
         assert control_constraint(2).beta == pytest.approx(0.5)
         assert control_constraint(4).beta == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("skip", [0, -1])
+    def test_control_constraint_names_a_skip_below_one(self, skip):
+        # skip=0 raised a raw ZeroDivisionError before.
+        with pytest.raises(InvalidArgumentError, match=f"^skip must be None or >= 1, got {skip}$"):
+            control_constraint(skip)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidArgumentError):
             LatenessConstraint(-1.0, 0.1)

@@ -119,6 +119,11 @@ class TestTaskProfile:
         ((0, "SOFT", 10, 1.0, 1.0, True), "task 0: n_jobs must be an int > 0, got True"),
         ((True, "SOFT", 10, 1.0, 1.0, 1), "task_id must be an int, got True"),
         ((0.0, "SOFT", 10, 1.0, 1.0, 1), "task_id must be an int, got 0.0"),
+        # skip=0 built and then raised a raw ZeroDivisionError in evaluation.
+        ((0, "CTRL", 10**8, 1.0, 1.0, 1, 0), "task 0: skip must be None or an int >= 1, got 0"),
+        ((0, "CTRL", 10**8, 1.0, 1.0, 1, 1.5), "task 0: skip must be None or an int >= 1, got 1.5"),
+        ((0, "CTRL", 10**8, 1.0, 1.0, 1, True),
+         "task 0: skip must be None or an int >= 1, got True"),
     ])
     def test_ids_and_counts_are_ints_and_times_finite_numbers(self, args, message):
         # NaN and inf times, float counts and string fields built, or escaped
