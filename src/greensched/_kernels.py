@@ -19,8 +19,8 @@ jobs aborted, and the instructions every task executed, are derived from the
 completions afterwards: a column without an aborted job executed the
 per-trace sum of its works, so the executed fractions are computed only for
 the (member, control column) pairs gathered where a job would have completed
-past its deadline.  Both scans are plain
-Python over numpy arrays.
+past its deadline.  ``job_starts`` recovers each job's start from the final
+completions.  Both scans are plain Python over numpy arrays.
 """
 
 from __future__ import annotations
@@ -115,6 +115,17 @@ def scan_constants(arrivals, deadlines, works, is_ctrl) -> ScanConstants:
                          deadlines[ctrl])
 
 
+def job_starts(completion, ends_at, arrivals):
+    """Each job's start along the last (slot) axis: its arrival, or its
+    predecessor's end, ``min(completion, ends_at)``, if later; the first slot
+    starts at its arrival.  On the final completions of :func:`scan_population`
+    these are the starts its recursion used, bit for bit."""
+    start = np.empty_like(completion)
+    start[..., 0] = -np.inf
+    np.minimum(completion[..., :-1], ends_at[..., :-1], out=start[..., 1:])
+    return np.maximum(start, arrivals, out=start)
+
+
 def scan_population(scan: ScanConstants, dur_coef):
     """``scan_jobs`` for P allocations at once, over a trace padded to slots.
 
@@ -190,10 +201,7 @@ def scan_population(scan: ScanConstants, dur_coef):
     completion = completions[p, t]
     duration = works[t] * dur_coef[p, t][:, None]
     deadline = scan.ctrl_deadlines[c]
-    start = np.empty_like(completion)
-    start[:, 0] = -np.inf
-    np.minimum(completion[:, :-1], deadline[:, :-1], out=start[:, 1:])
-    np.maximum(start, arrivals[t], out=start)
+    start = job_starts(completion, deadline, arrivals[t])
     frac = np.divide(deadline - start, duration, out=np.ones(completion.shape),
                      where=(completion > deadline) & (duration > 0.0))
     np.maximum(frac, 0.0, out=frac)

@@ -31,6 +31,7 @@ from .errors import (
     ConfigurationError,
     GreenschedError,
     InvalidAllocationError,
+    InvalidArgumentError,
     ModelDomainError,
     ParseError,
 )
@@ -120,6 +121,8 @@ def _trace_for(scenario: Scenario):
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if not 0.0 < args.split < 1.0:
+        raise ConfigurationError(f"--split must be in (0, 1), got {args.split}")
     template = load_server_spec(args.server)
     samples = []
     for line, values in read_table(args.telemetry, TELEMETRY_COLUMNS):
@@ -128,7 +131,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             template.mode(samples[-1].mode_index)
         except GreenschedError as exc:
             raise ParseError(args.telemetry, str(exc), line) from exc
-    result = pw.fit_constants(samples, template, split=args.split)
+    try:
+        result = pw.fit_constants(samples, template, split=args.split)
+    except InvalidArgumentError as exc:  # too few samples; the split is checked above
+        raise ParseError(args.telemetry, str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_server_spec(result.spec, out / "fitted_server.json")

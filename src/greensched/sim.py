@@ -19,7 +19,8 @@ Each evaluator call (and each ``evolve`` run) checks its arguments once in
 :func:`_prepare`, which builds the :class:`_Context` all evaluation reads.  A
 block of P allocations is replayed as one ``[member, task, slot]`` block of
 completions, whose slot axis is contiguous.  One function,
-:func:`_host_energy`, prices every evaluator's hosts, the EDF baseline's too.
+:func:`_host_energy`, prices every evaluator's hosts, the EDF baseline's too,
+and one, :func:`_total_energy`, adds up their joules.
 ``evaluate_objectives(..., _context=)`` takes one in place of its cluster,
 profiles, trace and keyword arguments.
 ``evaluate_objectives`` also scores a block of ``[U, M]`` mode and ``[U, N, M]``
@@ -37,7 +38,8 @@ from . import power as pw
 from . import tasks as tk
 # scan_jobs is not called here: perfbench's tracer resolves its
 # kernels.scan_jobs layer through this module's binding.
-from ._kernels import ScanConstants, scan_constants, scan_jobs, scan_population  # noqa: F401
+from ._kernels import (ScanConstants, job_starts, scan_constants, scan_jobs,  # noqa: F401
+                       scan_population)
 from .errors import InvalidAllocationError, InvalidArgumentError
 from .inputs import is_finite_number
 from .workload import JobTrace, TaskProfile
@@ -215,20 +217,20 @@ def _fold_lam(ctx: _Context, counts: np.ndarray) -> list[tuple[int, int, int, in
     return [(s + a + ctx.hard_miss_weight * h, h, a, s) for h, a, s in zip(hard, aborts, soft)]
 
 
-def _assemble_result(
-    ctx: _Context,
-    start: np.ndarray,
-    completion: np.ndarray,
-    aborted: np.ndarray,
-    hosts: tuple,
-    shares: np.ndarray,
-) -> EvaluationResult:
+def _assemble_result(ctx: _Context, start: np.ndarray, completion: np.ndarray,
+                     aborted: np.ndarray, shares: np.ndarray, modes: np.ndarray,
+                     util_sum: Sequence[float], executed: np.ndarray,
+                     dynamic_j: np.ndarray, leakage_j: np.ndarray) -> EvaluationResult:
     """The result of per-job arrays in (task, job) order: ``start`` (each job's
-    first run, never before its release: its arrival, or its predecessor's end
-    if later), ``completion`` (would-be, also of an aborted job) and ``aborted``;
-    ``hosts`` holds one per-host column for each :class:`ServerOutcome` field
-    after ``server_id``, and ``shares`` the ``[task, server]`` placement."""
+    first run, never before its arrival or its predecessor's end),
+    ``completion`` (would-be, also of an aborted job) and ``aborted``; of the
+    ``[task, server]`` placement ``shares``; and of per-host columns: each
+    host's ``util_sum`` and the ``[1, server]`` ``modes``, ``executed``,
+    ``dynamic_j`` and ``leakage_j``.  Busy time is ``executed * cpi / f`` and
+    the energy :func:`_total_energy`'s, the sum ``evaluate_objectives`` takes."""
     arr = ctx.arr
+    busy = executed * ctx.cpi / ctx.tables[0, ctx.hosts, modes - 1]
+    hosts = (modes[0], busy[0], util_sum, executed[0], dynamic_j[0], leakage_j[0])
     servers = [ServerOutcome(h.spec.server_id, *row)  # Python numbers, as JSON writers need
                for h, row in zip(ctx.cluster, zip(*(np.asarray(c).tolist() for c in hosts)))]
     counts = _task_counts(ctx, arr.pad(completion, -np.inf)[None], arr.pad(aborted, False)[None])
@@ -252,7 +254,7 @@ def _assemble_result(
         for p, n_aborts in zip(arr.profiles, counts[1][0].tolist())  # per-task aborts
         if p.kind == "CTRL"
     )
-    energy = float(sum(s.dynamic_energy_j + s.leakage_energy_j for s in servers))
+    [energy] = _total_energy(dynamic_j, leakage_j)
     return EvaluationResult(
         lam=lam,
         energy_j=energy,
@@ -435,8 +437,7 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
 
     Returns the ``[P, task, slot]`` would-be completions (pre-abort; padding
     unspecified), the ``[P, server]`` dynamic and leakage joules and executed
-    instructions, the ``[P, task, server]`` utilizations and the ``[P, task]``
-    seconds per instruction.
+    instructions and the ``[P, task, server]`` utilizations.
     """
     shares, u = _utilizations(ctx, shares)
     freq = ctx.tables[0, ctx.hosts, modes - 1]
@@ -448,7 +449,7 @@ def _run(ctx: _Context, modes: np.ndarray, shares: np.ndarray) -> tuple[np.ndarr
     dur_coef = per_server.max(axis=2)
 
     completion, exec_per_task = scan_population(ctx.arr.scan, dur_coef)
-    return (completion, *_host_energy(ctx, modes, shares, u, exec_per_task), u, dur_coef)
+    return (completion, *_host_energy(ctx, modes, shares, u, exec_per_task), u)
 
 
 def _utilizations(ctx: _Context, shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,14 +539,13 @@ def evaluate_allocation(
                    dyn_energy_form, energy_unit_j)
     modes, shares = validate_allocation(alloc, ctx.arr.profiles, ctx.cluster)
     arr = ctx.arr
-    padded, dynamic_j, leakage_j, executed, u, dur_coef = _run(ctx, modes, shares)
-    completion = padded[0, arr.task_of_job, arr.slot]
-
-    hosts = (modes[0], executed[0] * ctx.cpi / ctx.tables[0, ctx.hosts, modes[0] - 1],
-             np.ascontiguousarray(u[0].T).sum(axis=1), executed[0], dynamic_j[0], leakage_j[0])
-    start = completion - arr.works * dur_coef[0][arr.task_of_job]
+    padded, dynamic_j, leakage_j, executed, u = _run(ctx, modes, shares)
+    jobs = (0, arr.task_of_job, arr.slot)
+    start = job_starts(padded, arr.scan.ends_at, arr.scan.arrivals)[jobs]
+    completion = padded[jobs]
     aborted = (completion - arr.deadlines > 0) & arr.is_ctrl[arr.task_of_job]
-    return _assemble_result(ctx, start, completion, aborted, hosts, shares[0])
+    return _assemble_result(ctx, start, completion, aborted, shares[0], modes,
+                            np.ascontiguousarray(u[0].T).sum(axis=1), executed, dynamic_j, leakage_j)
 
 
 # --- EDF baseline ----------------------------------------------------------
@@ -555,7 +555,7 @@ def _wfd_partition(
     ordered: Sequence[TaskProfile],
     cluster: Sequence[ClusterHost],
     freqs: Sequence[float],
-) -> list[int]:
+) -> tuple[list[int], list[float]]:
     """Worst-fit decreasing by utilization; deterministic tie-break by task id.
 
     Tasks are ranked by instructions per second, ``n / T``.  A task's
@@ -563,7 +563,7 @@ def _wfd_partition(
     same for every task, so this is the decreasing utilization order on
     every host of any cluster, homogeneous or not.  Each task goes to the
     least-loaded host, whose load grows by the task's utilization at
-    ``freqs[host]``.
+    ``freqs[host]``.  Returns each task's host and each host's load.
     """
     order = sorted(
         range(len(ordered)),
@@ -574,7 +574,7 @@ def _wfd_partition(
         h = host_of[i] = min(range(len(cluster)), key=lambda h: (load[h], h))
         p = ordered[i]
         load[h] += (cluster[h].spec.cpi * p.n_instructions / freqs[h]) / p.period_s
-    return host_of
+    return host_of, load
 
 
 def edf_schedule(
@@ -601,27 +601,23 @@ def edf_schedule(
     arr, n = ctx.arr, len(ctx.arr.profiles)
     modes = np.array([[len(h.spec.modes) if dvfs_policy == "max" else 1 for h in cluster]])
     freqs = ctx.tables[0, ctx.hosts, modes[0] - 1].tolist()
-    host_of = _wfd_partition(arr.profiles, cluster, freqs)
+    host_of, load = _wfd_partition(arr.profiles, cluster, freqs)
     placement = np.zeros((1, n, len(cluster)), dtype=np.int64)  # a share of 100 on the host
     placement[0, np.arange(n), host_of] = 100
 
     arrivals, deadlines, works = arr.arrivals.tolist(), arr.deadlines.tolist(), arr.works.tolist()
     start, completion, aborted = [None] * len(works), [0.0] * len(works), [False] * len(works)
-    executed, util_sum, exec_per_task = [0.0] * len(cluster), [0.0] * len(cluster), np.zeros((1, n))
+    executed, exec_per_task = np.zeros((1, len(cluster))), np.zeros((1, n))
     for h, (host, freq) in enumerate(zip(cluster, freqs)):
         local = [i for i in range(n) if host_of[i] == h]
-        executed[h], exec_per_task[0, local] = _edf_host(
+        executed[0, h], exec_per_task[0, local] = _edf_host(
             [(arr.task_jobs[i], arr.profiles[i].kind == "CTRL") for i in local],
             arrivals, deadlines, works, freq / host.spec.cpi, start, completion, aborted,
         )
-        for p in (arr.profiles[i] for i in local):
-            util_sum[h] += (host.spec.cpi * p.n_instructions / freq) / p.period_s
     dynamic_j, leakage_j, _ = _host_energy(ctx, modes, *_utilizations(ctx, placement),
-                                           exec_per_task, np.array([executed]))
-    hosts = (modes[0], np.divide(executed, np.divide(freqs, ctx.cpi)), util_sum, executed,
-             dynamic_j[0], leakage_j[0])
+                                           exec_per_task, executed)
     return _assemble_result(ctx, np.array(start), np.array(completion), np.array(aborted),
-                            hosts, placement[0])
+                            placement[0], modes, load, executed, dynamic_j, leakage_j)
 
 
 def _edf_host(

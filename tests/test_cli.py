@@ -17,6 +17,7 @@ SMALL_WORKLOAD = """task_id,type,n_ins,period_s,deadline_s,n_jobs
 1,CTRL,100000000,1.0,1.0,6
 2,SOFT,100000000,1.0,0.8,6
 """
+WORKLOAD_HEADER = SMALL_WORKLOAD.splitlines()[0]
 
 
 @pytest.fixture
@@ -89,7 +90,7 @@ class TestOptimize:
         summary = json.loads((sim_out / "simulate_summary.json").read_text())
         # replaying the saved best allocation reproduces its recorded objectives
         assert summary["lambda"] == best["lambda"]
-        assert summary["energy_J"] == pytest.approx(best["energy_J"], rel=1e-12)
+        assert summary["energy_J"] == best["energy_J"]
 
     def test_byte_identical_reruns(self, scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -297,10 +298,12 @@ class TestSimulate:
             (lambda rows: ["99" + rows[0][1:]] + rows[1:],
              "jobs of task(s) [99] that the scenario does not declare"),
             (lambda rows: [r for r in rows if not r.startswith("0,")], "no jobs of task(s) [0]"),
+            (None, "row 1: missing trace header comment"),
         ],
-        ids=["undeclared-task", "jobless-task"],
+        ids=["undeclared-task", "jobless-task", "no-header-comment"],
     )
     def test_trace_of_other_tasks_is_parse_error(self, scenario, tmp_path, capsys, edit, message):
+        # edit=None: the scenario's own jobs, without the trace's header comment.
         alloc = tmp_path / "alloc.json"
         alloc.write_text(
             json.dumps({"dvfs": [6, 6], "shares": [[100, 0], [0, 100], [50, 50]]})
@@ -309,7 +312,8 @@ class TestSimulate:
         comment, columns, *rows = (tmp_path / "g" / "trace.csv").read_text().splitlines()
         assert rows[0].startswith("0,")
         trace = tmp_path / "trace.csv"
-        trace.write_text("\n".join([comment, columns, *edit(rows)]) + "\n")
+        trace.write_text("\n".join([columns, *rows] if edit is None
+                                   else [comment, columns, *edit(rows)]) + "\n")
         rc = main(
             [
                 "simulate",
@@ -497,6 +501,45 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"{telemetry}: row 3:" in err
 
+    def test_too_few_samples_names_the_telemetry_file(self, tmp_path, capsys):
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text(
+            "utilization,t_cpu_k,t_mem_k,mode_index,power_w\n"
+            "0.5,300.0,300.0,1,40.0\n"
+            "0.6,310.0,305.0,2,45.0\n"
+        )
+        rc = main(
+            [
+                "fit",
+                "--telemetry", str(telemetry),
+                "--server", str(FIXTURES / "intel_xeon_e5620.json"),
+                "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {telemetry}: need at least 14 samples to fit 7 coefficients, got 2\n"
+        )
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("split", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_split_out_of_range_is_config_error(self, tmp_path, capsys, split):
+        telemetry = self.make_telemetry(tmp_path)
+        rc = main(
+            [
+                "fit",
+                "--telemetry", str(telemetry),
+                "--server", str(FIXTURES / "intel_xeon_e5620.json"),
+                "--split", split,
+                "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --split must be in (0, 1), got {float(split)}\n"
+        )
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize(
         "row,message",
         [
@@ -549,14 +592,17 @@ class TestErrors:
     @pytest.mark.parametrize(
         "lines,message",
         [
-            ([], "row 1: the header is followed by no data rows"),
-            (["# one task", "0,REAL,many,1.0,1.0,6"], "row 3: n_ins: invalid literal"),
+            ([WORKLOAD_HEADER], "row 1: the header is followed by no data rows"),
+            ([WORKLOAD_HEADER, "# one task", "0,REAL,many,1.0,1.0,6"],
+             "row 3: n_ins: invalid literal"),
+            (["# no header", "# and no tasks"],
+             f"expected a header row {WORKLOAD_HEADER}, found none"),
         ],
-        ids=["no-tasks", "after-comment"],
+        ids=["no-tasks", "after-comment", "only-comments"],
     )
     def test_bad_workload_names_file_and_line(self, scenario, capsys, tmp_path, lines, message):
         workload = tmp_path / "workload.csv"
-        workload.write_text("\n".join([SMALL_WORKLOAD.splitlines()[0], *lines]) + "\n")
+        workload.write_text("\n".join(lines) + "\n")
         rc = main(["baseline", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{workload}: {message}" in capsys.readouterr().err
@@ -609,6 +655,8 @@ class TestErrors:
             (("optimizer", "population"), "many", "optimizer.population"),
             (("soft_constraints", "x"), [[0.0, 0.2]], "soft_constraints['x']"),
             (("cluster", 0), {"count": 1}, "cluster[0].server"),
+            (("cluster", 0, "server"), "nope.json",
+             "cluster[0].server: cannot resolve referenced file 'nope.json'"),
             (("optimizer", "policy"), 5, "optimizer.policy"),
             (("phase_policy",), "staggered", "phase_policy: 'staggered' is not one of"),
             (("thermal",), 301.0, "thermal: expected a JSON object"),
@@ -655,6 +703,7 @@ class TestErrors:
             "non-numeric-population",
             "non-integer-task-id",
             "cluster-entry-without-server",
+            "unresolvable-server",
             "non-string-policy",
             "unknown-phase-policy",
             "non-object-thermal",
@@ -725,10 +774,14 @@ class TestErrors:
             ("n_sockets", 2.7, "n_sockets: expected an integer, got 2.7"),
             ("b_cpu", "12", 'b_cpu: expected a list, got "12"'),
             ("label", 5, "label: expected a string, got 5"),
+            ("modes", [], "invalid server spec: server needs at least one DVFS mode"),
+            ("modes", [[1, 1.73e9, 0.95], [2, 1.86e9, 0.85]],
+             "invalid server spec: mode voltages must be non-decreasing"),
         ],
         ids=[
             "string-a-dyn", "string-b-cpu", "string-frequency", "no-modes", "no-a-dyn",
-            "fractional-n-sockets", "string-b-cpu-list", "number-label",
+            "fractional-n-sockets", "string-b-cpu-list", "number-label", "empty-modes",
+            "decreasing-voltages",
         ],
     )
     def test_bad_server_field_is_named(self, scenario, capsys, tmp_path, key, value, message):

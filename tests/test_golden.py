@@ -32,9 +32,9 @@ GOLDEN = {
         "optimize/convergence.csv": "11296b048b19c30b1e7c8332ee68e917b7f11b178b74d9e34cfff26c7139d192",
         "optimize/front.csv": "dd58c43f427ca73444ec38e2864e9a63a8aa01478198755b71258a4e9269cf90",
         "simulate/simulate_jobs.csv": "a9f95df7a0d5c135c71508286e6d3e56718c66f8b95907cb0a4b01f4f33292c1",
-        "simulate/simulate_summary.json": "52ee7ce6dc68b843907e0a0342b766e41c94354b259ccaf74c8c899d99d78591",
+        "simulate/simulate_summary.json": "bb65d69eeaf5ef97db97b62d48949f6b392155235f31614078ea38db2e01a316",
         "baseline/baseline_jobs.csv": "7e10cbc22da70dd528d92dd80ba4d43b6eb0a978b654bb8e860ff3fdd1845a81",
-        "baseline/baseline_summary.json": "fd2c1738cde8d900e71dc344447ff1dbcf66f2e2b1aa40eb6a61222ddd6f18a6",
+        "baseline/baseline_summary.json": "0d5240768a1e1c5b827aec1023c6cdc1203a38377ad6090b8494fcd145292984",
     },
 }
 
@@ -62,7 +62,7 @@ def test_outputs_match_golden_digests(fixture, policy, tmp_path):
 # into one function, so that they guard that merge.
 OVERLOADED = {
     "intel": (6, 243_000_214, {
-        "simulate_jobs.csv": "f2f8c536860e86eff8c29e6a151365414b7ab7428971444d60671dea89319a65",
+        "simulate_jobs.csv": "818495ecece88062a6d01b336cd97f6903020ffc7e1ba6754451e729b7ea92a0",
         "simulate_summary.json": "a1d3f43c92de2f1bc0417f6570af72a0eabd3ad2c7fc1fccb183a159389b68e4",
     }),
     "amd": (3, 243_000_119, {

@@ -259,10 +259,8 @@ class TestConservation:
                     rows.append((a, 100 - a))
             alloc = Allocation(dvfs=dvfs, shares=tuple(rows))
             full = evaluate_allocation(cluster, profiles, trace, alloc)
-            lam, e_j, e_u = evaluate_objectives(cluster, profiles, trace, alloc)
-            assert lam == full.lam
-            assert e_j == pytest.approx(full.energy_j, rel=1e-12)
-            assert e_u == pytest.approx(full.energy_units, rel=1e-12)
+            assert evaluate_objectives(cluster, profiles, trace, alloc) == (
+                full.lam, full.energy_j, full.energy_units)
 
     def test_deterministic(self):
         cluster = [host()]
@@ -298,13 +296,46 @@ class TestEvaluatorsAgree:
         )
         alloc = decode(modes + shares, profiles, cluster)
         kw = {"soft_constraints": s.soft_constraints, "dyn_energy_form": form}
-        lam, e_j, e_u = evaluate_objectives(
-            cluster, profiles, trace, alloc, **kw
-        )
         full = evaluate_allocation(cluster, profiles, trace, alloc, **kw)
-        assert lam == full.lam
-        assert e_j == pytest.approx(full.energy_j, rel=1e-12, abs=0.0)
-        assert e_u == pytest.approx(full.energy_units, rel=1e-12, abs=0.0)
+        assert evaluate_objectives(cluster, profiles, trace, alloc, **kw) == (
+            full.lam, full.energy_j, full.energy_units)
+
+
+def reference_starts(res, trace, profiles):
+    """Each job's start as the FIFO recursion defines it: its arrival, or its
+    predecessor's end (its completion, capped at its deadline for a control
+    task) if later; from the result's completions, job by job."""
+    is_ctrl = {p.task_id: p.kind == "CTRL" for p in profiles}
+    starts, prev_end, prev_task = [], None, None
+    for tid, arrival, deadline, completion in zip(
+            res.task_id, trace.arrival_s.tolist(), trace.deadline_s.tolist(), res.completion_s):
+        starts.append(arrival if tid != prev_task else max(arrival, prev_end))
+        prev_end = min(completion, deadline) if is_ctrl[tid] else completion
+        prev_task = tid
+    return starts
+
+
+class TestJobStarts:
+    """``evaluate_allocation`` reports the start the scan used, not one
+    recomputed from the completion, which can round to before the arrival."""
+
+    @pytest.mark.parametrize("name", ["intel", "amd"])
+    def test_starts_follow_the_fifo_recursion(self, name):
+        s, trace, _ = bundled(name)
+        cluster, profiles = list(s.cluster), list(s.profiles)
+        m, n = len(cluster), len(profiles)
+        # Every task on host 0 at mode 1 (the overloaded golden case), then
+        # random allocations.
+        allocs = [Allocation((1,) * m, ((100,) + (0,) * (m - 1),) * n)]
+        rng = np.random.default_rng(1)
+        allocs += [decode([int(rng.integers(1, len(h.spec.modes) + 1)) for h in cluster]
+                          + rng.integers(0, 101, n * m).tolist(), profiles, cluster)
+                   for _ in range(20)]
+        for alloc in allocs:
+            res = evaluate_allocation(cluster, profiles, trace, alloc,
+                                      soft_constraints=s.soft_constraints)
+            assert list(res.start_s) == reference_starts(res, trace, profiles)
+            assert (np.array(res.start_s) >= trace.arrival_s).all()
 
 
 @st.composite
@@ -905,8 +936,12 @@ class TestScoringCoreEqualsReference:
         kw = {"soft_constraints": soft, "dyn_energy_form": form}
         ctx = _prepare(cluster, profiles, trace, **kw)
         modes, shares = stack(allocs, profiles, cluster)
-        _, dynamic_j, leakage_j, executed, u, dur_coef = sim._run(ctx, modes, shares)
-        completion, exec_per_task = scan_population(ctx.arr.scan, dur_coef)
+        _, dynamic_j, leakage_j, executed, u = sim._run(ctx, modes, shares)
+        # Seconds per instruction of each task, as sim._run computes them.
+        per_server = np.divide(ctx.cpi * (shares / 100.0),
+                               ctx.tables[0, ctx.hosts, modes - 1][:, None, :] * u,
+                               out=np.zeros(shares.shape), where=shares > 0)
+        completion, exec_per_task = scan_population(ctx.arr.scan, per_server.max(axis=2))
         exec_im = shares / 100.0 * exec_per_task[:, :, None]
         want_executed = reference_server_sums(exec_im)
         dyn_sum = reference_server_sums(u * exec_im) if form == "as-written" else want_executed
